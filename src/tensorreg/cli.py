@@ -71,12 +71,10 @@ def _cmd_fit(args) -> int:
     t0 = time.perf_counter()
     if args.kernel is None:
         model = regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=ranks, gamma=gamma))
-        preds = regress.holrr_predict_batch(model, x)
     else:
         kernel = KernelSpec.from_string(args.kernel)
-        k = regress.gram(x, kernel)
-        model = regress.kholrr_fit(k, y, ranks, gamma, x, kernel)
-        preds = regress.kholrr_predict_batch(model, x)
+        model = regress.kholrr_fit(regress.gram(x, kernel), y, ranks, gamma, x, kernel)
+    preds = model.predict(x)
     seconds = time.perf_counter() - t0
     buf = io.BytesIO()
     regress.save_model(model, buf)
@@ -101,10 +99,7 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = regress.load_model(args.model)
     x = _read_matrix(args.x)
-    if isinstance(model, regress.HolrrModel):
-        preds = regress.holrr_predict_batch(model, x)
-    else:
-        preds = regress.kholrr_predict_batch(model, x)
+    preds = model.predict(x)
     _write_tensor_atomic(preds, args.out)
     _emit({"event": "predict", "rows": int(x.shape[0]), "shape": list(preds.shape), "out": str(args.out)})
     return 0

@@ -24,12 +24,11 @@ import numpy as np
 from . import datagen, regress
 from .datagen import substream
 from .regress import KernelSpec
-from .tensor import dematricize, matricize
+from .tensor import TuckerFactors, dematricize, matricize
 
 __all__ = [
     "rmse",
     "GridSpec",
-    "FittedModel",
     "cv_folds",
     "fit_method",
     "predict_method",
@@ -50,7 +49,6 @@ __all__ = [
 ]
 
 METHODS = ("rls", "lrr", "holrr", "krls", "klrr", "kholrr")
-KERNEL_METHODS = ("krls", "klrr", "kholrr")
 
 
 def rmse(y_true, y_pred) -> float:
@@ -81,63 +79,44 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # method adapters
 
 
-@dataclass
-class FittedModel:
-    """Uniform wrapper over the six fit routines for prediction and scoring."""
-
-    method: str
-    out_shape: tuple
-    w: np.ndarray = None
-    model: object = None
-    dual: np.ndarray = None
-    x_train: np.ndarray = None
-    kernel: KernelSpec = None
-
-
-def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec = None) -> FittedModel:
+def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec = None):
     """Fit one method on stacked data; `ranks` is the full tuple for holrr
-    variants and its first element feeds lrr variants."""
+    variants and its first element feeds lrr variants.
+
+    Returns a HolrrModel for the primal methods and a KernelHolrrModel for the
+    kernel ones, so every result predicts through `.predict(x)`.  The flat
+    baselines fold their coefficients into the model's tensor with identity
+    factors: rls/lrr into the core, krls/klrr into the dual coefficients.
+    """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    out_shape = y.shape[1:]
-    if method in KERNEL_METHODS:
-        if kernel is None:
-            raise ValueError(f"{method} needs a kernel")
-        k = regress.gram(x, kernel)
-    if method == "rls":
-        return FittedModel("rls", out_shape, w=regress.rls_fit(x, matricize(y, 0), gamma))
-    if method == "lrr":
-        r = int(ranks[0]) if ranks else 1
-        return FittedModel("lrr", out_shape, w=regress.lrr_fit(x, matricize(y, 0), r, gamma))
+    r = int(ranks[0]) if ranks else 1
     if method == "holrr":
-        model = regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=tuple(ranks), gamma=gamma))
-        return FittedModel("holrr", out_shape, model=model)
-    if method == "krls":
-        dual = regress.krls_fit(k, matricize(y, 0), gamma)
-        return FittedModel("krls", out_shape, dual=dual, x_train=x, kernel=kernel)
-    if method == "klrr":
-        r = int(ranks[0]) if ranks else 1
-        dual = regress.klrr_fit(k, matricize(y, 0), r, gamma)
-        return FittedModel("klrr", out_shape, dual=dual, x_train=x, kernel=kernel)
-    model = regress.kholrr_fit(k, y, tuple(ranks), gamma, x, kernel)
-    return FittedModel("kholrr", out_shape, model=model)
+        return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=tuple(ranks), gamma=gamma))
+    if method in ("rls", "lrr"):
+        y_flat = matricize(y, 0)
+        w = regress.rls_fit(x, y_flat, gamma) if method == "rls" else regress.lrr_fit(x, y_flat, r, gamma)
+        core = dematricize(w, 0, (x.shape[1], *y.shape[1:]))
+        factors = TuckerFactors(core=core, factors=[np.eye(d) for d in core.shape])
+        return regress.HolrrModel(factors=factors, ranks=core.shape, gamma=float(gamma))
+    if kernel is None:
+        raise ValueError(f"{method} needs a kernel")
+    k = regress.gram(x, kernel)
+    if method == "kholrr":
+        return regress.kholrr_fit(k, y, tuple(ranks), gamma, x, kernel)
+    y_flat = matricize(y, 0)
+    dual = regress.krls_fit(k, y_flat, gamma) if method == "krls" else regress.klrr_fit(k, y_flat, r, gamma)
+    coeff = dematricize(dual, 0, y.shape)
+    return regress.KernelHolrrModel(
+        coeff=coeff, train_inputs=x, kernel=kernel, ranks=coeff.shape, gamma=float(gamma)
+    )
 
 
-def predict_method(fm: FittedModel, x) -> np.ndarray:
+def predict_method(model, x) -> np.ndarray:
     """Stacked predictions for input rows."""
-    x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    if fm.method in ("rls", "lrr"):
-        flat = x @ fm.w
-        return dematricize(flat, 0, (n, *fm.out_shape))
-    if fm.method == "holrr":
-        return regress.holrr_predict_batch(fm.model, x)
-    if fm.method in ("krls", "klrr"):
-        cross = regress.kernel_cross(fm.kernel, x, fm.x_train)
-        return dematricize(cross @ fm.dual, 0, (n, *fm.out_shape))
-    return regress.kholrr_predict_batch(fm.model, x)
+    return model.predict(x)
 
 
 def measure_fit_seconds(method, x, y, gamma, ranks=None, kernel=None, repeats: int = 3) -> float:
@@ -166,8 +145,8 @@ class GridSpec:
     def __post_init__(self):
         self.gammas = tuple(float(g) for g in self.gammas)
         self.rank_candidates = tuple(tuple(int(r) for r in rc) for rc in self.rank_candidates)
-        if any(g < 0 for g in self.gammas):
-            raise ValueError("gammas must be >= 0")
+        if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
+            raise ValueError("gammas must be finite and >= 0")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
 
@@ -214,29 +193,24 @@ def grid_search_cv(x, y, grid: GridSpec, method: str, kernel: KernelSpec = None)
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    points = _grid_points(method, grid)
-    blocks = cv_folds(x.shape[0], grid.folds, grid.seed)
+    splits = []
+    for val_idx in cv_folds(x.shape[0], grid.folds, grid.seed):
+        mask = np.ones(x.shape[0], dtype=bool)
+        mask[val_idx] = False
+        splits.append((x[mask], y[mask], x[val_idx], y[val_idx]))
+    return _select(splits, grid, method, kernel)
+
+
+def _select(splits, grid: GridSpec, method: str, kernel=None):
+    """Score every grid point by its mean validation RMSE over the
+    (x_fit, y_fit, x_val, y_val) splits; returns (best, table)."""
     table = []
-    for gamma, ranks in points:
-        scores = []
-        for val_idx in blocks:
-            mask = np.ones(x.shape[0], dtype=bool)
-            mask[val_idx] = False
-            fm = fit_method(method, x[mask], y[mask], gamma, ranks, kernel)
-            scores.append(rmse(y[val_idx], predict_method(fm, x[val_idx])))
+    for gamma, ranks in _grid_points(method, grid):
+        scores = [
+            rmse(y_val, predict_method(fit_method(method, x_fit, y_fit, gamma, ranks, kernel), x_val))
+            for x_fit, y_fit, x_val, y_val in splits
+        ]
         table.append({"gamma": gamma, "ranks": ranks, "score": float(np.mean(scores))})
-    best = min(table, key=lambda row: (row["score"], _point_key((row["gamma"], row["ranks"]))))
-    return best, table
-
-
-def _select_on_validation(x_tr, y_tr, x_val, y_val, grid: GridSpec, method, kernel=None):
-    """Pick the grid point with the best RMSE on a held-out validation set."""
-    points = _grid_points(method, grid)
-    table = []
-    for gamma, ranks in points:
-        fm = fit_method(method, x_tr, y_tr, gamma, ranks, kernel)
-        score = rmse(y_val, predict_method(fm, x_val))
-        table.append({"gamma": gamma, "ranks": ranks, "score": score})
     best = min(table, key=lambda row: (row["score"], _point_key((row["gamma"], row["ranks"]))))
     return best, table
 
@@ -569,9 +543,9 @@ def _run_synth_task(args) -> list:
         else:
             gamma, ranks = points[0]
         t0 = time.perf_counter()
-        fm = fit_method(method, data.x_train, data.y_train, gamma, ranks, kernel)
+        model = fit_method(method, data.x_train, data.y_train, gamma, ranks, kernel)
         seconds = time.perf_counter() - t0
-        err = rmse(data.y_test, predict_method(fm, data.x_test))
+        err = rmse(data.y_test, predict_method(model, data.x_test))
         records.append(
             {
                 "experiment": name,
@@ -620,11 +594,11 @@ def _run_forecast_task(args) -> list:
             rank_candidates=tuple(tuple(rc) for rc in candidates),
             seed=seed,
         )
-        best, _ = _select_on_validation(x_all[tr], y_all[tr], x_all[va], y_all[va], grid, method, kernel)
+        best, _ = _select([(x_all[tr], y_all[tr], x_all[va], y_all[va])], grid, method, kernel)
         t0 = time.perf_counter()
-        fm = fit_method(method, x_all[tr], y_all[tr], best["gamma"], best["ranks"], kernel)
+        model = fit_method(method, x_all[tr], y_all[tr], best["gamma"], best["ranks"], kernel)
         seconds = time.perf_counter() - t0
-        err = rmse(y_all[te], predict_method(fm, x_all[te]))
+        err = rmse(y_all[te], predict_method(model, x_all[te]))
         records.append(
             {
                 "experiment": "forecast",
@@ -676,12 +650,8 @@ def _run_image(cfg, out_dir) -> list:
         variants += [("holrr", tuple(int(v) for v in rc)) for rc in cfg["holrr_ranks"]]
         for method, ranks in variants:
             t0 = time.perf_counter()
-            fm = fit_method(method, x, y, gamma, ranks)
+            w_hat = fit_method(method, x, y, gamma, ranks).coefficients()
             seconds = time.perf_counter() - t0
-            if method == "holrr":
-                w_hat = fm.model.coefficients()
-            else:
-                w_hat = dematricize(fm.w, 0, w_true.shape)
             err = rmse(w_true, w_hat)
             records.append(
                 {

@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack, solve_triangular
+from scipy.linalg import eigh, lapack, solve_triangular
 
 from .tensor import _fix_signs
 
@@ -100,9 +100,9 @@ def sym_eig_top(a, r: int) -> SymEigResult:
         warnings.warn(f"eigenpair count {r} clamped to dimension {a.shape[0]}", stacklevel=2)
         r = a.shape[0]
         clamped = True
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(w)[::-1][:r]
-    return SymEigResult(values=w[order], vectors=_fix_signs(v[:, order]), clamped=clamped)
+    # eigh returns only the requested top r pairs, ascending
+    w, v = eigh((a + a.T) / 2.0, subset_by_index=[a.shape[0] - r, a.shape[0] - 1])
+    return SymEigResult(values=w[::-1], vectors=_fix_signs(v[:, ::-1]), clamped=clamped)
 
 
 def gen_sym_eig_top(s, m, r: int):
@@ -127,7 +127,6 @@ def gen_sym_eig_top(s, m, r: int):
     ell = _cholesky_lower(m)
     half = solve_triangular(ell, s, lower=True)
     white = solve_triangular(ell, half.T, lower=True)
-    w, v = np.linalg.eigh((white + white.T) / 2.0)
-    order = np.argsort(w)[::-1][:r]
-    back = solve_triangular(ell.T, v[:, order], lower=False)
-    return w[order], _fix_signs(back)
+    w, v = eigh((white + white.T) / 2.0, subset_by_index=[m.shape[0] - r, m.shape[0] - 1])
+    back = solve_triangular(ell.T, v[:, ::-1], lower=False)
+    return w[::-1], _fix_signs(back)

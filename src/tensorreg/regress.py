@@ -72,6 +72,8 @@ MODEL_VERSION = 1
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
+_CORE_FALLBACK = "projected gram singular; using pseudo-inverse core solve"
+
 
 @dataclass
 class KernelSpec:
@@ -168,6 +170,25 @@ def kernel_vec(kernel: KernelSpec, x_train, x) -> np.ndarray:
     return kernel_cross(kernel, x_train, x[None, :])[:, 0]
 
 
+def _check_gamma(gamma) -> float:
+    gamma = float(gamma)
+    if not (np.isfinite(gamma) and gamma >= 0):
+        raise ValueError("gamma must be finite and >= 0")
+    return gamma
+
+
+def _solve(a: np.ndarray, b: np.ndarray, msg: str, noted: list = None) -> np.ndarray:
+    """Solve a x = b by Cholesky; when `a` is not positive definite, warn with
+    `msg` (also appended to `noted`) and use the pseudo-inverse instead."""
+    try:
+        return linalg.spd_solve(a, b)
+    except NotPositiveDefiniteError:
+        if noted is not None:
+            noted.append(msg)
+        warnings.warn(msg, stacklevel=3)
+        return linalg.pinv(a) @ b
+
+
 @dataclass
 class RegressionProblem:
     """Training data plus target multilinear rank (R0..Rp) and ridge gamma."""
@@ -181,7 +202,7 @@ class RegressionProblem:
         self.x = np.asarray(self.x, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         self.ranks = tuple(int(r) for r in self.ranks)
-        self.gamma = float(self.gamma)
+        self.gamma = _check_gamma(self.gamma)
         if self.x.ndim != 2:
             raise ValueError("x must be a matrix of input rows")
         if self.y.ndim < 2:
@@ -196,8 +217,6 @@ class RegressionProblem:
             )
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be >= 1")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("training data must be finite")
 
@@ -215,6 +234,10 @@ class HolrrModel:
         """Materialize the full coefficient tensor W."""
         return tucker_reconstruct(self.factors)
 
+    def predict(self, x) -> np.ndarray:
+        """Stacked predictions for a matrix of input rows."""
+        return holrr_predict_batch(self, x)
+
 
 @dataclass
 class KernelHolrrModel:
@@ -229,6 +252,10 @@ class KernelHolrrModel:
     dual_vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     warnings: tuple = ()
 
+    def predict(self, x) -> np.ndarray:
+        """Stacked predictions for a matrix of input rows."""
+        return kholrr_predict_batch(self, x)
+
 
 def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
     """Ridge solution (X^T X + gamma I)^-1 X^T Y, one output column at a time.
@@ -238,17 +265,11 @@ def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     y_flat = np.asarray(y_flat, dtype=np.float64)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    gamma = _check_gamma(gamma)
     if x.shape[0] != y_flat.shape[0]:
         raise ValueError("row count mismatch between x and y")
     a = x.T @ x + gamma * np.eye(x.shape[1])
-    b = x.T @ y_flat
-    try:
-        return linalg.spd_solve(a, b)
-    except NotPositiveDefiniteError:
-        warnings.warn("normal equations singular; using pseudo-inverse", stacklevel=2)
-        return linalg.pinv(a) @ b
+    return _solve(a, x.T @ y_flat, "normal equations singular; using pseudo-inverse")
 
 
 def _ridge_hat(x: np.ndarray, gamma: float) -> np.ndarray:
@@ -257,11 +278,7 @@ def _ridge_hat(x: np.ndarray, gamma: float) -> np.ndarray:
         p = x @ linalg.pinv(x)
     else:
         a = x.T @ x + gamma * np.eye(x.shape[1])
-        try:
-            p = x @ linalg.spd_solve(a, x.T)
-        except NotPositiveDefiniteError:
-            warnings.warn("normal equations singular; using pseudo-inverse", stacklevel=2)
-            p = x @ (linalg.pinv(a) @ x.T)
+        p = x @ _solve(a, x.T, "normal equations singular; using pseudo-inverse")
     return (p + p.T) / 2.0
 
 
@@ -358,14 +375,7 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
     u0 = _orthonormalize(u0_raw)
 
     core_gram = u0.T @ a @ u0
-    rhs = u0.T @ x.T
-    try:
-        m_map = linalg.spd_solve((core_gram + core_gram.T) / 2.0, rhs)
-    except NotPositiveDefiniteError:
-        msg = "projected gram singular; using pseudo-inverse core solve"
-        noted.append(msg)
-        warnings.warn(msg, stacklevel=2)
-        m_map = linalg.pinv(core_gram) @ rhs
+    m_map = _solve((core_gram + core_gram.T) / 2.0, u0.T @ x.T, _CORE_FALLBACK, noted)
 
     factors = [u0] + _output_factors(y, out_ranks)
     core = multi_mode_product(y, [m_map] + [u.T for u in factors[1:]])
@@ -406,14 +416,9 @@ def krls_fit(k, y_flat, gamma: float) -> np.ndarray:
     """Dual ridge coefficients (K + gamma I)^-1 Y."""
     k = np.asarray(k, dtype=np.float64)
     y_flat = np.asarray(y_flat, dtype=np.float64)
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    gamma = _check_gamma(gamma)
     a = k + gamma * np.eye(k.shape[0])
-    try:
-        return linalg.spd_solve(a, y_flat)
-    except NotPositiveDefiniteError:
-        warnings.warn("gram matrix singular; using pseudo-inverse", stacklevel=2)
-        return linalg.pinv(a) @ y_flat
+    return _solve(a, y_flat, "gram matrix singular; using pseudo-inverse")
 
 
 def klrr_fit(k, y_flat, rank: int, gamma: float) -> np.ndarray:
@@ -478,8 +483,6 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     k = np.asarray(k, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
-    ranks = tuple(int(r) for r in ranks)
-    gamma = float(gamma)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("gram matrix must be square")
     n = k.shape[0]
@@ -487,12 +490,8 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
         raise ValueError(f"{n} gram rows but {y.shape[0]} output slices")
     if train_inputs.shape[0] != n:
         raise ValueError("train_inputs row count must match the gram matrix")
-    if len(ranks) != y.ndim:
-        raise ValueError(f"need {y.ndim} ranks, got {len(ranks)}")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be >= 1")
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
+    prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
+    y, ranks, gamma = prob.y, prob.ranks, prob.gamma
     p = y.ndim - 1
     noted: list = []
     r0 = _clamp_rank(ranks[0], n, 0, noted)
@@ -503,14 +502,7 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
 
     ka = k @ a
     left = a.T @ (k @ ka) + gamma * (a.T @ ka)
-    rhs = ka.T
-    try:
-        m_map = linalg.spd_solve((left + left.T) / 2.0, rhs)
-    except NotPositiveDefiniteError:
-        msg = "projected gram singular; using pseudo-inverse core solve"
-        noted.append(msg)
-        warnings.warn(msg, stacklevel=2)
-        m_map = linalg.pinv(left) @ rhs
+    m_map = _solve((left + left.T) / 2.0, ka.T, _CORE_FALLBACK, noted)
 
     factors = _output_factors(y, out_ranks)
     core = multi_mode_product(y, [m_map] + [u.T for u in factors])
@@ -590,6 +582,36 @@ def save_model(model, path_or_file) -> None:
             f.write(data)
 
 
+def _model_from_header(header: dict, blocks: dict):
+    ranks = tuple(int(r) for r in header["ranks"])
+    gamma = float(header["gamma"])
+    warns = tuple(header.get("warnings", []))
+    if header["kind"] == "holrr":
+        factors = [blocks[f"factor{i}"] for i in range(len(header["blocks"]) - 1)]
+        return HolrrModel(
+            factors=TuckerFactors(core=blocks["core"], factors=[np.atleast_2d(u) for u in factors]),
+            ranks=ranks,
+            gamma=gamma,
+            warnings=warns,
+        )
+    if header["kind"] == "kholrr":
+        model = KernelHolrrModel(
+            coeff=blocks["coeff"],
+            train_inputs=np.atleast_2d(blocks["train_inputs"]),
+            kernel=KernelSpec(**header["kernel"]),
+            ranks=ranks,
+            gamma=gamma,
+            dual_values=np.atleast_1d(blocks["dual_values"]),
+            dual_vectors=np.atleast_2d(blocks["dual_vectors"]),
+            warnings=warns,
+        )
+        rows = {model.coeff.shape[0], model.train_inputs.shape[0], model.dual_vectors.shape[0]}
+        if len(rows) != 1:
+            raise ValueError("model blocks coeff, train_inputs and dual_vectors disagree on N")
+        return model
+    raise ValueError(f"unknown model kind {header['kind']!r}")
+
+
 def load_model(path_or_file):
     """Read a model file back; returns HolrrModel or KernelHolrrModel."""
     if hasattr(path_or_file, "read"):
@@ -605,32 +627,11 @@ def load_model(path_or_file):
         if magic[1] != str(MODEL_VERSION):
             raise ValueError(f"unsupported model version {magic[1]}")
         header = json.loads(f.readline().decode("ascii"))
-        blocks = {name: read_dten(f) for name in header["blocks"]}
-        ranks = tuple(int(r) for r in header["ranks"])
-        gamma = float(header["gamma"])
-        warns = tuple(header.get("warnings", []))
-        if header["kind"] == "holrr":
-            core = blocks["core"]
-            factors = [blocks[f"factor{i}"] for i in range(len(header["blocks"]) - 1)]
-            factors = [np.atleast_2d(u) for u in factors]
-            return HolrrModel(
-                factors=TuckerFactors(core=core, factors=factors),
-                ranks=ranks,
-                gamma=gamma,
-                warnings=warns,
-            )
-        if header["kind"] == "kholrr":
-            return KernelHolrrModel(
-                coeff=blocks["coeff"],
-                train_inputs=np.atleast_2d(blocks["train_inputs"]),
-                kernel=KernelSpec(**header["kernel"]),
-                ranks=ranks,
-                gamma=gamma,
-                dual_values=np.atleast_1d(blocks["dual_values"]),
-                dual_vectors=np.atleast_2d(blocks["dual_vectors"]),
-                warnings=warns,
-            )
-        raise ValueError(f"unknown model kind {header['kind']!r}")
+        try:
+            return _model_from_header(header, {name: read_dten(f) for name in header["blocks"]})
+        except (KeyError, TypeError) as e:
+            # the header is outside input: a missing key or a wrong JSON type
+            raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
     finally:
         if close:
             f.close()

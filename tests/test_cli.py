@@ -153,6 +153,38 @@ def test_exit_code_2_argument_and_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_exit_code_2_non_finite_gamma_or_data(tmp_path, capsys):
+    data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=5)
+    bad_y = data.y_train.copy()
+    bad_y[0, 0, 0] = np.nan
+    nan_y = tmp_path / "nan_y.dten"
+    write_dten(bad_y, nan_y)
+    out = tmp_path / "m.bin"
+    cases = [
+        ["--y", str(y_dten), "--gamma", "nan"],
+        ["--y", str(y_dten), "--gamma", "inf"],
+        ["--y", str(y_dten), "--gamma", "nan", "--kernel", "rbf:1.0"],
+        ["--y", str(nan_y), "--kernel", "rbf:1.0"],
+    ]
+    for extra in cases:
+        code = main(["fit", "--x", str(x_csv), "--ranks", "2,2,2", "--out", str(out), *extra])
+        err = capsys.readouterr().err
+        assert code == 2, extra
+        assert "tensorreg: " in err and "finite" in err, extra
+        assert not out.exists(), extra
+
+
+def test_exit_code_2_malformed_model_file(tmp_path, capsys):
+    _, x_csv, _, _ = make_problem_files(tmp_path, seed=6)
+    bad = tmp_path / "bad.bin"
+    for header in (b"[1, 2]", b'{"kind":"holrr","ranks":[1],"gamma":0.0}'):
+        bad.write_bytes(b"HOLRR 1\n" + header + b"\n")
+        code = main(["predict", "--model", str(bad), "--x", str(x_csv), "--out", str(tmp_path / "p.dten")])
+        err = capsys.readouterr().err
+        assert code == 2, header
+        assert err.startswith("tensorreg: ") and "malformed model header" in err, header
+
+
 def test_exit_code_2_bad_config(tmp_path, capsys):
     bad_list = tmp_path / "list.json"
     bad_list.write_text("[1, 2]")

@@ -24,7 +24,8 @@ from tensorreg.harness import (
     run_experiment,
     write_report,
 )
-from tensorreg.regress import KernelSpec
+from tensorreg.regress import KernelSpec, gram, kernel_cross, krls_fit, rls_fit
+from tensorreg.tensor import dematricize, matricize
 
 
 def test_rmse_values():
@@ -86,6 +87,21 @@ def test_adapters_linear_kernel_duals_match_primal():
         )
 
 
+def test_flat_baseline_models_predict_bitwise_like_the_flat_solution():
+    data = small_data(4)
+    rbf = KernelSpec(kind="rbf", sigma=2.0)
+    y_flat = matricize(data.y_train, 0)
+    shape = (data.x_test.shape[0], *data.y_train.shape[1:])
+    w = rls_fit(data.x_train, y_flat, 0.1)
+    expect = dematricize(data.x_test @ w, 0, shape)
+    got = fit_method("rls", data.x_train, data.y_train, 0.1).predict(data.x_test)
+    np.testing.assert_array_equal(got, expect)
+    dual = krls_fit(gram(data.x_train, rbf), y_flat, 0.1)
+    expect = dematricize(kernel_cross(rbf, data.x_test, data.x_train) @ dual, 0, shape)
+    got = fit_method("krls", data.x_train, data.y_train, 0.1, kernel=rbf).predict(data.x_test)
+    np.testing.assert_array_equal(got, expect)
+
+
 def test_fit_method_validation():
     data = small_data(2)
     with pytest.raises(ValueError, match="unknown method"):
@@ -119,6 +135,9 @@ def test_cv_folds_partition():
 def test_grid_spec_validation():
     with pytest.raises(ValueError, match="gammas"):
         GridSpec(gammas=(-1.0,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="gammas must be finite"):
+            GridSpec(gammas=(0.1, bad))
     with pytest.raises(ValueError, match="folds"):
         GridSpec(folds=1)
 

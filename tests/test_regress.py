@@ -281,6 +281,24 @@ def test_regression_problem_validation():
         RegressionProblem(x, bad, (1, 1), 0.0)
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf])
+def test_fits_reject_non_finite_gamma(gamma):
+    prob, _ = small_problem(41)
+    x, y_flat = prob.x, matricize(prob.y, 0)
+    k = gram(x, KernelSpec())
+    fits = [
+        lambda: RegressionProblem(x, prob.y, prob.ranks, gamma),
+        lambda: rls_fit(x, y_flat, gamma),
+        lambda: lrr_fit(x, y_flat, 2, gamma),
+        lambda: krls_fit(k, y_flat, gamma),
+        lambda: klrr_fit(k, y_flat, 2, gamma),
+        lambda: kholrr_fit(k, prob.y, prob.ranks, gamma, x, KernelSpec()),
+    ]
+    for fit in fits:
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            fit()
+
+
 def test_holrr_predict_validation():
     prob, _ = small_problem(16)
     model = holrr_fit(prob)
@@ -401,6 +419,33 @@ def test_krls_validation():
         krls_fit(np.eye(3), np.zeros((3, 2)), -1.0)
 
 
+# --- the flat baselines as rank-constrained holrr -------------------------
+
+
+def test_lrr_equals_holrr_at_full_output_rank_on_flat_outputs():
+    # lrr is holrr on vectorized outputs with the output mode kept whole
+    for seed in range(20):
+        prob, _ = small_problem(100 + seed, dims=(6, 4, 3, 2), ranks=(2, 2, 2, 2), gamma=0.05)
+        y_flat = matricize(prob.y, 0)
+        w_lrr = lrr_fit(prob.x, y_flat, 2, prob.gamma)
+        model = holrr_fit(RegressionProblem(prob.x, y_flat, (2, y_flat.shape[1]), prob.gamma))
+        w_holrr = model.coefficients()
+        assert np.linalg.norm(w_lrr - w_holrr) <= 1e-12 * np.linalg.norm(w_lrr)
+
+
+def test_klrr_predictions_equal_kholrr_at_full_output_rank():
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    for seed in range(20):
+        prob, data = small_problem(200 + seed, dims=(6, 4, 3, 2), ranks=(2, 2, 2, 2), gamma=0.05)
+        y_flat = matricize(prob.y, 0)
+        k = gram(prob.x, spec)
+        dual = klrr_fit(k, y_flat, 2, prob.gamma)
+        p_klrr = kernel_cross(spec, data.x_test, prob.x) @ dual
+        model = kholrr_fit(k, y_flat, (2, y_flat.shape[1]), prob.gamma, prob.x, spec)
+        p_kholrr = kholrr_predict_batch(model, data.x_test)
+        assert np.linalg.norm(p_klrr - p_kholrr) <= 1e-11 * np.linalg.norm(p_klrr)
+
+
 # --- kernel holrr -----------------------------------------------------------
 
 
@@ -486,6 +531,15 @@ def test_kholrr_validation():
         kholrr_fit(k, prob.y, prob.ranks[:-1], 0.1, prob.x, spec)
     with pytest.raises(ValueError, match="gamma"):
         kholrr_fit(k, prob.y, prob.ranks, -0.1, prob.x, spec)
+    # non-finite data is a data error, not a failed eigensolve
+    bad_y = prob.y.copy()
+    bad_y[0, 0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="training data must be finite"):
+        kholrr_fit(k, bad_y, prob.ranks, 0.1, prob.x, spec)
+    bad_x = prob.x.copy()
+    bad_x[1, 1] = np.inf
+    with pytest.raises(ValueError, match="training data must be finite"):
+        kholrr_fit(k, prob.y, prob.ranks, 0.1, bad_x, spec)
 
 
 # --- model files ------------------------------------------------------------
@@ -542,6 +596,23 @@ def test_model_file_errors(tmp_path):
         load_model(bad)
     with pytest.raises(TypeError, match="serialize"):
         save_model(object(), tmp_path / "x.bin")
+    # headers that are not objects or lack a required key
+    for header in (b"[1, 2]", b'"holrr"', b'{"ranks":[1],"gamma":0.0,"blocks":[]}',
+                   b'{"kind":"holrr","ranks":[1],"gamma":0.0}', b'{"kind":"holrr","blocks":[],"gamma":0.0}',
+                   b'{"kind":"holrr","blocks":[],"ranks":[1]}'):
+        with pytest.raises(ValueError, match="malformed model header"):
+            load_model(io.BytesIO(b"HOLRR 1\n" + header + b"\n"))
+
+
+def test_load_model_rejects_kernel_blocks_that_disagree_on_n():
+    prob, _, spec, k = kernel_problem(42)
+    model = kholrr_fit(k, prob.y, prob.ranks, prob.gamma, prob.x, spec)
+    model.train_inputs = model.train_inputs[:-1]
+    buf = io.BytesIO()
+    save_model(model, buf)
+    buf.seek(0)
+    with pytest.raises(ValueError, match="disagree on N"):
+        load_model(buf)
 
 
 def test_vectorized_prediction_consistency():
