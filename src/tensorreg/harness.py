@@ -147,6 +147,8 @@ class GridSpec:
         self.rank_candidates = tuple(tuple(int(r) for r in rc) for rc in self.rank_candidates)
         if not all(math.isfinite(g) and g >= 0 for g in self.gammas):
             raise ValueError("gammas must be finite and >= 0")
+        if not all(rc and min(rc) >= 1 for rc in self.rank_candidates):
+            raise ValueError("rank candidates must be non-empty with every rank >= 1")
         if self.folds < 2:
             raise ValueError("need at least 2 folds")
 
@@ -203,14 +205,32 @@ def grid_search_cv(x, y, grid: GridSpec, method: str, kernel: KernelSpec = None)
 
 def _select(splits, grid: GridSpec, method: str, kernel=None):
     """Score every grid point by its mean validation RMSE over the
-    (x_fit, y_fit, x_val, y_val) splits; returns (best, table)."""
-    table = []
-    for gamma, ranks in _grid_points(method, grid):
-        scores = [
-            rmse(y_val, predict_method(fit_method(method, x_fit, y_fit, gamma, ranks, kernel), x_val))
-            for x_fit, y_fit, x_val, y_val in splits
-        ]
-        table.append({"gamma": gamma, "ranks": ranks, "score": float(np.mean(scores))})
+    (x_fit, y_fit, x_val, y_val) splits; returns (best, table).
+
+    lrr/klrr score a split's whole (gamma, rank) grid from one decomposition
+    of its fit rows (regress.lrr_path_predict); the other methods fit once per
+    point and split.
+    """
+    points = _grid_points(method, grid)
+    if method == "klrr" and kernel is None:
+        raise ValueError("klrr needs a kernel")
+    errors = {point: [] for point in points}
+    for x_fit, y_fit, x_val, y_val in splits:
+        if method in ("lrr", "klrr"):
+            path = regress.lrr_path_predict(
+                x_fit,
+                matricize(y_fit, 0),
+                x_val,
+                sorted({g for g, _ in points}),
+                sorted({r for _, (r,) in points}),
+                kernel if method == "klrr" else None,
+            )
+            preds = (((g, (r,)), dematricize(pred, 0, y_val.shape)) for (g, r), pred in path.items())
+        else:
+            preds = ((pt, predict_method(fit_method(method, x_fit, y_fit, *pt, kernel), x_val)) for pt in errors)
+        for point, pred in preds:
+            errors[point].append(rmse(y_val, pred))
+    table = [{"gamma": g, "ranks": r, "score": float(np.mean(errors[(g, r)]))} for g, r in points]
     best = min(table, key=lambda row: (row["score"], _point_key((row["gamma"], row["ranks"]))))
     return best, table
 

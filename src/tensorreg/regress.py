@@ -60,6 +60,7 @@ __all__ = [
     "kernel_vec",
     "krls_fit",
     "klrr_fit",
+    "lrr_path_predict",
     "kholrr_fit",
     "kholrr_predict",
     "kholrr_predict_batch",
@@ -438,6 +439,49 @@ def klrr_fit(k, y_flat, rank: int, gamma: float) -> np.ndarray:
     s = y_flat.T @ (k @ base)
     v = linalg.sym_eig_top((s + s.T) / 2.0, rank).vectors
     return base @ v @ v.T
+
+
+def lrr_path_predict(x_fit, y_flat, x_val, gammas, ranks, kernel: KernelSpec = None):
+    """Validation predictions of lrr_fit (klrr_fit when `kernel` is given) at
+    every (gamma, rank) point, from one decomposition of the fit rows.
+
+    With the fit Gram G = Q diag(lam) Q^T (Q, lam from the thin SVD of X, or
+    eigh(K) with lam clipped at 0) and Z = Q^T Y, the ridge prediction is
+    (B / (lam + gamma)) Z for the validation basis B (X_val V S, or K_val Q),
+    and the lrr output subspace at gamma is the top right singular subspace of
+    diag(sqrt(lam / (lam + gamma))) Z, so every rank is a prefix of one small
+    SVD per gamma.  Directions with lam + gamma <= 1e-12 max(lam) get weight
+    0: the pseudo-inverse semantics of the gamma = 0 fits.
+
+    Returns {(gamma, rank): prediction}, predictions n_val x D; a rank at or
+    above D gives the unprojected ridge prediction.  Ranks must be >= 1.
+    """
+    y_flat = np.asarray(y_flat, dtype=np.float64)
+    if kernel is None:
+        q, s, vt = np.linalg.svd(x_fit, full_matrices=False)
+        lam = s * s
+        basis = (x_val @ vt.T) * s
+    else:
+        lam, q = np.linalg.eigh(gram(x_fit, kernel))
+        lam = np.clip(lam, 0.0, None)
+        basis = kernel_cross(kernel, x_val, x_fit) @ q
+    z = q.T @ y_flat
+    cutoff = 1e-12 * lam.max()
+    preds = {}
+    for gamma in gammas:
+        denom = lam + gamma
+        keep = denom > cutoff
+        inv = np.where(keep, 1.0 / np.where(keep, denom, 1.0), 0.0)
+        scaled = basis * inv
+        full = scaled @ z
+        v_all = np.linalg.svd(np.sqrt(lam * inv)[:, None] * z, full_matrices=False)[2].T
+        for r in ranks:
+            if r >= y_flat.shape[1]:
+                preds[gamma, r] = full
+            else:
+                v = v_all[:, :r]
+                preds[gamma, r] = (scaled @ (z @ v)) @ v.T
+    return preds
 
 
 def _dual_pencil_top(k: np.ndarray, y0: np.ndarray, gamma: float, r: int, noted: list):

@@ -13,6 +13,8 @@ Modes are 0-based, matching numpy axes.
 
 from __future__ import annotations
 
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -71,7 +73,7 @@ def dematricize(m, mode: int, shape) -> np.ndarray:
     if not 0 <= mode < len(shape):
         raise ValueError(f"mode {mode} out of range for order-{len(shape)} tensor")
     rest = shape[:mode] + shape[mode + 1 :]
-    if m.shape != (shape[mode], int(np.prod(rest, dtype=np.int64))):
+    if m.shape != (shape[mode], math.prod(rest)):
         raise ValueError(f"matrix shape {m.shape} does not fold into {shape} at mode {mode}")
     folded = m.reshape((shape[mode],) + rest, order="F")
     return np.moveaxis(folded, 0, mode)
@@ -277,6 +279,29 @@ def _read_line_bytes(f) -> bytes:
     return bytes(out)
 
 
+def _bytes_left(f):
+    """Bytes from the position of `f` to its end, or None if `f` cannot seek."""
+    try:
+        pos = f.tell()
+        end = f.seek(0, os.SEEK_END)
+        f.seek(pos)
+    except (AttributeError, OSError):
+        return None
+    return end - pos
+
+
+def _read_at_most(f, n: int) -> bytes:
+    """Up to n bytes of f in 16 MiB reads, so a huge n allocates nothing up front."""
+    chunks = []
+    while n > 0:
+        chunk = f.read(min(n, 1 << 24))
+        if not chunk:
+            break
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
 def read_dten(path_or_file) -> np.ndarray:
     f, close = _open_maybe(path_or_file, "rb")
     try:
@@ -291,12 +316,14 @@ def read_dten(path_or_file) -> np.ndarray:
         shape = tuple(int(d) for d in header[3:])
         if any(d < 1 for d in shape):
             raise ValueError(f"bad DTEN dimensions {shape}")
-        count = int(np.prod(shape, dtype=np.int64))
-        payload = f.read(count * 8)
-        if len(payload) != count * 8:
-            raise ValueError(
-                f"DTEN payload truncated: expected {count * 8} bytes, got {len(payload)}"
-            )
+        # exact Python ints: an int64 product wraps for huge dims
+        nbytes = 8 * math.prod(shape)
+        left = _bytes_left(f)
+        if left is not None and nbytes > left:
+            raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {left}")
+        payload = f.read(nbytes) if left is not None else _read_at_most(f, nbytes)
+        if len(payload) != nbytes:
+            raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {len(payload)}")
         data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
         return data.reshape(shape, order="F")
     finally:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -194,6 +195,27 @@ def test_exit_code_2_bad_config(tmp_path, capsys):
     assert main(["experiment", "synth-linear", "--config", str(bad_json), "--out-dir", str(tmp_path / "o")]) == 2
     assert main(["experiment", "mystery", "--out-dir", str(tmp_path / "o")]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_bad_rank_candidates(tmp_path, capsys):
+    for candidates in ([[]], [[0, 4, 4, 8]]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rank_candidates": candidates, "trials": 1, "train_sizes": [20]}))
+        code = main(["experiment", "synth-linear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, candidates
+        assert err.startswith("tensorreg: ") and "rank candidates" in err, candidates
+
+
+def test_exit_code_2_dten_dims_beyond_the_file(tmp_path, capsys):
+    for dims in ((99999999999999999999, 2), (3037000500, 3037000500, 2)):
+        path = tmp_path / "huge.dten"
+        path.write_bytes(f"DTEN 1 {len(dims)} {' '.join(map(str, dims))}\n".encode() + b"\0" * 64)
+        code = main(["tensor", "info", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, dims
+        # the exact byte count, not an int64 wrap-around or an OverflowError
+        assert err.startswith("tensorreg: ") and f"expected {8 * math.prod(dims)} bytes, got 64" in err, err
 
 
 def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):

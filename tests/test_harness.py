@@ -1,10 +1,12 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import helpers
+from tensorreg import linalg, regress
 from tensorreg.datagen import SynthSpec, gen_linear_synthetic
 from tensorreg.harness import (
     DEFAULT_STATIONS,
@@ -12,8 +14,11 @@ from tensorreg.harness import (
     ForecastDataset,
     GridSpec,
     atomic_write_bytes,
+    _grid_points,
+    _run_synth_task,
     build_forecast_dataset,
     cv_folds,
+    default_config,
     fit_method,
     grid_search_cv,
     load_metoffice,
@@ -108,6 +113,8 @@ def test_fit_method_validation():
         fit_method("boost", data.x_train, data.y_train, 0.1)
     with pytest.raises(ValueError, match="needs a kernel"):
         fit_method("krls", data.x_train, data.y_train, 0.1)
+    with pytest.raises(ValueError, match="needs a kernel"):
+        grid_search_cv(data.x_train, data.y_train, GridSpec(gammas=(0.1, 1.0), rank_candidates=((2,),)), "klrr")
 
 
 def test_measure_fit_seconds():
@@ -140,6 +147,9 @@ def test_grid_spec_validation():
             GridSpec(gammas=(0.1, bad))
     with pytest.raises(ValueError, match="folds"):
         GridSpec(folds=1)
+    for bad in ((), (0, 4, 4, 8), (6, -1, 4, 8)):
+        with pytest.raises(ValueError, match="rank candidates"):
+            GridSpec(rank_candidates=((6, 4, 4, 8), bad))
 
 
 def test_grid_search_prefers_obviously_better_gamma():
@@ -176,6 +186,93 @@ def test_grid_search_requires_rank_candidates_for_rank_methods():
         grid_search_cv(data.x_train, data.y_train, grid, "lrr")
     with pytest.raises(ValueError, match="rank candidate"):
         grid_search_cv(data.x_train, data.y_train, grid, "holrr")
+
+
+# (n, d0, output dims, gammas, rank candidates[, degenerate]); seed s runs
+# case s % 4, so each case gets five seeds and klrr cycles through the kernels
+_PATH_CASES = (
+    (12, 20, (3, 4), (1e-2, 1.0, 10.0), ((2,), (12,), (15,))),  # N < d0; R >= D
+    (15, 6, (3, 4), (0.0, 1.0), ((3,), (12,)), True),  # gamma 0, rank-deficient X and K
+    (30, 4, (3, 4), (1e-2, 1.0), ((2,), (6,), (11,))),  # min(N, d0) < R < D
+    (24, 5, (2, 3, 2), (0.1, 3.0), ((1,), (4,), (12,), (20,))),  # three output modes; R > D
+)
+_PATH_KERNELS = (
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="polynomial", degree=2, offset=0.0),
+    KernelSpec(kind="rbf", sigma=2.0),
+)
+
+
+def _path_problem(seed):
+    n, d0, dims, gammas, ranks, *degenerate = _PATH_CASES[seed % len(_PATH_CASES)]
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d0))
+    if degenerate:
+        # exact zeros make X^T X and the linear/polynomial K exactly singular:
+        # one more zero row than a fold holds leaves one in every fit set
+        x[:, 0] = 0.0
+        x[: n // 3 + 1] = 0.0
+    y = np.einsum("ni,i...->n...", x, rng.standard_normal((d0, *dims)))
+    y += 0.1 * rng.standard_normal(y.shape)
+    grid = GridSpec(gammas=gammas, rank_candidates=ranks, folds=3, seed=seed)
+    kernels = _PATH_KERNELS[:2] if degenerate else _PATH_KERNELS
+    return x, y, grid, kernels[seed // len(_PATH_CASES) % len(kernels)]
+
+
+def _scores_fitting_every_point(x, y, grid, method, kernel):
+    scores = {}
+    for gamma, ranks in _grid_points(method, grid):
+        errs = []
+        for val in cv_folds(x.shape[0], grid.folds, grid.seed):
+            fit = np.ones(x.shape[0], dtype=bool)
+            fit[val] = False
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the gamma = 0 pseudo-inverse fallbacks
+                model = fit_method(method, x[fit], y[fit], gamma, ranks, kernel)
+            errs.append(rmse(y[val], model.predict(x[val])))
+        scores[(gamma, ranks)] = float(np.mean(errs))
+    return scores
+
+
+def test_lrr_cv_path_matches_fitting_every_grid_point():
+    worst = 0.0
+    for seed in range(20):
+        x, y, grid, kernel = _path_problem(seed)
+        for method in ("lrr", "klrr"):
+            ref = _scores_fitting_every_point(x, y, grid, method, kernel)
+            _, table = grid_search_cv(x, y, grid, method, kernel)
+            assert [(row["gamma"], row["ranks"]) for row in table] == list(ref)
+            for row in table:
+                expect = ref[(row["gamma"], row["ranks"])]
+                worst = max(worst, abs(row["score"] - expect) / expect)
+    assert worst <= 1e-11, worst
+
+
+def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+
+        monkeypatch.setattr(f"tensorreg.{name}", wrapped)
+
+    for name, fn in (
+        ("regress.lrr_fit", regress.lrr_fit),
+        ("regress.klrr_fit", regress.klrr_fit),
+        ("linalg.sym_eig_top", linalg.sym_eig_top),
+    ):
+        spy(name, fn)
+    x, y, grid, kernel = _path_problem(2)
+    for method in ("lrr", "klrr"):
+        grid_search_cv(x, y, grid, method, kernel)
+    assert calls == []
+
+    # one synth-linear task: CV picks lrr's point, then a single refit runs lrr_fit
+    cfg = dict(default_config("synth-linear"), trials=1, train_sizes=[20])
+    _run_synth_task((cfg, "synth-linear", 0, 0))
+    assert calls.count("regress.lrr_fit") == 1
 
 
 # --- station-file ingestion -------------------------------------------------

@@ -76,6 +76,9 @@ def test_matricize_mode_out_of_range():
 def test_dematricize_shape_mismatch():
     with pytest.raises(ValueError, match="fold"):
         dematricize(np.zeros((2, 5)), 0, (2, 3))
+    # the other dims multiply to 2^64, which an int64 product wraps to 0
+    with pytest.raises(ValueError, match="fold"):
+        dematricize(np.zeros((1, 0)), 0, (1, 2**32, 2**32))
 
 
 def test_frobenius_norm_known():
@@ -294,6 +297,28 @@ def test_dten_errors():
         read_dten(io.BytesIO(b"DTEN 1 1 3\n" + b"\0" * 8))
     with pytest.raises(ValueError, match="header"):
         read_dten(io.BytesIO(b"DTEN 1 2 3\n" + b"\0" * 24))
+    # 3037000500^2 * 2 entries wrap to 290948384 in int64
+    with pytest.raises(ValueError, match="expected 147573952592004000000 bytes, got 24"):
+        read_dten(io.BytesIO(b"DTEN 1 3 3037000500 3037000500 2\n" + b"\0" * 24))
+
+
+class _Pipe(io.BytesIO):
+    """A stream that cannot seek, like a pipe or /dev/stdin."""
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def test_dten_from_a_stream_that_cannot_seek():
+    t = rand_tensor((3, 2, 4), 32)
+    buf = io.BytesIO()
+    write_dten(t, buf)
+    np.testing.assert_array_equal(read_dten(_Pipe(buf.getvalue())), t)
+    with pytest.raises(ValueError, match="expected 1599999999999999999984 bytes, got 64"):
+        read_dten(_Pipe(b"DTEN 1 2 99999999999999999999 2\n" + b"\0" * 64))
 
 
 def test_matrix_csv_round_trip(tmp_path):
