@@ -655,6 +655,11 @@ def _safe_rank_tag(ranks) -> str:
 
 
 def _run_image(cfg, out_dir) -> list:
+    lrr = [("lrr", (int(r),)) for r in cfg["lrr_ranks"]]
+    holrr = [("holrr", tuple(int(v) for v in rc)) for rc in cfg["holrr_ranks"]]
+    for key, variants in (("lrr_ranks", lrr), ("holrr_ranks", holrr)):
+        if not variants or not all(ranks and min(ranks) >= 1 for _, ranks in variants):
+            raise ValueError(f"{key} must be non-empty with every rank >= 1")
     image = _load_image(cfg)
     task = cfg["task"]
     w_true = datagen.image_coefficients(image, task)
@@ -665,10 +670,7 @@ def _run_image(cfg, out_dir) -> list:
         x, y = datagen.gen_image_measurements(
             image, task, n=int(cfg["n_train"]), noise_std=float(cfg["noise_std"]), seed=seed
         )
-        variants = [("rls", None)]
-        variants += [("lrr", (int(r),)) for r in cfg["lrr_ranks"]]
-        variants += [("holrr", tuple(int(v) for v in rc)) for rc in cfg["holrr_ranks"]]
-        for method, ranks in variants:
+        for method, ranks in [("rls", None)] + lrr + holrr:
             t0 = time.perf_counter()
             w_hat = fit_method(method, x, y, gamma, ranks).coefficients()
             seconds = time.perf_counter() - t0

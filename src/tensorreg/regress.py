@@ -17,6 +17,13 @@ The kernel variant replaces X by the Gram matrix and learns a dual coefficient
 tensor C (N x d1 x ... x dp) with f(x) = C contracted with the kernel vector
 of x against the training inputs.
 
+Every fit takes its input side from one decomposition of the fit rows' Gram,
+X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
+which the pencil is a symmetric eigenproblem and the ridge inverse is
+1 / (lam + gamma), set to 0 where lam + gamma <= 1e-12 max(lam): the one
+pseudo-inverse rule, relative to scale, behind the "pseudo-inverse pencil,
+restricting to its range" warning of a singular input Gram.
+
 `rls_fit` (ridge) and `lrr_fit` (ridge followed by a rank-R projection of the
 vectorized outputs) are the flat baselines; `krls_fit`/`klrr_fit` are their
 dual forms.
@@ -36,6 +43,7 @@ from .linalg import NotPositiveDefiniteError
 from .tensor import (
     TuckerFactors,
     _fix_signs,
+    dematricize,
     matricize,
     mode_product,
     mode_vector_product,
@@ -74,6 +82,9 @@ MODEL_VERSION = 1
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 _CORE_FALLBACK = "projected gram singular; using pseudo-inverse core solve"
+_SINGULAR_INPUT = (
+    "input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range"
+)
 
 
 @dataclass
@@ -190,6 +201,49 @@ def _solve(a: np.ndarray, b: np.ndarray, msg: str, noted: list = None) -> np.nda
         return linalg.pinv(a) @ b
 
 
+def _spectrum(x=None, k=None):
+    """(q, lam, v) with the fit rows' Gram X X^T (or K) = q diag(lam) q^T:
+    from the thin SVD X = q diag(sqrt(lam)) v^T, or from eigh(K) with lam
+    clipped at 0 (v is None)."""
+    if k is None:
+        q, s, vt = np.linalg.svd(x, full_matrices=False)
+        return q, s * s, vt.T
+    lam, q = np.linalg.eigh((k + k.T) / 2.0)
+    return q, np.clip(lam, 0.0, None), None
+
+
+def _ridge_inverse(lam: np.ndarray, gamma: float) -> np.ndarray:
+    """1 / (lam + gamma), and 0 where lam + gamma <= 1e-12 max(lam): the one
+    pseudo-inverse rule of every fit."""
+    denom = lam + gamma
+    keep = denom > 1e-12 * lam.max()
+    return np.where(keep, 1.0 / np.where(keep, denom, 1.0), 0.0)
+
+
+def _pencil(lam, z, gamma: float, r: int, dim: int, noted: list):
+    """Top-r pairs of the pencil (X^T Y_(0) Y_(0)^T X, X^T X + gamma I) from
+    Z = q^T Y_(0): the top eigenpairs (values, w) of D Z Z^T D, D = sqrt(lam inv),
+    give vectors V c, c = sqrt(inv) w.  `dim` is the order of the input Gram
+    (d0, or N for a kernel); its directions past len(lam) have lam = 0."""
+    inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
+    if not inv.all():
+        noted.append(_SINGULAR_INPUT)
+        warnings.warn(_SINGULAR_INPUT, stacklevel=3)
+    inv = inv[: lam.size]
+    d = np.sqrt(lam * inv)
+    res = linalg.sym_eig_top(d[:, None] * (z @ z.T) * d, r)
+    return res.values, np.sqrt(inv)[:, None] * res.vectors
+
+
+def _core(lam, z, gamma: float, c, factors: list, shape: tuple, noted: list) -> np.ndarray:
+    """Core (c^T diag(lam + gamma) c)^-1 c^T diag(sqrt(lam)) Z of input
+    coefficients c, folded to (R0, d1..dp) and projected on the output factors."""
+    left = (c.T * (lam + gamma)) @ c
+    m_map = _solve((left + left.T) / 2.0, c.T * np.sqrt(lam), _CORE_FALLBACK, noted)
+    core = dematricize(m_map @ z, 0, (c.shape[1],) + shape[1:])
+    return multi_mode_product(core, [u.T for u in factors], range(1, len(shape)))
+
+
 @dataclass
 class RegressionProblem:
     """Training data plus target multilinear rank (R0..Rp) and ridge gamma."""
@@ -273,16 +327,6 @@ def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
     return _solve(a, x.T @ y_flat, "normal equations singular; using pseudo-inverse")
 
 
-def _ridge_hat(x: np.ndarray, gamma: float) -> np.ndarray:
-    # X (X^T X + gamma I)^-1 X^T; exact column-space projector at gamma = 0
-    if gamma == 0:
-        p = x @ linalg.pinv(x)
-    else:
-        a = x.T @ x + gamma * np.eye(x.shape[1])
-        p = x @ _solve(a, x.T, "normal equations singular; using pseudo-inverse")
-    return (p + p.T) / 2.0
-
-
 def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
     """Rank-constrained ridge on vectorized outputs.
 
@@ -300,24 +344,11 @@ def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
         if rank > width:
             warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=2)
         return w_rls
-    p = _ridge_hat(x, gamma)
-    s = y_flat.T @ (p @ y_flat)
-    v = linalg.sym_eig_top((s + s.T) / 2.0, rank).vectors
+    # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
+    q, lam, _ = _spectrum(x)
+    e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ y_flat)
+    v = linalg.sym_eig_top(e.T @ e, rank).vectors
     return w_rls @ v @ v.T
-
-
-def _pencil_top_pinv(s: np.ndarray, m: np.ndarray, r: int):
-    # top eigenpairs of pinv(M) S restricted to range(M); fallback for the
-    # gamma = 0, singular-M case
-    w, q = np.linalg.eigh((m + m.T) / 2.0)
-    w = np.clip(w, 0.0, None)
-    top = float(w.max()) if w.size else 0.0
-    keep = w > 1e-12 * max(top, 1.0)
-    inv_half = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    p = q * inv_half[None, :]
-    sigma = p.T @ s @ p
-    res = linalg.sym_eig_top((sigma + sigma.T) / 2.0, r)
-    return res.values, _fix_signs(p @ res.vectors)
 
 
 def _orthonormalize(u: np.ndarray) -> np.ndarray:
@@ -349,44 +380,27 @@ def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:
 def holrr_fit(prob: RegressionProblem) -> HolrrModel:
     """Closed-form multilinear-rank-constrained ridge fit.
 
-    Ranks are clamped to feasible values (R0 <= min(d0, N), Ri <= di) with a
-    warning recorded on the model.  gamma = 0 with rank-deficient X falls back
-    to pseudo-inverse solves instead of failing.
+    The input factor is the top-R0 pencil eigenspace from the thin SVD of X
+    and the core the projected ridge solve on Z = Q^T Y_(0) (`_pencil`,
+    `_core`).  Ranks are clamped to feasible values (R0 <= min(d0, N),
+    Ri <= di) with a warning recorded on the model.  Directions where
+    X^T X + gamma I is at or below 1e-12 of the top eigenvalue of X^T X
+    (gamma = 0 with rank-deficient X) are dropped with the "pseudo-inverse
+    pencil" warning.
     """
-    x, y, gamma = prob.x, prob.y, prob.gamma
+    x, y, ranks, gamma = prob.x, prob.y, prob.ranks, prob.gamma
     n, d0 = x.shape
-    p = y.ndim - 1
     noted: list = []
-    r0 = _clamp_rank(prob.ranks[0], min(d0, n), 0, noted)
-    out_ranks = [
-        _clamp_rank(prob.ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(p)
-    ]
-
-    a = x.T @ x + gamma * np.eye(d0)
-    y0 = matricize(y, 0)
-    b = x.T @ y0
-    s = b @ b.T
-    try:
-        _, u0_raw = linalg.gen_sym_eig_top((s + s.T) / 2.0, a, r0)
-    except NotPositiveDefiniteError:
-        msg = "input gram singular at gamma=0; using pseudo-inverse pencil"
-        noted.append(msg)
-        warnings.warn(msg, stacklevel=2)
-        _, u0_raw = _pencil_top_pinv((s + s.T) / 2.0, a, r0)
-    u0 = _orthonormalize(u0_raw)
-
-    core_gram = u0.T @ a @ u0
-    m_map = _solve((core_gram + core_gram.T) / 2.0, u0.T @ x.T, _CORE_FALLBACK, noted)
-
-    factors = [u0] + _output_factors(y, out_ranks)
-    core = multi_mode_product(y, [m_map] + [u.T for u in factors[1:]])
-    tf = TuckerFactors(core=core, factors=factors)
-    return HolrrModel(
-        factors=tf,
-        ranks=(r0, *out_ranks),
-        gamma=gamma,
-        warnings=tuple(noted),
-    )
+    r0 = _clamp_rank(ranks[0], min(d0, n), 0, noted)
+    out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(y.ndim - 1)]
+    factors = _output_factors(y, out_ranks)
+    q, lam, v = _spectrum(x)
+    z = q.T @ matricize(y, 0)
+    _, c = _pencil(lam, z, gamma, r0, d0, noted)
+    u0 = _orthonormalize(_fix_signs(v @ c))
+    core = _core(lam, z, gamma, v.T @ u0, factors, y.shape, noted)
+    tf = TuckerFactors(core=core, factors=[u0] + factors)
+    return HolrrModel(factors=tf, ranks=(r0, *out_ranks), gamma=gamma, warnings=tuple(noted))
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
@@ -445,33 +459,27 @@ def lrr_path_predict(x_fit, y_flat, x_val, gammas, ranks, kernel: KernelSpec = N
     """Validation predictions of lrr_fit (klrr_fit when `kernel` is given) at
     every (gamma, rank) point, from one decomposition of the fit rows.
 
-    With the fit Gram G = Q diag(lam) Q^T (Q, lam from the thin SVD of X, or
-    eigh(K) with lam clipped at 0) and Z = Q^T Y, the ridge prediction is
-    (B / (lam + gamma)) Z for the validation basis B (X_val V S, or K_val Q),
-    and the lrr output subspace at gamma is the top right singular subspace of
-    diag(sqrt(lam / (lam + gamma))) Z, so every rank is a prefix of one small
-    SVD per gamma.  Directions with lam + gamma <= 1e-12 max(lam) get weight
-    0: the pseudo-inverse semantics of the gamma = 0 fits.
+    With the fit Gram G = Q diag(lam) Q^T from `_spectrum`, Z = Q^T Y and
+    inv = `_ridge_inverse`(lam, gamma), the ridge prediction is (B inv) Z for
+    the validation basis B (X_val V S, or K_val Q), and the lrr output
+    subspace at gamma is the top right singular subspace of
+    diag(sqrt(lam inv)) Z, so every rank is a prefix of one small SVD per
+    gamma.
 
     Returns {(gamma, rank): prediction}, predictions n_val x D; a rank at or
     above D gives the unprojected ridge prediction.  Ranks must be >= 1.
     """
     y_flat = np.asarray(y_flat, dtype=np.float64)
     if kernel is None:
-        q, s, vt = np.linalg.svd(x_fit, full_matrices=False)
-        lam = s * s
-        basis = (x_val @ vt.T) * s
+        q, lam, v = _spectrum(x_fit)
+        basis = (x_val @ v) * np.sqrt(lam)
     else:
-        lam, q = np.linalg.eigh(gram(x_fit, kernel))
-        lam = np.clip(lam, 0.0, None)
+        q, lam, _ = _spectrum(k=gram(x_fit, kernel))
         basis = kernel_cross(kernel, x_val, x_fit) @ q
     z = q.T @ y_flat
-    cutoff = 1e-12 * lam.max()
     preds = {}
     for gamma in gammas:
-        denom = lam + gamma
-        keep = denom > cutoff
-        inv = np.where(keep, 1.0 / np.where(keep, denom, 1.0), 0.0)
+        inv = _ridge_inverse(lam, gamma)
         scaled = basis * inv
         full = scaled @ z
         v_all = np.linalg.svd(np.sqrt(lam * inv)[:, None] * z, full_matrices=False)[2].T
@@ -484,45 +492,22 @@ def lrr_path_predict(x_fit, y_flat, x_val, gammas, ranks, kernel: KernelSpec = N
     return preds
 
 
-def _dual_pencil_top(k: np.ndarray, y0: np.ndarray, gamma: float, r: int, noted: list):
-    # top eigenpairs of (K + gamma I)^-1 Y_(0) Y_(0)^T K via the symmetric
-    # congruence D Z Z^T D with D = (Lam + gamma)^-1/2 Lam^1/2 in the eigenbasis
-    # of K; eigenvectors map back through Q diag((Lam+gamma)^-1/2 Lam^-1/2)
-    lam, q = np.linalg.eigh((k + k.T) / 2.0)
-    lam = np.clip(lam, 0.0, None)
-    top = float(lam.max()) if lam.size else 0.0
-    cutoff = 1e-12 * max(top, 1.0)
-    denom = lam + gamma
-    if np.any(denom <= cutoff):
-        msg = "gram matrix singular at gamma=0; restricting to its range"
-        noted.append(msg)
-        warnings.warn(msg, stacklevel=3)
-    inv_reg = np.where(denom > cutoff, 1.0 / np.sqrt(np.where(denom > cutoff, denom, 1.0)), 0.0)
-    root = np.sqrt(lam)
-    inv_root = np.where(lam > cutoff, 1.0 / np.sqrt(np.where(lam > cutoff, lam, 1.0)), 0.0)
-    z = q.T @ y0
-    e = (inv_reg * root)[:, None] * z
-    sigma = e @ e.T
-    res = linalg.sym_eig_top((sigma + sigma.T) / 2.0, r)
-    a = q @ ((inv_reg * inv_root)[:, None] * res.vectors)
-    norms = np.linalg.norm(a, axis=0)
-    safe = norms > 1e-300
-    a[:, safe] = a[:, safe] / norms[safe][None, :]
-    return res.values, _fix_signs(a)
-
-
 def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> KernelHolrrModel:
     """Dual multilinear-rank-constrained ridge fit from a Gram matrix.
 
-    Same structure as holrr_fit with X replaced by K: the input-side subspace
-    comes from the dual pencil (K + gamma I)^-1 Y_(0) Y_(0)^T K, the output
-    factors are unchanged, and the dual coefficient tensor is
+    Same route as holrr_fit with eigh(K) = Q diag(lam) Q^T in place of the
+    SVD of X: the pencil coefficients c map to the dual basis
+    A = Q diag(lam^-1/2) c (unit columns, lam^-1/2 taken as 0 where lam is at
+    or below 1e-12 max(lam)), the output factors are unchanged, and the dual
+    coefficient tensor is
 
         C = G x_0 A x_1 U_1 ... x_p U_p,
         G = Y x_0 (A^T K (K + gamma I) A)^-1 A^T K x_1 U_1^T ... x_p U_p^T.
 
-    The dual eigenpairs (values and the columns of A) are kept on the model;
-    their feature-space transport X^T A recovers the primal pencil directions.
+    The dual eigenpairs (pencil values and the columns of A) are kept on the
+    model; their feature-space transport X^T A recovers the primal pencil
+    directions.  A singular K + gamma I (by the same 1e-12 rule) warns
+    "pseudo-inverse pencil, restricting to its range".
     """
     k = np.asarray(k, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -536,20 +521,20 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
         raise ValueError("train_inputs row count must match the gram matrix")
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
     y, ranks, gamma = prob.y, prob.ranks, prob.gamma
-    p = y.ndim - 1
     noted: list = []
     r0 = _clamp_rank(ranks[0], n, 0, noted)
-    out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(p)]
-
-    y0 = matricize(y, 0)
-    dual_values, a = _dual_pencil_top(k, y0, gamma, r0, noted)
-
-    ka = k @ a
-    left = a.T @ (k @ ka) + gamma * (a.T @ ka)
-    m_map = _solve((left + left.T) / 2.0, ka.T, _CORE_FALLBACK, noted)
-
+    out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(y.ndim - 1)]
     factors = _output_factors(y, out_ranks)
-    core = multi_mode_product(y, [m_map] + [u.T for u in factors])
+
+    q, lam, _ = _spectrum(k=k)
+    z = q.T @ matricize(y, 0)
+    dual_values, c = _pencil(lam, z, gamma, r0, n, noted)
+    a = q @ (np.sqrt(_ridge_inverse(lam, 0.0))[:, None] * c)
+    norms = np.linalg.norm(a, axis=0)
+    a = _fix_signs(a / np.where(norms > 1e-300, norms, 1.0))
+    # K A = Q diag(sqrt(lam)) (Q^T A): the coefficients of A's range in the core
+    core = _core(lam, z, gamma, np.sqrt(lam)[:, None] * (q.T @ a), factors, y.shape, noted)
+    del q, z  # free the N x N basis and N x D Z before the N x D tensor C is built
     coeff = multi_mode_product(core, [a] + factors)
     return KernelHolrrModel(
         coeff=coeff,
@@ -586,37 +571,30 @@ def _json_line(obj) -> bytes:
 def save_model(model, path_or_file) -> None:
     """Write a fitted model: magic line, one JSON header line, DTEN blocks."""
     if isinstance(model, HolrrModel):
-        header = {
-            "kind": "holrr",
-            "ranks": list(model.ranks),
-            "gamma": model.gamma,
-            "kernel": None,
-            "warnings": list(model.warnings),
-            "blocks": ["core"] + [f"factor{i}" for i in range(len(model.factors.factors))],
-        }
-        blocks = [model.factors.core] + list(model.factors.factors)
+        kind, kernel = "holrr", None
+        blocks = {"core": model.factors.core}
+        blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors))
     elif isinstance(model, KernelHolrrModel):
-        header = {
-            "kind": "kholrr",
-            "ranks": list(model.ranks),
-            "gamma": model.gamma,
-            "kernel": model.kernel.to_dict(),
-            "warnings": list(model.warnings),
-            "blocks": ["coeff", "train_inputs", "dual_values", "dual_vectors"],
-        }
-        blocks = [
-            model.coeff,
-            model.train_inputs,
-            np.atleast_1d(model.dual_values),
-            np.atleast_2d(model.dual_vectors),
-        ]
+        kind, kernel = "kholrr", model.kernel.to_dict()
+        blocks = {"coeff": model.coeff, "train_inputs": model.train_inputs}
+        if model.dual_values.size:  # krls/klrr models have no dual eigenpairs
+            blocks["dual_values"] = np.atleast_1d(model.dual_values)
+            blocks["dual_vectors"] = np.atleast_2d(model.dual_vectors)
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    header = {
+        "kind": kind,
+        "ranks": list(model.ranks),
+        "gamma": model.gamma,
+        "kernel": kernel,
+        "warnings": list(model.warnings),
+        "blocks": list(blocks),
+    }
 
     buf = io.BytesIO()
     buf.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii"))
     buf.write(_json_line(header))
-    for block in blocks:
+    for block in blocks.values():
         write_dten(block, buf)
     data = buf.getvalue()
     if hasattr(path_or_file, "write"):
@@ -645,11 +623,13 @@ def _model_from_header(header: dict, blocks: dict):
             kernel=KernelSpec(**header["kernel"]),
             ranks=ranks,
             gamma=gamma,
-            dual_values=np.atleast_1d(blocks["dual_values"]),
-            dual_vectors=np.atleast_2d(blocks["dual_vectors"]),
+            dual_values=np.atleast_1d(blocks.get("dual_values", np.zeros(0))),
+            dual_vectors=np.atleast_2d(blocks.get("dual_vectors", np.zeros((0, 0)))),
             warnings=warns,
         )
-        rows = {model.coeff.shape[0], model.train_inputs.shape[0], model.dual_vectors.shape[0]}
+        rows = {model.coeff.shape[0], model.train_inputs.shape[0]}
+        if model.dual_vectors.size:
+            rows.add(model.dual_vectors.shape[0])
         if len(rows) != 1:
             raise ValueError("model blocks coeff, train_inputs and dual_vectors disagree on N")
         return model

@@ -207,6 +207,17 @@ def test_exit_code_2_bad_rank_candidates(tmp_path, capsys):
         assert err.startswith("tensorreg: ") and "rank candidates" in err, candidates
 
 
+def test_exit_code_2_image_rank_zero(tmp_path, capsys):
+    base = {"image": "fields", "height": 8, "width": 8, "n_train": 20, "trials": 1}
+    for key, value in (("lrr_ranks", [0]), ("holrr_ranks", [[3, 0, 4]])):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        code = main(["experiment", "image", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, key
+        assert err.startswith("tensorreg: ") and f"{key} must be non-empty" in err, err
+
+
 def test_exit_code_2_dten_dims_beyond_the_file(tmp_path, capsys):
     for dims in ((99999999999999999999, 2), (3037000500, 3037000500, 2)):
         path = tmp_path / "huge.dten"

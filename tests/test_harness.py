@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import warnings
@@ -10,6 +11,7 @@ from tensorreg import linalg, regress
 from tensorreg.datagen import SynthSpec, gen_linear_synthetic
 from tensorreg.harness import (
     DEFAULT_STATIONS,
+    METHODS,
     VARIABLES,
     ForecastDataset,
     GridSpec,
@@ -586,6 +588,43 @@ def test_run_image_experiment(tmp_path):
     agg_variants = {a.get("variant") for a in report.aggregates}
     assert agg_variants == {"full", "2", "3-4-4"}
     assert all(np.isfinite(r["rmse"]) for r in report.records)
+
+
+def test_image_experiment_rejects_empty_or_zero_rank_lists():
+    cfg = {
+        "seed": 1,
+        "image": "fields",
+        "height": 8,
+        "width": 8,
+        "task": "channels",
+        "n_train": 20,
+        "noise_std": 0.5,
+        "trials": 1,
+        "gamma": 1e-2,
+        "lrr_ranks": [2],
+        "holrr_ranks": [[3, 4, 4]],
+    }
+    bad = [("lrr_ranks", [0]), ("lrr_ranks", []), ("holrr_ranks", [[3, 0, 4]]), ("holrr_ranks", [[]]), ("holrr_ranks", [])]
+    for key, value in bad:
+        with pytest.raises(ValueError, match=f"{key} must be non-empty with every rank >= 1"):
+            run_experiment("image", {**cfg, key: value}, timing="none")
+
+
+def test_every_method_model_reads_back_from_its_file():
+    data = gen_linear_synthetic(
+        SynthSpec(input_dim=4, output_dims=(3, 2), ranks=(2, 2, 2), n_train=15, n_test=5, noise_std=0.1, seed=61)
+    )
+    kernel = regress.KernelSpec(kind="rbf", sigma=2.0)
+    for method in METHODS:
+        model = fit_method(method, data.x_train, data.y_train, 1e-2, (2, 2, 2), kernel)
+        buf = io.BytesIO()
+        regress.save_model(model, buf)
+        back = regress.load_model(io.BytesIO(buf.getvalue()))
+        assert type(back) is type(model), method
+        np.testing.assert_array_equal(back.predict(data.x_test), model.predict(data.x_test))
+        again = io.BytesIO()
+        regress.save_model(back, again)
+        assert again.getvalue() == buf.getvalue(), method
 
 
 def test_run_forecast_experiment(tmp_path):

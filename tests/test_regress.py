@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from tensorreg.datagen import (
@@ -11,6 +12,7 @@ from tensorreg.datagen import (
     random_lowrank_tensor,
     square_features,
 )
+from tensorreg.linalg import gen_sym_eig_top
 from tensorreg.regress import (
     KernelSpec,
     RegressionProblem,
@@ -630,3 +632,42 @@ def test_vectorized_prediction_consistency():
     np.testing.assert_allclose(
         vectorize(pred[0]), flat.T @ data.x_test[0], atol=1e-10
     )
+
+
+# --- input pencil oracles ---------------------------------------------------
+
+
+def _pencil_oracle(x, y, gamma, r):
+    """Top-(r + 1) pencil pairs from gen_sym_eig_top, on range(M) when M is singular."""
+    b = x.T @ matricize(y, 0)
+    s = b @ b.T
+    m = x.T @ x + gamma * np.eye(x.shape[1])
+    basis = scipy.linalg.orth(m)  # all of R^d0 when M is positive definite
+    s, m = basis.T @ s @ basis, basis.T @ m @ basis
+    vals, vecs = gen_sym_eig_top((s + s.T) / 2.0, (m + m.T) / 2.0, r + 1)
+    return vals, basis @ vecs
+
+
+@pytest.mark.parametrize(
+    "case, n, d0, gamma",
+    [("gamma > 0", 30, 6, 0.1), ("gamma = 0, dependent column", 30, 6, 0.0), ("N < d0", 8, 12, 0.1)],
+)
+def test_holrr_input_factor_is_the_top_pencil_eigenspace(case, n, d0, gamma):
+    ranks = (3, 2, 2, 3)
+    _, data = small_problem(50 + n + d0, n=n, dims=(d0, 5, 3, 4), ranks=ranks, noise=0.01)
+    x = data.x_train
+    if gamma == 0:
+        x = np.hstack([x, x[:, :1]])  # X^T X singular: the oracle works on its range
+    vals, vecs = _pencil_oracle(x, data.y_train, gamma, ranks[0])
+    assert vals[2] - vals[3] > 1e-3 * vals[0], case  # a clear gap at R0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the gamma = 0 pseudo-inverse pencil
+        model = holrr_fit(RegressionProblem(x, data.y_train, ranks, gamma))
+        spec = KernelSpec(kind="linear")
+        dual = kholrr_fit(gram(x, spec), data.y_train, ranks, gamma, x, spec)
+    angle = scipy.linalg.subspace_angles(model.factors.factors[0], vecs[:, :3]).max()
+    assert np.sin(angle) <= 1e-10, (case, angle)
+    np.testing.assert_allclose(dual.dual_values, vals[:3], rtol=1e-10)
+    # both fits flag a singular input Gram with the one shared warning, and only then
+    singular = [any("pseudo-inverse pencil, restricting" in w for w in m.warnings) for m in (model, dual)]
+    assert singular == [gamma == 0] * 2, case
