@@ -85,33 +85,34 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
 
     Returns a HolrrModel for the primal methods and a KernelHolrrModel for the
     kernel ones, so every result predicts through `.predict(x)`.  The flat
-    baselines fold their coefficients into the model's tensor with identity
-    factors: rls/lrr into the core, krls/klrr into the dual coefficients.
+    baselines fold their coefficients (primal, or dual for krls/klrr) into
+    the model's core with identity factors.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    r = int(ranks[0]) if ranks else 1
     if method == "holrr":
         return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=tuple(ranks), gamma=gamma))
-    if method in ("rls", "lrr"):
-        y_flat = matricize(y, 0)
-        w = regress.rls_fit(x, y_flat, gamma) if method == "rls" else regress.lrr_fit(x, y_flat, r, gamma)
-        core = dematricize(w, 0, (x.shape[1], *y.shape[1:]))
-        factors = TuckerFactors(core=core, factors=[np.eye(d) for d in core.shape])
-        return regress.HolrrModel(factors=factors, ranks=core.shape, gamma=float(gamma))
-    if kernel is None:
+    dual = method.startswith("k")
+    if dual and kernel is None:
         raise ValueError(f"{method} needs a kernel")
-    k = regress.gram(x, kernel)
+    k_or_x = regress.gram(x, kernel) if dual else x
     if method == "kholrr":
-        return regress.kholrr_fit(k, y, tuple(ranks), gamma, x, kernel)
+        return regress.kholrr_fit(k_or_x, y, tuple(ranks), gamma, x, kernel)
     y_flat = matricize(y, 0)
-    dual = regress.krls_fit(k, y_flat, gamma) if method == "krls" else regress.klrr_fit(k, y_flat, r, gamma)
-    coeff = dematricize(dual, 0, y.shape)
-    return regress.KernelHolrrModel(
-        coeff=coeff, train_inputs=x, kernel=kernel, ranks=coeff.shape, gamma=float(gamma)
-    )
+    if method in ("rls", "krls"):
+        w = (regress.krls_fit if dual else regress.rls_fit)(k_or_x, y_flat, gamma)
+    else:
+        r = int(ranks[0]) if ranks else 1
+        w = (regress.klrr_fit if dual else regress.lrr_fit)(k_or_x, y_flat, r, gamma)
+    core = dematricize(w, 0, (w.shape[0], *y.shape[1:]))
+    factors = TuckerFactors(core=core, factors=[np.eye(d) for d in core.shape])
+    if dual:
+        return regress.KernelHolrrModel(
+            factors=factors, train_inputs=x, kernel=kernel, ranks=core.shape, gamma=float(gamma)
+        )
+    return regress.HolrrModel(factors=factors, ranks=core.shape, gamma=float(gamma))
 
 
 def predict_method(model, x) -> np.ndarray:

@@ -114,6 +114,11 @@ def gen_sym_eig_top(s, m, r: int):
 
     Returns (values, vectors); vectors is (dim, r), sign-fixed.
     Raises NotPositiveDefiniteError when M is not positive definite.
+
+    The fits do not use it; it is the tests' reference solver, accurate only
+    for a well-conditioned M: whitening leaves the small end of the spectrum
+    as rounding noise (X^T X + 1e-4 I, N = 50, d0 = 160: it reads
+    lambda_20 / lambda_1 = 2.6e-9 where the true ratio is 2.2e-17).
     """
     s = _check_symmetric(s, "S")
     m = _check_symmetric(m, "M")

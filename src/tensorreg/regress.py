@@ -15,7 +15,10 @@ approximation guarantee relative to the exact rank-constrained minimizer.
 
 The kernel variant replaces X by the Gram matrix and learns a dual coefficient
 tensor C (N x d1 x ... x dp) with f(x) = C contracted with the kernel vector
-of x against the training inputs.
+of x against the training inputs.  C is never materialized: the kernel model
+keeps it in the same Tucker form as the primal one, C = G x_0 A x_1 U_1 ...
+x_p U_p with the dual basis A (N x R0) as factor 0, and predicts through
+`holrr_predict`/`holrr_predict_batch` applied to kernel vectors.
 
 Every fit takes its input side from one decomposition of the fit rows' Gram,
 X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
@@ -35,6 +38,7 @@ import io
 import json
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +49,6 @@ from .tensor import (
     _fix_signs,
     dematricize,
     matricize,
-    mode_product,
     mode_vector_product,
     multi_mode_product,
     read_dten,
@@ -77,7 +80,7 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "HOLRR"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
@@ -109,8 +112,8 @@ class KernelSpec:
             raise ValueError("rbf bandwidth must be positive")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
-        if self.kind == "polynomial" and self.offset < 0:
-            raise ValueError("polynomial offset must be >= 0")
+        if self.kind == "polynomial" and not 0 <= self.offset < np.inf:
+            raise ValueError("polynomial offset must be finite and >= 0")
 
     @staticmethod
     def from_string(text: str) -> "KernelSpec":
@@ -296,16 +299,21 @@ class HolrrModel:
 
 @dataclass
 class KernelHolrrModel:
-    """Dual fit: coeff is N x d1 x ... x dp, contracted against kernel vectors."""
+    """Dual fit: the dual coefficient tensor C in Tucker form, factors[0] the
+    dual basis A (N x R0), contracted against kernel vectors."""
 
-    coeff: np.ndarray
+    factors: TuckerFactors
     train_inputs: np.ndarray
     kernel: KernelSpec
     ranks: tuple
     gamma: float
     dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dual_vectors: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     warnings: tuple = ()
+
+    @property
+    def dual_vectors(self) -> np.ndarray:
+        """The dual basis A: the pencil's dual eigenvectors for a kholrr fit."""
+        return self.factors.factors[0]
 
     def predict(self, x) -> np.ndarray:
         """Stacked predictions for a matrix of input rows."""
@@ -404,7 +412,7 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
-    """Predict the output tensor for a single input vector."""
+    """Predict the output tensor for a single input (a kernel model's kernel vector)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("holrr_predict expects a single input vector")
@@ -412,14 +420,11 @@ def holrr_predict(model: HolrrModel, x) -> np.ndarray:
     if x.shape[0] != u0.shape[0]:
         raise ValueError(f"input has length {x.shape[0]}, model expects {u0.shape[0]}")
     t = mode_vector_product(model.factors.core, u0.T @ x, 0)
-    rest = model.factors.factors[1:]
-    if not rest:
-        return t
-    return multi_mode_product(np.asarray(t), rest, range(len(rest)))
+    return multi_mode_product(t, model.factors.factors[1:])
 
 
 def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
-    """Stacked predictions for a matrix of input rows."""
+    """Stacked predictions for a matrix of input rows (kernel rows for a kernel model)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a matrix of input rows")
@@ -504,8 +509,9 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
         C = G x_0 A x_1 U_1 ... x_p U_p,
         G = Y x_0 (A^T K (K + gamma I) A)^-1 A^T K x_1 U_1^T ... x_p U_p^T.
 
-    The dual eigenpairs (pencil values and the columns of A) are kept on the
-    model; their feature-space transport X^T A recovers the primal pencil
+    C is never materialized: the model keeps G, A and the U_i.  The dual
+    eigenpairs (pencil values and the columns of A) are kept on the model;
+    their feature-space transport X^T A recovers the primal pencil
     directions.  A singular K + gamma I (by the same 1e-12 rule) warns
     "pseudo-inverse pencil, restricting to its range".
     """
@@ -515,8 +521,6 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("gram matrix must be square")
     n = k.shape[0]
-    if y.shape[0] != n:
-        raise ValueError(f"{n} gram rows but {y.shape[0]} output slices")
     if train_inputs.shape[0] != n:
         raise ValueError("train_inputs row count must match the gram matrix")
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
@@ -531,33 +535,24 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     dual_values, c = _pencil(lam, z, gamma, r0, n, noted)
     a = q @ (np.sqrt(_ridge_inverse(lam, 0.0))[:, None] * c)
     norms = np.linalg.norm(a, axis=0)
-    a = _fix_signs(a / np.where(norms > 1e-300, norms, 1.0))
+    # column-major like a loaded model's blocks, so both predict bitwise alike
+    a = np.asfortranarray(_fix_signs(a / np.where(norms > 1e-300, norms, 1.0)))
     # K A = Q diag(sqrt(lam)) (Q^T A): the coefficients of A's range in the core
     core = _core(lam, z, gamma, np.sqrt(lam)[:, None] * (q.T @ a), factors, y.shape, noted)
-    del q, z  # free the N x N basis and N x D Z before the N x D tensor C is built
-    coeff = multi_mode_product(core, [a] + factors)
+    tf = TuckerFactors(core=core, factors=[a] + factors)
     return KernelHolrrModel(
-        coeff=coeff,
-        train_inputs=train_inputs,
-        kernel=kernel,
-        ranks=(r0, *out_ranks),
-        gamma=gamma,
-        dual_values=dual_values,
-        dual_vectors=a,
-        warnings=tuple(noted),
+        tf, train_inputs, kernel, (r0, *out_ranks), gamma, dual_values, warnings=tuple(noted)
     )
 
 
 def kholrr_predict(model: KernelHolrrModel, x) -> np.ndarray:
     """Predict the output tensor for a single input vector."""
-    kx = kernel_vec(model.kernel, model.train_inputs, x)
-    out = mode_vector_product(model.coeff, kx, 0)
-    return np.asarray(out)
+    return holrr_predict(model, kernel_vec(model.kernel, model.train_inputs, x))
 
 
 def kholrr_predict_batch(model: KernelHolrrModel, x) -> np.ndarray:
-    cross = kernel_cross(model.kernel, np.asarray(x, dtype=np.float64), model.train_inputs)
-    return mode_product(model.coeff, cross, 0)
+    """Stacked predictions for a matrix of input rows."""
+    return holrr_predict_batch(model, kernel_cross(model.kernel, x, model.train_inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -568,94 +563,91 @@ def _json_line(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
-def save_model(model, path_or_file) -> None:
-    """Write a fitted model: magic line, one JSON header line, DTEN blocks."""
-    if isinstance(model, HolrrModel):
-        kind, kernel = "holrr", None
-        blocks = {"core": model.factors.core}
-        blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors))
-    elif isinstance(model, KernelHolrrModel):
-        kind, kernel = "kholrr", model.kernel.to_dict()
-        blocks = {"coeff": model.coeff, "train_inputs": model.train_inputs}
-        if model.dual_values.size:  # krls/klrr models have no dual eigenpairs
-            blocks["dual_values"] = np.atleast_1d(model.dual_values)
-            blocks["dual_vectors"] = np.atleast_2d(model.dual_vectors)
-    else:
+def _encode(model) -> bytes:
+    """The header line and DTEN blocks of a model file (all but its magic line)."""
+    if not isinstance(model, (HolrrModel, KernelHolrrModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
-    header = {
-        "kind": kind,
-        "ranks": list(model.ranks),
-        "gamma": model.gamma,
-        "kernel": kernel,
-        "warnings": list(model.warnings),
-        "blocks": list(blocks),
-    }
-
+    blocks = {"core": model.factors.core}
+    blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors))
+    kernel = None
+    if isinstance(model, KernelHolrrModel):
+        kernel = model.kernel.to_dict()
+        blocks["train_inputs"] = model.train_inputs
+        if model.dual_values.size:  # krls/klrr models have no dual eigenpairs
+            blocks["dual_values"] = model.dual_values
+    kind = "holrr" if kernel is None else "kholrr"
+    header = dict(kind=kind, ranks=list(model.ranks), gamma=model.gamma, kernel=kernel,
+                  warnings=list(model.warnings), blocks=list(blocks))
     buf = io.BytesIO()
-    buf.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii"))
     buf.write(_json_line(header))
     for block in blocks.values():
         write_dten(block, buf)
-    data = buf.getvalue()
+    return buf.getvalue()
+
+
+def save_model(model, path_or_file) -> None:
+    """Write a fitted model: magic line, one JSON header line, then the DTEN
+    blocks core, factor0..factorp and, for a kernel model, train_inputs and
+    (when non-empty) dual_values."""
+    data = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii") + _encode(model)
     if hasattr(path_or_file, "write"):
         path_or_file.write(data)
     else:
-        with open(path_or_file, "wb") as f:
-            f.write(data)
+        Path(path_or_file).write_bytes(data)
 
 
 def _model_from_header(header: dict, blocks: dict):
+    if header["kind"] not in ("holrr", "kholrr"):
+        raise ValueError(f"unknown model kind {header['kind']!r}")
     ranks = tuple(int(r) for r in header["ranks"])
-    gamma = float(header["gamma"])
-    warns = tuple(header.get("warnings", []))
+    gamma = _check_gamma(header["gamma"])
+    warns = tuple(str(w) for w in header["warnings"])
+    if "coeff" in blocks:  # HOLRR 1 kernel file: its dense C is the core, with identity factors
+        core = blocks["coeff"]
+        blocks = {"core": core, "train_inputs": blocks["train_inputs"]}
+        blocks.update((f"factor{i}", np.eye(d)) for i, d in enumerate(core.shape))
+        ranks = core.shape
+    core = blocks["core"]
+    factors = TuckerFactors(core=core, factors=[blocks[f"factor{i}"] for i in range(core.ndim)])
+    if ranks != factors.ranks:
+        raise ValueError(f"header ranks {ranks} do not match the core's shape {factors.ranks}")
     if header["kind"] == "holrr":
-        factors = [blocks[f"factor{i}"] for i in range(len(header["blocks"]) - 1)]
-        return HolrrModel(
-            factors=TuckerFactors(core=blocks["core"], factors=[np.atleast_2d(u) for u in factors]),
-            ranks=ranks,
-            gamma=gamma,
-            warnings=warns,
-        )
-    if header["kind"] == "kholrr":
-        model = KernelHolrrModel(
-            coeff=blocks["coeff"],
-            train_inputs=np.atleast_2d(blocks["train_inputs"]),
-            kernel=KernelSpec(**header["kernel"]),
-            ranks=ranks,
-            gamma=gamma,
-            dual_values=np.atleast_1d(blocks.get("dual_values", np.zeros(0))),
-            dual_vectors=np.atleast_2d(blocks.get("dual_vectors", np.zeros((0, 0)))),
-            warnings=warns,
-        )
-        rows = {model.coeff.shape[0], model.train_inputs.shape[0]}
-        if model.dual_vectors.size:
-            rows.add(model.dual_vectors.shape[0])
-        if len(rows) != 1:
-            raise ValueError("model blocks coeff, train_inputs and dual_vectors disagree on N")
-        return model
-    raise ValueError(f"unknown model kind {header['kind']!r}")
+        return HolrrModel(factors, ranks, gamma, warns)
+    x, dual_values = blocks["train_inputs"], blocks.get("dual_values", np.zeros(0))
+    if x.ndim != 2 or x.shape[0] != factors.shape[0]:
+        raise ValueError("model blocks factor0 and train_inputs disagree on N")
+    if dual_values.ndim != 1 or dual_values.size not in (0, ranks[0]):
+        raise ValueError(f"model block dual_values has shape {dual_values.shape}; R0 is {ranks[0]}")
+    return KernelHolrrModel(factors, x, KernelSpec(**header["kernel"]), ranks, gamma, dual_values, warns)
 
 
 def load_model(path_or_file):
-    """Read a model file back; returns HolrrModel or KernelHolrrModel."""
-    if hasattr(path_or_file, "read"):
-        f = path_or_file
-        close = False
-    else:
-        f = open(path_or_file, "rb")
-        close = True
+    """Read a model file back; returns HolrrModel or KernelHolrrModel.
+
+    Every block must be finite and agree with the header and the other
+    blocks, and the file must be exactly what `save_model` writes for the
+    model it loads as.  A HOLRR 1 file reads too: its primal layout is the
+    current one, and a kernel file's dense dual tensor loads as the core with
+    identity factors (its dual eigenpairs are dropped).
+    """
+    data = path_or_file.read() if hasattr(path_or_file, "read") else Path(path_or_file).read_bytes()
+    f = io.BytesIO(data)
+    head, _, version = f.readline().decode("ascii", errors="replace").rstrip("\n").partition(" ")
+    if head != MODEL_MAGIC:
+        raise ValueError("not a model file")
+    if version not in ("1", str(MODEL_VERSION)):
+        raise ValueError(f"unsupported model version {version}")
+    start = f.tell()
+    header = json.loads(f.readline().decode("ascii"))
     try:
-        magic = f.readline().decode("ascii", errors="replace").split()
-        if len(magic) != 2 or magic[0] != MODEL_MAGIC:
-            raise ValueError("not a model file")
-        if magic[1] != str(MODEL_VERSION):
-            raise ValueError(f"unsupported model version {magic[1]}")
-        header = json.loads(f.readline().decode("ascii"))
-        try:
-            return _model_from_header(header, {name: read_dten(f) for name in header["blocks"]})
-        except (KeyError, TypeError) as e:
-            # the header is outside input: a missing key or a wrong JSON type
-            raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
-    finally:
-        if close:
-            f.close()
+        blocks = {name: read_dten(f) for name in header["blocks"]}
+        for name, block in blocks.items():
+            if not np.isfinite(block).all():
+                raise ValueError(f"model block {name} is not finite")
+        model = _model_from_header(header, blocks)
+    except (KeyError, TypeError) as e:
+        # the header is outside input: a missing key or a wrong JSON type
+        raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
+    if "coeff" not in blocks and _encode(model) != data[start:]:
+        raise ValueError("model file differs from what save_model writes: a non-canonical header or block, or trailing bytes")
+    return model

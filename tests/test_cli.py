@@ -17,6 +17,7 @@ from tensorreg.regress import (
     kholrr_fit,
     kholrr_predict_batch,
     load_model,
+    save_model,
 )
 from tensorreg.tensor import read_dten, write_dten, write_matrix_csv
 
@@ -67,7 +68,7 @@ def test_fit_then_predict_round_trip(tmp_path, capsys):
     assert events[0]["model"] == "holrr"
     assert events[0]["ranks"] == [2, 2, 2]
     assert np.isfinite(events[0]["training_rmse"])
-    assert model_path.read_bytes().startswith(b"HOLRR 1\n")
+    assert model_path.read_bytes().startswith(b"HOLRR 2\n")
 
     pred_path = tmp_path / "pred.dten"
     code, events, _ = run_cli(
@@ -184,6 +185,20 @@ def test_exit_code_2_malformed_model_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, header
         assert err.startswith("tensorreg: ") and "malformed model header" in err, header
+
+
+def test_exit_code_2_non_finite_model_block(tmp_path, capsys):
+    data, _, _, xt_csv = make_problem_files(tmp_path, seed=7)
+    model = holrr_fit(RegressionProblem(data.x_train, data.y_train, (2, 2, 2), 0.01))
+    model.factors.core[0, 0, 0] = np.nan
+    bad = tmp_path / "nan.bin"
+    save_model(model, bad)
+    out = tmp_path / "p.dten"
+    code = main(["predict", "--model", str(bad), "--x", str(xt_csv), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("tensorreg: ") and "model block core is not finite" in err, err
+    assert not out.exists()
 
 
 def test_exit_code_2_bad_config(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import io
+import json
 import warnings
 
 import numpy as np
@@ -32,7 +34,14 @@ from tensorreg.regress import (
     rls_fit,
     save_model,
 )
-from tensorreg.tensor import matricize, mode_vector_product, multilinear_rank, vectorize
+from tensorreg.tensor import (
+    matricize,
+    mode_vector_product,
+    multilinear_rank,
+    tucker_reconstruct,
+    vectorize,
+    write_dten,
+)
 
 
 def small_problem(seed, n=30, dims=(4, 5, 3, 4), ranks=(3, 2, 2, 3), gamma=1e-3, noise=0.05):
@@ -575,9 +584,10 @@ def test_save_load_kholrr_round_trip(tmp_path):
     back = load_model(path)
     assert back.kernel == model.kernel
     assert back.ranks == model.ranks
-    np.testing.assert_array_equal(back.coeff, model.coeff)
+    np.testing.assert_array_equal(back.factors.core, model.factors.core)
+    for u, v in zip(back.factors.factors, model.factors.factors, strict=True):
+        np.testing.assert_array_equal(u, v)
     np.testing.assert_array_equal(back.dual_values, model.dual_values)
-    np.testing.assert_array_equal(back.dual_vectors, model.dual_vectors)
     np.testing.assert_array_equal(
         kholrr_predict_batch(back, data.x_test), kholrr_predict_batch(model, data.x_test)
     )
@@ -604,6 +614,85 @@ def test_model_file_errors(tmp_path):
                    b'{"kind":"holrr","blocks":[],"ranks":[1]}'):
         with pytest.raises(ValueError, match="malformed model header"):
             load_model(io.BytesIO(b"HOLRR 1\n" + header + b"\n"))
+    # blocks and header values that are non-finite or disagree with each other
+    prob, _ = small_problem(43, ranks=(2, 2, 2, 2))
+    kprob, _, spec, k = kernel_problem(44)
+    nan_core = holrr_fit(prob)
+    nan_core.factors.core[0, 0, 0, 0] = np.nan
+    nan_gamma = dataclasses.replace(holrr_fit(prob), gamma=float("nan"))
+    big_ranks = dataclasses.replace(holrr_fit(prob), ranks=(9, 9, 9, 9))
+    kmodel = kholrr_fit(k, kprob.y, kprob.ranks, kprob.gamma, kprob.x, spec)
+    long_duals = dataclasses.replace(kmodel, dual_values=np.arange(7.0))
+    nan_offset = dataclasses.replace(kmodel, kernel=KernelSpec(kind="polynomial"))
+    nan_offset.kernel.offset = float("nan")
+    cases = [
+        (nan_core, "model block core is not finite"),
+        (nan_gamma, "gamma must be finite"),
+        (big_ranks, r"header ranks \(9, 9, 9, 9\) do not match the core's shape \(2, 2, 2, 2\)"),
+        (long_duals, r"dual_values has shape \(7,\); R0 is 3"),
+        (nan_offset, "offset must be finite"),
+    ]
+    for model, message in cases:
+        buf = io.BytesIO()
+        save_model(model, buf)
+        with pytest.raises(ValueError, match=message):
+            load_model(io.BytesIO(buf.getvalue()))
+    # a file is read only in the exact form save_model writes
+    buf = io.BytesIO()
+    save_model(holrr_fit(prob), buf)
+    good = buf.getvalue()
+    assert load_model(io.BytesIO(good)).ranks == (2, 2, 2, 2)
+    dten = good.index(b"DTEN 1 4 2 2 2 2\n")
+    for bad in (good + b"\0", good.replace(b'"gamma":0.001', b'"gamma":1e-3'),
+                good[:dten] + good[dten:].replace(b"DTEN 1 4", b"DTEN 1  4", 1)):
+        with pytest.raises(ValueError, match="differs from what save_model writes"):
+            load_model(io.BytesIO(bad))
+
+
+def test_holrr_1_kernel_file_loads_its_dense_tensor_as_an_identity_tucker():
+    prob, data, _, _ = kernel_problem(45)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    model = kholrr_fit(gram(prob.x, spec), prob.y, prob.ranks, prob.gamma, prob.x, spec)
+    # the HOLRR 1 layout: the dense dual tensor C and the dual eigenpairs
+    blocks = {
+        "coeff": tucker_reconstruct(model.factors),
+        "train_inputs": model.train_inputs,
+        "dual_values": model.dual_values,
+        "dual_vectors": model.dual_vectors,
+    }
+    header = {"kind": "kholrr", "ranks": list(model.ranks), "gamma": model.gamma,
+              "kernel": spec.to_dict(), "warnings": list(model.warnings), "blocks": list(blocks)}
+    v1 = io.BytesIO()
+    v1.write(b"HOLRR 1\n" + json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+    for block in blocks.values():
+        write_dten(block, v1)
+    back = load_model(io.BytesIO(v1.getvalue()))
+    assert back.factors.core.shape == (25, 5, 3, 4) and back.ranks == (25, 5, 3, 4)
+    np.testing.assert_array_equal(back.factors.core, blocks["coeff"])
+    assert back.dual_values.size == 0
+    want = model.predict(data.x_test)
+    assert np.linalg.norm(back.predict(data.x_test) - want) <= 1e-12 * np.linalg.norm(want)
+    again = io.BytesIO()
+    save_model(back, again)
+    assert again.getvalue().startswith(b"HOLRR 2\n")
+    np.testing.assert_array_equal(load_model(io.BytesIO(again.getvalue())).factors.core, blocks["coeff"])
+
+
+def test_holrr_1_primal_file_loads_bitwise():
+    prob, data = small_problem(46)
+    model = holrr_fit(prob)
+    buf = io.BytesIO()
+    save_model(model, buf)
+    v2 = buf.getvalue()
+    assert v2.startswith(b"HOLRR 2\n")
+    back = load_model(io.BytesIO(b"HOLRR 1\n" + v2[len(b"HOLRR 2\n"):]))  # the same layout
+    np.testing.assert_array_equal(back.factors.core, model.factors.core)
+    for u, v in zip(back.factors.factors, model.factors.factors, strict=True):
+        np.testing.assert_array_equal(u, v)
+    np.testing.assert_array_equal(back.predict(data.x_test), model.predict(data.x_test))
+    again = io.BytesIO()
+    save_model(back, again)
+    assert again.getvalue() == v2
 
 
 def test_load_model_rejects_kernel_blocks_that_disagree_on_n():
