@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from . import harness, regress
-from .harness import atomic_write_bytes
+from .harness import atomic_write, atomic_write_bytes
 from .regress import KernelSpec
 from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten
 
@@ -48,9 +49,14 @@ def _read_matrix(path) -> np.ndarray:
 
 
 def _write_tensor_atomic(t, path) -> None:
-    buf = io.BytesIO()
-    write_dten(t, buf)
-    atomic_write_bytes(path, buf.getvalue())
+    atomic_write(path, lambda f: write_dten(t, f))
+
+
+def _training_rmse(model, x, y) -> float:
+    """RMSE of the model's predictions for the training rows, summed over
+    `regress.row_blocks` so no N x D prediction is held at once."""
+    sq = sum(float(np.sum((y[rows] - model.predict(x[rows])) ** 2)) for rows in regress.row_blocks(y))
+    return math.sqrt(sq / y.size)
 
 
 def _parse_ranks(text: str) -> tuple:
@@ -74,11 +80,9 @@ def _cmd_fit(args) -> int:
     else:
         kernel = KernelSpec.from_string(args.kernel)
         model = regress.kholrr_fit(regress.gram(x, kernel), y, ranks, gamma, x, kernel)
-    preds = model.predict(x)
+    training_rmse = _training_rmse(model, x, y)
     seconds = time.perf_counter() - t0
-    buf = io.BytesIO()
-    regress.save_model(model, buf)
-    atomic_write_bytes(args.out, buf.getvalue())
+    atomic_write(args.out, lambda f: regress.save_model(model, f))
     for w in model.warnings:
         _note(w)
     _emit(
@@ -87,7 +91,7 @@ def _cmd_fit(args) -> int:
             "model": "kholrr" if args.kernel else "holrr",
             "ranks": list(model.ranks),
             "gamma": gamma,
-            "training_rmse": harness.rmse(y, preds),
+            "training_rmse": training_rmse,
             "fit_seconds": seconds,
             "out": str(args.out),
             "warnings": list(model.warnings),

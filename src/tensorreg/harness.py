@@ -45,6 +45,7 @@ __all__ = [
     "default_config",
     "run_experiment",
     "write_report",
+    "atomic_write",
     "atomic_write_bytes",
 ]
 
@@ -60,19 +61,26 @@ def rmse(y_true, y_pred) -> float:
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename."""
+def atomic_write(path, write) -> None:
+    """Call write(f) on a binary temp file in the directory of `path`, then
+    rename it over `path`: readers see the old file or all of the new one,
+    and `write` can stream its content without building it in memory."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    """`atomic_write` of a bytes object."""
+    atomic_write(path, lambda f: f.write(data))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ __all__ = [
     "krls_fit",
     "klrr_fit",
     "lrr_path_predict",
+    "row_blocks",
     "kholrr_fit",
     "kholrr_predict",
     "kholrr_predict_batch",
@@ -83,6 +84,9 @@ MODEL_MAGIC = "HOLRR"
 MODEL_VERSION = 2
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
+
+# bytes of Y per row block (`row_blocks`) of the mode Grams and the CLI's training error
+_BLOCK_BYTES = 1 << 24
 
 _CORE_FALLBACK = "projected gram singular; using pseudo-inverse core solve"
 _SINGULAR_INPUT = (
@@ -366,14 +370,33 @@ def _orthonormalize(u: np.ndarray) -> np.ndarray:
     return q * flip[None, :]
 
 
+def row_blocks(y) -> list:
+    """Slices of consecutive rows (mode-0 indices) of `y`, each at most
+    `_BLOCK_BYTES` of it and at least one row: the blocks in which sums over
+    the rows of a large output tensor are taken."""
+    n = y.shape[0]
+    step = max(1, _BLOCK_BYTES // max(1, y[:1].nbytes))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _mode_grams(y: np.ndarray) -> list:
+    """The mode Grams Y_(i) Y_(i)^T, i >= 1, each summed over `row_blocks`
+    of Y: G_i = sum_B B_(i) B_(i)^T.  The only copies made are one block's
+    unfoldings, where `matricize(y, i)` of the whole of a column-major Y
+    would copy all of it for every mode.  When Y fits in one block the Grams
+    are exactly the unblocked products."""
+    grams = [np.zeros((d, d)) for d in y.shape[1:]]
+    for rows in row_blocks(y):
+        block = y[rows]
+        for i, g in enumerate(grams, start=1):
+            bi = matricize(block, i)
+            g += bi @ bi.T
+    return grams
+
+
 def _output_factors(y: np.ndarray, ranks) -> list:
-    factors = []
-    for i, r in enumerate(ranks, start=1):
-        yi = matricize(y, i)
-        g = yi @ yi.T
-        res = linalg.sym_eig_top((g + g.T) / 2.0, r)
-        factors.append(res.vectors)
-    return factors
+    """Top-R_i eigenvectors of each mode Gram (`_mode_grams`), i >= 1."""
+    return [linalg.sym_eig_top((g + g.T) / 2.0, r).vectors for g, r in zip(_mode_grams(y), ranks)]
 
 
 def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:

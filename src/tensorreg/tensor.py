@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,6 +42,10 @@ __all__ = [
 
 DTEN_MAGIC = "DTEN"
 DTEN_VERSION = 1
+# the one header form: magic, version, order and dims, single spaces, canonical decimals
+_DTEN_HEADER = re.compile(rf"{DTEN_MAGIC} {DTEN_VERSION}(?: (?:0|[1-9][0-9]*))+")
+# bytes per read or write call of a DTEN payload
+_IO_CHUNK = 1 << 24
 
 
 def _as_tensor(t) -> np.ndarray:
@@ -250,15 +255,21 @@ def _open_maybe(path_or_file, mode):
 def write_dten(t, path_or_file) -> None:
     """Write the DTEN v1 format: ASCII header line, then little-endian doubles.
 
-    Header is ``DTEN 1 <order> <d_0> ... <d_p>``; payload is the column-major
-    linearization, 8 bytes per entry.
+    Header is ``DTEN 1 <order> <d_0> ... <d_p>``: single spaces, decimal
+    fields without sign or leading zeros.  The payload is the column-major
+    linearization, 8 bytes per entry, written in `_IO_CHUNK`-byte slices of
+    the tensor's own memory: a column-major float64 tensor (what `read_dten`
+    returns) is written without a copy, any other layout costs one.
     """
     t = _as_tensor(t)
+    flat = np.ascontiguousarray(vectorize(t), dtype="<f8")
     f, close = _open_maybe(path_or_file, "wb")
     try:
         dims = " ".join(str(d) for d in t.shape)
         f.write(f"{DTEN_MAGIC} {DTEN_VERSION} {t.ndim} {dims}\n".encode("ascii"))
-        f.write(vectorize(t).astype("<f8").tobytes())
+        payload = memoryview(flat).cast("B")
+        for start in range(0, payload.nbytes, _IO_CHUNK):
+            f.write(payload[start : start + _IO_CHUNK])
     finally:
         if close:
             f.close()
@@ -291,10 +302,10 @@ def _bytes_left(f):
 
 
 def _read_at_most(f, n: int) -> bytes:
-    """Up to n bytes of f in 16 MiB reads, so a huge n allocates nothing up front."""
+    """Up to n bytes of f in `_IO_CHUNK` reads, so a huge n allocates nothing up front."""
     chunks = []
     while n > 0:
-        chunk = f.read(min(n, 1 << 24))
+        chunk = f.read(min(n, _IO_CHUNK))
         if not chunk:
             break
         chunks.append(chunk)
@@ -302,30 +313,58 @@ def _read_at_most(f, n: int) -> bytes:
     return b"".join(chunks)
 
 
+def _parse_dten_header(line: bytes) -> tuple:
+    """Shape from a header line; exactly the form `write_dten` writes is accepted."""
+    text = line.decode("ascii", errors="replace")
+    fields = text.split()
+    if len(fields) < 3 or fields[0] != DTEN_MAGIC:
+        raise ValueError("not a DTEN file")
+    if fields[1] != str(DTEN_VERSION):
+        raise ValueError(f"unsupported DTEN version {fields[1]}")
+    if not _DTEN_HEADER.fullmatch(text):
+        raise ValueError("malformed DTEN header")
+    order = int(fields[2])
+    if order < 1 or len(fields) != 3 + order:
+        raise ValueError("malformed DTEN header")
+    shape = tuple(int(d) for d in fields[3:])
+    if any(d < 1 for d in shape):
+        raise ValueError(f"bad DTEN dimensions {shape}")
+    return shape
+
+
 def read_dten(path_or_file) -> np.ndarray:
+    """Read a DTEN v1 tensor (see `write_dten`) into one column-major array.
+
+    The header must be exactly what `write_dten` writes; anything else raises
+    "malformed DTEN header".  From a seekable file the payload size is checked
+    against the bytes left before anything is allocated, then read with
+    `readinto` straight into the returned array, so reading holds one copy of
+    the data.  A stream that cannot seek (a pipe) is read in `_IO_CHUNK`
+    pieces, so a bogus huge header allocates nothing up front.
+    """
     f, close = _open_maybe(path_or_file, "rb")
     try:
-        header = _read_line_bytes(f).decode("ascii", errors="replace").split()
-        if len(header) < 3 or header[0] != DTEN_MAGIC:
-            raise ValueError("not a DTEN file")
-        if header[1] != str(DTEN_VERSION):
-            raise ValueError(f"unsupported DTEN version {header[1]}")
-        order = int(header[2])
-        if order < 1 or len(header) != 3 + order:
-            raise ValueError("malformed DTEN header")
-        shape = tuple(int(d) for d in header[3:])
-        if any(d < 1 for d in shape):
-            raise ValueError(f"bad DTEN dimensions {shape}")
+        shape = _parse_dten_header(_read_line_bytes(f))
         # exact Python ints: an int64 product wraps for huge dims
         nbytes = 8 * math.prod(shape)
         left = _bytes_left(f)
-        if left is not None and nbytes > left:
+        if left is None:
+            payload = _read_at_most(f, nbytes)
+            if len(payload) != nbytes:
+                raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {len(payload)}")
+            data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+            return data.reshape(shape, order="F")
+        if nbytes > left:
             raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {left}")
-        payload = f.read(nbytes) if left is not None else _read_at_most(f, nbytes)
-        if len(payload) != nbytes:
-            raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {len(payload)}")
-        data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-        return data.reshape(shape, order="F")
+        data = np.empty(nbytes // 8, dtype="<f8")
+        view = memoryview(data).cast("B")
+        got = 0
+        while got < nbytes:
+            n = f.readinto(view[got : got + _IO_CHUNK])
+            if not n:
+                raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {got}")
+            got += n
+        return data.astype(np.float64, copy=False).reshape(shape, order="F")
     finally:
         if close:
             f.close()

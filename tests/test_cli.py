@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import helpers
-from tensorreg import cli
+from tensorreg import cli, harness, regress
 from tensorreg.cli import main
 from tensorreg.datagen import SynthSpec, gen_linear_synthetic
 from tensorreg.regress import (
@@ -242,6 +242,32 @@ def test_exit_code_2_dten_dims_beyond_the_file(tmp_path, capsys):
         assert code == 2, dims
         # the exact byte count, not an int64 wrap-around or an OverflowError
         assert err.startswith("tensorreg: ") and f"expected {8 * math.prod(dims)} bytes, got 64" in err, err
+
+
+def test_exit_code_2_non_canonical_dten_header(tmp_path, capsys):
+    for header in (b"DTEN 1 1 1_0", b"DTEN 1 1\t3", b"DTEN 1 1 +3", b"DTEN 1 1 010", b"DTEN 1 1 3 "):
+        path = tmp_path / "odd.dten"
+        path.write_bytes(header + b"\n" + b"\0" * 80)
+        code = main(["tensor", "info", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2, header
+        assert err == "tensorreg: malformed DTEN header\n", err
+
+
+def test_fit_training_rmse_is_the_rmse_of_the_training_predictions(tmp_path, capsys, monkeypatch):
+    data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=5)
+    # blocks of 3 training rows: the sum runs over 7 blocks, the last one short
+    monkeypatch.setattr(regress, "_BLOCK_BYTES", 3 * 8 * 6)
+    for kernel in ([], ["--kernel", "rbf:2.0"]):
+        model_path = tmp_path / "model.bin"
+        code, events, _ = run_cli(
+            capsys,
+            ["fit", "--x", str(x_csv), "--y", str(y_dten), "--ranks", "2,2,2", "--gamma", "0.01",
+             "--out", str(model_path)] + kernel,
+        )
+        assert code == 0
+        ref = harness.rmse(data.y_train, load_model(model_path).predict(data.x_train))
+        assert events[0]["training_rmse"] == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -643,10 +643,11 @@ def test_model_file_errors(tmp_path):
     good = buf.getvalue()
     assert load_model(io.BytesIO(good)).ranks == (2, 2, 2, 2)
     dten = good.index(b"DTEN 1 4 2 2 2 2\n")
-    for bad in (good + b"\0", good.replace(b'"gamma":0.001', b'"gamma":1e-3'),
-                good[:dten] + good[dten:].replace(b"DTEN 1 4", b"DTEN 1  4", 1)):
+    for bad in (good + b"\0", good.replace(b'"gamma":0.001', b'"gamma":1e-3')):
         with pytest.raises(ValueError, match="differs from what save_model writes"):
             load_model(io.BytesIO(bad))
+    with pytest.raises(ValueError, match="malformed DTEN header"):
+        load_model(io.BytesIO(good[:dten] + good[dten:].replace(b"DTEN 1 4", b"DTEN 1  4", 1)))
 
 
 def test_holrr_1_kernel_file_loads_its_dense_tensor_as_an_identity_tucker():

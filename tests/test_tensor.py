@@ -300,6 +300,14 @@ def test_dten_errors():
     # 3037000500^2 * 2 entries wrap to 290948384 in int64
     with pytest.raises(ValueError, match="expected 147573952592004000000 bytes, got 24"):
         read_dten(io.BytesIO(b"DTEN 1 3 3037000500 3037000500 2\n" + b"\0" * 24))
+    # only the header form write_dten writes: single spaces, canonical decimals
+    for header in (b"DTEN 1 1 1_0", b"DTEN 1 1\t3", b"DTEN\t1 1 3", b"DTEN 1 1 +3", b"DTEN 1 +1 3",
+                   b"DTEN 1 1 03", b"DTEN 1 1 010", b"DTEN 1 1 3 ", b"DTEN 1  1 3", b"DTEN 1 1 3\r",
+                   b"DTEN 1 0"):
+        with pytest.raises(ValueError, match="malformed DTEN header"):
+            read_dten(io.BytesIO(header + b"\n" + b"\0" * 80))
+    with pytest.raises(ValueError, match=r"bad DTEN dimensions \(3, 0\)"):
+        read_dten(io.BytesIO(b"DTEN 1 2 3 0\n"))
 
 
 class _Pipe(io.BytesIO):
