@@ -284,7 +284,10 @@ def read_ppm(path) -> np.ndarray:
         raise ValueError(f"{path}: truncated PPM header") from None
     if magic not in (b"P3", b"P6"):
         raise ValueError(f"{path}: not a PPM file (magic {magic!r})")
-    wid, hei, maxval = int(wid), int(hei), int(maxval)
+    try:
+        wid, hei, maxval = int(wid), int(hei), int(maxval)
+    except ValueError:
+        raise ValueError(f"{path}: bad PPM header fields {wid!r} {hei!r} {maxval!r}") from None
     if wid < 1 or hei < 1:
         raise ValueError(f"{path}: bad dimensions {wid}x{hei}")
     if not 0 < maxval <= 255:
@@ -297,12 +300,19 @@ def read_ppm(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated P6 payload")
         vals = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
     else:
+        # a sample takes a separator and a digit: bound the count by the payload before allocating
+        room = (len(data) - end) // 2
+        if count > room:
+            raise ValueError(f"{path}: expected {count} P3 samples, the payload holds at most {room}")
         vals = np.empty(count)
         k = 0
         for tok, _ in toks:
             if k >= count:
                 raise ValueError(f"{path}: trailing P3 samples")
-            vals[k] = int(tok)
+            try:
+                vals[k] = int(tok)
+            except ValueError:
+                raise ValueError(f"{path}: bad P3 sample {tok!r}") from None
             k += 1
         if k != count:
             raise ValueError(f"{path}: expected {count} P3 samples, got {k}")

@@ -216,29 +216,31 @@ def _select(splits, grid: GridSpec, method: str, kernel=None):
     """Score every grid point by its mean validation RMSE over the
     (x_fit, y_fit, x_val, y_val) splits; returns (best, table).
 
-    lrr/klrr score a split's whole (gamma, rank) grid from one decomposition
-    of its fit rows (regress.lrr_path_predict); the other methods fit once per
-    point and split.
+    Every method scores a split's whole grid from one decomposition of its
+    fit rows (`regress.path_predict`): holrr/kholrr at their rank tuples, and
+    the flat baselines on flattened outputs, rls/krls unprojected and
+    lrr/klrr at ranks (R, D).
     """
     points = _grid_points(method, grid)
-    if method == "klrr" and kernel is None:
-        raise ValueError("klrr needs a kernel")
+    dual = method.startswith("k")
+    if dual and kernel is None:
+        raise ValueError(f"{method} needs a kernel")
+    flat = method not in ("holrr", "kholrr")
     errors = {point: [] for point in points}
     for x_fit, y_fit, x_val, y_val in splits:
-        if method in ("lrr", "klrr"):
-            path = regress.lrr_path_predict(
-                x_fit,
-                matricize(y_fit, 0),
-                x_val,
-                sorted({g for g, _ in points}),
-                sorted({r for _, (r,) in points}),
-                kernel if method == "klrr" else None,
-            )
-            preds = (((g, (r,)), dematricize(pred, 0, y_val.shape)) for (g, r), pred in path.items())
-        else:
-            preds = ((pt, predict_method(fit_method(method, x_fit, y_fit, *pt, kernel), x_val)) for pt in errors)
-        for point, pred in preds:
-            errors[point].append(rmse(y_val, pred))
+        width = math.prod(y_fit.shape[1:])
+        # the path's (gamma, ranks) key of each point: lrr/klrr rank R is (R, D)
+        keys = {(g, (r[0], width) if method in ("lrr", "klrr") else r): (g, r) for g, r in points}
+        preds = regress.path_predict(
+            x_fit,
+            matricize(y_fit, 0) if flat else y_fit,
+            x_val,
+            sorted(set(grid.gammas)),
+            list(dict.fromkeys(r for _, r in keys)),
+            kernel if dual else None,
+        )
+        for key, point in keys.items():
+            errors[point].append(rmse(y_val, preds[key].reshape(y_val.shape, order="F")))
     table = [{"gamma": g, "ranks": r, "score": float(np.mean(errors[(g, r)]))} for g, r in points]
     best = min(table, key=lambda row: (row["score"], _point_key((row["gamma"], row["ranks"]))))
     return best, table
@@ -256,8 +258,10 @@ def _resolve_kernel(spec, x_train) -> KernelSpec:
     cfg = dict(spec)
     if cfg.get("sigma") == "median":
         x = np.asarray(x_train, dtype=np.float64)
-        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
-        vals = np.sqrt(sq[np.triu_indices(x.shape[0], k=1)])
+        # the distances of each row to the later ones: O(N^2) memory, not an
+        # N x N x d0 difference tensor, and the same sums bit for bit
+        rows = [np.sum((x[i + 1 :] - x[i]) ** 2, axis=1) for i in range(len(x))]
+        vals = np.sqrt(np.concatenate([np.zeros(0)] + rows))
         vals = vals[vals > 0]
         cfg["sigma"] = float(np.median(vals)) if vals.size else 1.0
     return KernelSpec(**cfg)

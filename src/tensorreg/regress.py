@@ -71,7 +71,7 @@ __all__ = [
     "kernel_vec",
     "krls_fit",
     "klrr_fit",
-    "lrr_path_predict",
+    "path_predict",
     "row_blocks",
     "kholrr_fit",
     "kholrr_predict",
@@ -408,24 +408,34 @@ def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:
     return requested
 
 
+def _clamp_r0(requested: int, lam: np.ndarray, gamma: float, noted: list) -> int:
+    """R0 clamped to the directions the ridge inverse keeps (at least 1).  The
+    fits take the spectrum after the output factors; the note still goes
+    before theirs."""
+    head: list = []
+    r0 = _clamp_rank(requested, max(1, int(np.count_nonzero(_ridge_inverse(lam, gamma)))), 0, head)
+    noted[:0] = head
+    return r0
+
+
 def holrr_fit(prob: RegressionProblem) -> HolrrModel:
     """Closed-form multilinear-rank-constrained ridge fit.
 
     The input factor is the top-R0 pencil eigenspace from the thin SVD of X
     and the core the projected ridge solve on Z = Q^T Y_(0) (`_pencil`,
-    `_core`).  Ranks are clamped to feasible values (R0 <= min(d0, N),
-    Ri <= di) with a warning recorded on the model.  Directions where
-    X^T X + gamma I is at or below 1e-12 of the top eigenvalue of X^T X
-    (gamma = 0 with rank-deficient X) are dropped with the "pseudo-inverse
-    pencil" warning.
+    `_core`).  Directions where X^T X + gamma I is at or below 1e-12 of the
+    top eigenvalue of X^T X (gamma = 0 with rank-deficient X) are dropped
+    with the "pseudo-inverse pencil" warning.  Ranks are clamped to feasible
+    values (R0 <= the directions kept, at most min(d0, N); Ri <= di) with a
+    warning recorded on the model.
     """
     x, y, ranks, gamma = prob.x, prob.y, prob.ranks, prob.gamma
-    n, d0 = x.shape
+    d0 = x.shape[1]
     noted: list = []
-    r0 = _clamp_rank(ranks[0], min(d0, n), 0, noted)
     out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(y.ndim - 1)]
     factors = _output_factors(y, out_ranks)
     q, lam, v = _spectrum(x)
+    r0 = _clamp_r0(ranks[0], lam, gamma, noted)
     z = q.T @ matricize(y, 0)
     _, c = _pencil(lam, z, gamma, r0, d0, noted)
     u0 = _orthonormalize(_fix_signs(v @ c))
@@ -483,40 +493,65 @@ def klrr_fit(k, y_flat, rank: int, gamma: float) -> np.ndarray:
     return base @ v @ v.T
 
 
-def lrr_path_predict(x_fit, y_flat, x_val, gammas, ranks, kernel: KernelSpec = None):
-    """Validation predictions of lrr_fit (klrr_fit when `kernel` is given) at
-    every (gamma, rank) point, from one decomposition of the fit rows.
+def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None) -> dict:
+    """Validation predictions of holrr_fit (kholrr_fit when `kernel` is given)
+    at every (gamma, ranks) point, from one decomposition of the fit rows.
 
-    With the fit Gram G = Q diag(lam) Q^T from `_spectrum`, Z = Q^T Y and
-    inv = `_ridge_inverse`(lam, gamma), the ridge prediction is (B inv) Z for
-    the validation basis B (X_val V S, or K_val Q), and the lrr output
-    subspace at gamma is the top right singular subspace of
-    diag(sqrt(lam inv)) Z, so every rank is a prefix of one small SVD per
-    gamma.
+    In the pencil basis of `_pencil` the core solve is the identity,
+    c^T diag(lam + gamma) c = W^T W = I with c = sqrt(inv) W, so every
+    prediction is a product of prefixes:
 
-    Returns {(gamma, rank): prediction}, predictions n_val x D; a rank at or
-    above D gives the unprojected ridge prediction.  Ranks must be >= 1.
+        pred(gamma, R0..Rp) = [(B sqrt(inv) W[:, :R0]) (W[:, :R0]^T D Z)]
+                              x_1 U_1[:, :R1] U_1[:, :R1]^T ... x_p U_p[:, :Rp] U_p[:, :Rp]^T
+
+    with Q, lam from `_spectrum` of the fit rows, Z = Q^T Y_(0),
+    inv = `_ridge_inverse`(lam, gamma), D = sqrt(lam inv), W the
+    eigenvectors of D Z Z^T D (one eigh per gamma) and U_i all eigenvectors
+    of the mode Gram Y_(i) Y_(i)^T (one eigh per mode, and none for a mode
+    no candidate truncates).  B is X_val V, or for a kernel
+    K_val Q diag(lam^-1/2), lam^-1/2 taken as 0 by kholrr_fit's rule.
+    R0 at or above the kept rank count_nonzero(inv) and Ri >= di project
+    nothing; a rank tuple of None is the unprojected ridge prediction.  The
+    flat baselines are cases of it: rls/krls are None on flattened outputs
+    and lrr/klrr the ranks (R, D).
+
+    Returns {(gamma, ranks): prediction}, predictions (n_val, d1..dp).
+    Ranks must be >= 1.
     """
-    y_flat = np.asarray(y_flat, dtype=np.float64)
+    y = np.asarray(y_fit, dtype=np.float64)
+    x_val = np.asarray(x_val, dtype=np.float64)
     if kernel is None:
-        q, lam, v = _spectrum(x_fit)
-        basis = (x_val @ v) * np.sqrt(lam)
+        q, lam, v = _spectrum(np.asarray(x_fit, dtype=np.float64))
+        basis = x_val @ v
     else:
         q, lam, _ = _spectrum(k=gram(x_fit, kernel))
-        basis = kernel_cross(kernel, x_val, x_fit) @ q
-    z = q.T @ y_flat
+        basis = kernel_cross(kernel, x_val, x_fit) @ q * np.sqrt(_ridge_inverse(lam, 0.0))
+    z = q.T @ matricize(y, 0)
+    dims = y.shape[1:]
+    cut = [any(r is not None and r[i + 1] < d for r in rank_tuples) for i, d in enumerate(dims)]
+    grams = _mode_grams(y) if any(cut) else [None] * len(dims)
+    # descending eigenvectors of each mode Gram some candidate truncates
+    out = [np.linalg.eigh((g + g.T) / 2.0)[1][:, ::-1] if c else None for g, c in zip(grams, cut)]
     preds = {}
     for gamma in gammas:
         inv = _ridge_inverse(lam, gamma)
-        scaled = basis * inv
-        full = scaled @ z
-        v_all = np.linalg.svd(np.sqrt(lam * inv)[:, None] * z, full_matrices=False)[2].T
-        for r in ranks:
-            if r >= y_flat.shape[1]:
-                preds[gamma, r] = full
-            else:
-                v = v_all[:, :r]
-                preds[gamma, r] = (scaled @ (z @ v)) @ v.T
+        kept = np.count_nonzero(inv)
+        left = basis * np.sqrt(inv)
+        dz = np.sqrt(lam * inv)[:, None] * z
+        w = None
+        if any(r is not None and r[0] < kept for r in rank_tuples):
+            w = np.linalg.eigh(dz @ dz.T)[1][:, ::-1]
+        for ranks in rank_tuples:
+            r0, *rest = ranks or (kept, *dims)
+            w0 = w[:, :r0] if r0 < kept else None
+            core = dz if w0 is None else w0.T @ dz
+            factors = [u[:, :r] if r < d else None for u, r, d in zip(out, rest, dims)]
+            core = multi_mode_product(
+                dematricize(core, 0, (core.shape[0], *dims)),
+                [None if u is None else u.T for u in factors],
+                range(1, len(dims) + 1),
+            )
+            preds[gamma, ranks] = multi_mode_product(core, [left if w0 is None else left @ w0] + factors)
     return preds
 
 
@@ -536,7 +571,8 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     eigenpairs (pencil values and the columns of A) are kept on the model;
     their feature-space transport X^T A recovers the primal pencil
     directions.  A singular K + gamma I (by the same 1e-12 rule) warns
-    "pseudo-inverse pencil, restricting to its range".
+    "pseudo-inverse pencil, restricting to its range", and R0 is clamped to
+    the directions kept, like holrr_fit's.
     """
     k = np.asarray(k, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -549,11 +585,11 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
     y, ranks, gamma = prob.y, prob.ranks, prob.gamma
     noted: list = []
-    r0 = _clamp_rank(ranks[0], n, 0, noted)
     out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(y.ndim - 1)]
     factors = _output_factors(y, out_ranks)
 
     q, lam, _ = _spectrum(k=k)
+    r0 = _clamp_r0(ranks[0], lam, gamma, noted)
     z = q.T @ matricize(y, 0)
     dual_values, c = _pencil(lam, z, gamma, r0, n, noted)
     a = q @ (np.sqrt(_ridge_inverse(lam, 0.0))[:, None] * c)

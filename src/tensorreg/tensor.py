@@ -46,6 +46,8 @@ DTEN_VERSION = 1
 _DTEN_HEADER = re.compile(rf"{DTEN_MAGIC} {DTEN_VERSION}(?: (?:0|[1-9][0-9]*))+")
 # bytes per read or write call of a DTEN payload
 _IO_CHUNK = 1 << 24
+# first capacity of a DTEN payload read from a stream that cannot seek
+_PIPE_START = 1 << 16
 
 
 def _as_tensor(t) -> np.ndarray:
@@ -301,18 +303,6 @@ def _bytes_left(f):
     return end - pos
 
 
-def _read_at_most(f, n: int) -> bytes:
-    """Up to n bytes of f in `_IO_CHUNK` reads, so a huge n allocates nothing up front."""
-    chunks = []
-    while n > 0:
-        chunk = f.read(min(n, _IO_CHUNK))
-        if not chunk:
-            break
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
 def _parse_dten_header(line: bytes) -> tuple:
     """Shape from a header line; exactly the form `write_dten` writes is accepted."""
     text = line.decode("ascii", errors="replace")
@@ -336,11 +326,12 @@ def read_dten(path_or_file) -> np.ndarray:
     """Read a DTEN v1 tensor (see `write_dten`) into one column-major array.
 
     The header must be exactly what `write_dten` writes; anything else raises
-    "malformed DTEN header".  From a seekable file the payload size is checked
-    against the bytes left before anything is allocated, then read with
-    `readinto` straight into the returned array, so reading holds one copy of
-    the data.  A stream that cannot seek (a pipe) is read in `_IO_CHUNK`
-    pieces, so a bogus huge header allocates nothing up front.
+    "malformed DTEN header".  The payload is read with `readinto` straight
+    into the returned array, so reading holds one copy of the data.  From a
+    seekable file its size is checked against the bytes left before anything
+    is allocated.  A stream that cannot seek (a pipe) is read into an array
+    that grows (by `resize`, at most doubling) as the bytes arrive, so a bogus
+    huge header allocates nothing up front.
     """
     f, close = _open_maybe(path_or_file, "rb")
     try:
@@ -348,19 +339,16 @@ def read_dten(path_or_file) -> np.ndarray:
         # exact Python ints: an int64 product wraps for huge dims
         nbytes = 8 * math.prod(shape)
         left = _bytes_left(f)
-        if left is None:
-            payload = _read_at_most(f, nbytes)
-            if len(payload) != nbytes:
-                raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {len(payload)}")
-            data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-            return data.reshape(shape, order="F")
-        if nbytes > left:
+        if left is not None and nbytes > left:
             raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {left}")
-        data = np.empty(nbytes // 8, dtype="<f8")
-        view = memoryview(data).cast("B")
+        data = np.empty(min(nbytes, _PIPE_START) // 8 if left is None else nbytes // 8, dtype="<f8")
         got = 0
         while got < nbytes:
-            n = f.readinto(view[got : got + _IO_CHUNK])
+            if got == data.nbytes:
+                # no view of `data` may be alive here: resize moves the memory
+                data.resize(min(nbytes, 2 * got) // 8, refcheck=False)
+            with memoryview(data).cast("B") as view:
+                n = f.readinto(view[got : min(data.nbytes, got + _IO_CHUNK)])
             if not n:
                 raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {got}")
             got += n

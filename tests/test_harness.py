@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from tensorreg.harness import (
     GridSpec,
     atomic_write_bytes,
     _grid_points,
+    _resolve_kernel,
     _run_synth_task,
     build_forecast_dataset,
     cv_folds,
@@ -191,12 +193,14 @@ def test_grid_search_requires_rank_candidates_for_rank_methods():
 
 
 # (n, d0, output dims, gammas, rank candidates[, degenerate]); seed s runs
-# case s % 4, so each case gets five seeds and klrr cycles through the kernels
+# case s % 5, so each case gets four seeds and the kernel methods cycle
+# through the kernels.  lrr/klrr take the first rank of each candidate
 _PATH_CASES = (
-    (12, 20, (3, 4), (1e-2, 1.0, 10.0), ((2,), (12,), (15,))),  # N < d0; R >= D
-    (15, 6, (3, 4), (0.0, 1.0), ((3,), (12,)), True),  # gamma 0, rank-deficient X and K
-    (30, 4, (3, 4), (1e-2, 1.0), ((2,), (6,), (11,))),  # min(N, d0) < R < D
-    (24, 5, (2, 3, 2), (0.1, 3.0), ((1,), (4,), (12,), (20,))),  # three output modes; R > D
+    (12, 20, (3, 4), (1e-2, 1.0, 10.0), ((2, 1, 4), (12, 3, 2), (15, 2, 3))),  # N < d0; R >= D; Ri = di
+    (15, 6, (3, 4), (0.0, 1.0), ((3, 2, 4), (12, 3, 1)), "zeros"),  # gamma 0, rank-deficient X and K
+    (30, 4, (3, 4), (1e-2, 1.0), ((2, 3, 3), (6, 1, 4), (11, 2, 2))),  # min(N, d0) < R < D
+    (24, 5, (2, 3, 2), (0.1, 3.0), ((1, 1, 3, 2), (4, 2, 2, 1), (12, 2, 3, 2), (20, 1, 1, 1))),  # three output modes; R > D
+    (21, 8, (4, 3), (0.0, 0.5), ((3, 4, 2), (5, 2, 3), (7, 4, 3)), "repeats"),  # gamma 0 with repeated columns; R0 above the kept rank
 )
 _PATH_KERNELS = (
     KernelSpec(kind="linear"),
@@ -209,11 +213,14 @@ def _path_problem(seed):
     n, d0, dims, gammas, ranks, *degenerate = _PATH_CASES[seed % len(_PATH_CASES)]
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d0))
-    if degenerate:
+    if degenerate == ["zeros"]:
         # exact zeros make X^T X and the linear/polynomial K exactly singular:
         # one more zero row than a fold holds leaves one in every fit set
         x[:, 0] = 0.0
         x[: n // 3 + 1] = 0.0
+    elif degenerate == ["repeats"]:
+        # rank 5: at gamma 0 the kept rank of X and of the linear K is below R0 = 7
+        x[:, 5:] = x[:, :3]
     y = np.einsum("ni,i...->n...", x, rng.standard_normal((d0, *dims)))
     y += 0.1 * rng.standard_normal(y.shape)
     grid = GridSpec(gammas=gammas, rank_candidates=ranks, folds=3, seed=seed)
@@ -229,7 +236,7 @@ def _scores_fitting_every_point(x, y, grid, method, kernel):
             fit = np.ones(x.shape[0], dtype=bool)
             fit[val] = False
             with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # the gamma = 0 pseudo-inverse fallbacks
+                warnings.simplefilter("ignore")  # the gamma = 0 pseudo-inverse fallbacks and rank clamps
                 model = fit_method(method, x[fit], y[fit], gamma, ranks, kernel)
             errs.append(rmse(y[val], model.predict(x[val])))
         scores[(gamma, ranks)] = float(np.mean(errs))
@@ -237,17 +244,20 @@ def _scores_fitting_every_point(x, y, grid, method, kernel):
 
 
 def test_lrr_cv_path_matches_fitting_every_grid_point():
-    worst = 0.0
+    # every method's CV path against a fit per grid point and fold
+    worst = dict.fromkeys(METHODS, 0.0)
     for seed in range(20):
         x, y, grid, kernel = _path_problem(seed)
-        for method in ("lrr", "klrr"):
-            ref = _scores_fitting_every_point(x, y, grid, method, kernel)
-            _, table = grid_search_cv(x, y, grid, method, kernel)
+        for method in METHODS:
+            k = kernel if method.startswith("k") else None
+            ref = _scores_fitting_every_point(x, y, grid, method, k)
+            _, table = grid_search_cv(x, y, grid, method, k)
             assert [(row["gamma"], row["ranks"]) for row in table] == list(ref)
             for row in table:
                 expect = ref[(row["gamma"], row["ranks"])]
-                worst = max(worst, abs(row["score"] - expect) / expect)
-    assert worst <= 1e-11, worst
+                worst[method] = max(worst[method], abs(row["score"] - expect) / expect)
+    assert max(worst["lrr"], worst["klrr"]) <= 1e-11, worst
+    assert max(worst.values()) <= 1e-10, worst
 
 
 def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
@@ -260,21 +270,44 @@ def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
 
         monkeypatch.setattr(f"tensorreg.{name}", wrapped)
 
-    for name, fn in (
-        ("regress.lrr_fit", regress.lrr_fit),
-        ("regress.klrr_fit", regress.klrr_fit),
-        ("linalg.sym_eig_top", linalg.sym_eig_top),
-    ):
-        spy(name, fn)
-    x, y, grid, kernel = _path_problem(2)
-    for method in ("lrr", "klrr"):
-        grid_search_cv(x, y, grid, method, kernel)
+    spy("harness.fit_method", fit_method)
+    spy("linalg.sym_eig_top", linalg.sym_eig_top)
+    for name in ("rls_fit", "lrr_fit", "holrr_fit", "krls_fit", "klrr_fit", "kholrr_fit"):
+        spy(f"regress.{name}", getattr(regress, name))
+    for seed in range(len(_PATH_CASES)):
+        x, y, grid, kernel = _path_problem(seed)
+        for method in METHODS:
+            grid_search_cv(x, y, grid, method, kernel if method.startswith("k") else None)
     assert calls == []
 
-    # one synth-linear task: CV picks lrr's point, then a single refit runs lrr_fit
+    # one synth-linear task: CV picks each method's point, then one refit
+    # per method (rls, lrr, holrr), and lrr's runs lrr_fit once
     cfg = dict(default_config("synth-linear"), trials=1, train_sizes=[20])
     _run_synth_task((cfg, "synth-linear", 0, 0))
+    assert calls.count("harness.fit_method") == 3
     assert calls.count("regress.lrr_fit") == 1
+    assert calls.count("regress.holrr_fit") == 1
+
+
+def test_median_sigma_is_bitwise_the_broadcast_median_in_quadratic_memory():
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((60, 7)) * 3.0
+    x[5] = x[2]  # a zero distance, which the median skips
+    sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+    vals = np.sqrt(sq[np.triu_indices(len(x), k=1)])
+    spec = _resolve_kernel({"kind": "rbf", "sigma": "median"}, x)
+    assert spec.sigma == float(np.median(vals[vals > 0]))
+    assert _resolve_kernel({"kind": "rbf", "sigma": "median"}, x[:1]).sigma == 1.0
+
+    # N = 400, d0 = 160: an N x N x d0 difference tensor alone is 205 MB
+    x = rng.standard_normal((400, 160))
+    tracemalloc.start()
+    try:
+        _resolve_kernel({"kind": "rbf", "sigma": "median"}, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * 400 * 400 // 2, peak
 
 
 # --- station-file ingestion -------------------------------------------------

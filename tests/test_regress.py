@@ -263,6 +263,31 @@ def test_holrr_gamma_zero_rank_deficient_inputs():
     assert np.isfinite(holrr_predict_batch(model, x)).all()
 
 
+def test_gamma_zero_training_error_never_rises_with_r0():
+    # rank-7 X: its last 3 columns repeat the first 3.  R0 past the kept
+    # directions clamps to 7 instead of filling U0 with arbitrary columns
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((20, 10))
+    x[:, 7:] = x[:, :3]
+    y = rng.standard_normal((20, 4, 3, 5))
+    spec = KernelSpec(kind="linear")
+    errors, kernel_errors = [], []
+    for r0 in range(1, 11):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = holrr_fit(RegressionProblem(x, y, (r0, 4, 3, 5), 0.0))
+            kmodel = kholrr_fit(gram(x, spec), y, (r0, 4, 3, 5), 0.0, x, spec)
+        for m in (model, kmodel):
+            assert m.ranks[0] == min(r0, 7)
+            assert (f"rank {r0} clamped to 7 at mode 0" in m.warnings) == (r0 > 7)
+            assert not any("core solve" in w for w in m.warnings)
+        assert any("clamped" in str(w.message) for w in caught) == (r0 > 7)
+        errors.append(np.sqrt(np.mean((model.predict(x) - y) ** 2)))
+        kernel_errors.append(np.sqrt(np.mean((kmodel.predict(x) - y) ** 2)))
+    assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:])), errors
+    np.testing.assert_allclose(kernel_errors, errors, rtol=1e-10)
+
+
 def test_holrr_refit_is_bit_identical():
     prob, _ = small_problem(15)
     buf1, buf2 = io.BytesIO(), io.BytesIO()

@@ -2,14 +2,15 @@
 
 Property tests: DTEN files round-trip bit for bit (NaN payloads, infinities
 and -0.0 included) whatever the memory layout of the tensor written, the read
-path (`readinto` into the array, or chunked reads from a stream that cannot
-seek) and the chunk size; and the blocked mode Grams equal the unblocked
-products.  The I/O chunk and the row block are patched down to a few entries,
-so every loop runs many times and row blocks come out odd-sized.
+path (`readinto` into the array, or into a growing one from a stream that
+cannot seek) and the chunk size; and the blocked mode Grams equal the
+unblocked products.  The I/O chunk, the first pipe capacity and the row block
+are patched down to a few entries, so every loop runs many times and row
+blocks come out odd-sized.
 
 Memory tests (tracemalloc, which sees numpy's allocations): reading a file
-holds one copy of the data, writing one holds none, and a fit holds only
-blocks of Y on top of it.
+or a pipe holds one copy of the data, writing one holds none, and a fit
+holds only blocks of Y on top of it.
 """
 
 import io
@@ -55,6 +56,7 @@ def test_dten_round_trip_is_bitwise(a, layout, chunk):
     t = _laid_out(a, layout)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor, "_IO_CHUNK", chunk)
+        mp.setattr(tensor, "_PIPE_START", 8)  # a pipe read grows its array from one entry
         buf = io.BytesIO()
         write_dten(t, buf)
         data = buf.getvalue()
@@ -116,6 +118,18 @@ def _peak_bytes(fn, *args):
 def test_read_dten_holds_one_copy(y_file):
     y, path = y_file
     assert _peak_bytes(read_dten, path) <= 1.1 * y.nbytes
+
+
+def test_read_dten_from_a_pipe_holds_one_copy(y_file):
+    y, path = y_file
+    pipe = _Pipe(path.read_bytes())
+    assert _peak_bytes(read_dten, pipe) <= 1.25 * y.nbytes
+
+    def bogus():
+        with pytest.raises(ValueError, match="got 64"):
+            read_dten(_Pipe(b"DTEN 1 2 99999999999999999999 2\n" + b"\0" * 64))
+
+    assert _peak_bytes(bogus) <= 1 << 20
 
 
 def test_write_dten_copies_nothing(y_file, tmp_path):
