@@ -93,34 +93,27 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
 
     Returns a HolrrModel for the primal methods and a KernelHolrrModel for the
     kernel ones, so every result predicts through `.predict(x)`.  The flat
-    baselines fold their coefficients (primal, or dual for krls/klrr) into
-    the model's core with identity factors.
+    baselines are rank presets of holrr_fit/kholrr_fit: rls at (d0, d1..dp),
+    krls at (N, d1..dp) and klrr at (R, d1..dp), (N, d1..dp) for R >= D.
+    lrr keeps its own D x D algorithm, folded into a model with no factors.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if method == "holrr":
-        return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=tuple(ranks), gamma=gamma))
-    dual = method.startswith("k")
-    if dual and kernel is None:
+    if method.startswith("k") and kernel is None:
         raise ValueError(f"{method} needs a kernel")
-    k_or_x = regress.gram(x, kernel) if dual else x
-    if method == "kholrr":
-        return regress.kholrr_fit(k_or_x, y, tuple(ranks), gamma, x, kernel)
-    y_flat = matricize(y, 0)
-    if method in ("rls", "krls"):
-        w = (regress.krls_fit if dual else regress.rls_fit)(k_or_x, y_flat, gamma)
-    else:
-        r = int(ranks[0]) if ranks else 1
-        w = (regress.klrr_fit if dual else regress.lrr_fit)(k_or_x, y_flat, r, gamma)
-    core = dematricize(w, 0, (w.shape[0], *y.shape[1:]))
-    factors = TuckerFactors(core=core, factors=[np.eye(d) for d in core.shape])
-    if dual:
-        return regress.KernelHolrrModel(
-            factors=factors, train_inputs=x, kernel=kernel, ranks=core.shape, gamma=float(gamma)
-        )
-    return regress.HolrrModel(factors=factors, ranks=core.shape, gamma=float(gamma))
+    (n, d0), dims = x.shape, y.shape[1:]
+    r = int(ranks[0]) if ranks else 1
+    if method == "lrr":
+        w = regress.lrr_fit(x, matricize(y, 0), r, gamma)
+        core = dematricize(w, 0, (d0, *dims))
+        return regress.HolrrModel(TuckerFactors(core, [None] * core.ndim), core.shape, float(gamma))
+    presets = {"rls": (d0, *dims), "krls": (n, *dims), "klrr": (r if r < math.prod(dims) else n, *dims)}
+    ranks = presets.get(method, ranks)
+    if method.startswith("k"):
+        return regress.kholrr_fit(regress.gram(x, kernel), y, tuple(ranks), gamma, x, kernel)
+    return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=tuple(ranks), gamma=gamma))
 
 
 def predict_method(model, x) -> np.ndarray:

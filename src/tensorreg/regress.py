@@ -9,7 +9,8 @@ multilinear rank (R0..Rp) and minimizes the ridge objective
 The minimizer over each mode separately is a spectral projection, which gives
 the closed-form fit below: the input-side subspace solves the pencil
 (X^T Y_(0) Y_(0)^T X) u = lambda (X^T X + gamma I) u, each output-side subspace
-is a top eigenspace of Y_(i) Y_(i)^T, and the core is a projected ridge solve.
+is a top eigenspace of Y_(i) Y_(i)^T, and the core is the projected ridge
+solution, which the pencil's own basis gives without a linear solve.
 The fit costs one small eigenproblem per mode and carries a (p+1)-factor
 approximation guarantee relative to the exact rank-constrained minimizer.
 
@@ -27,9 +28,12 @@ which the pencil is a symmetric eigenproblem and the ridge inverse is
 pseudo-inverse rule, relative to scale, behind the "pseudo-inverse pencil,
 restricting to its range" warning of a singular input Gram.
 
-`rls_fit` (ridge) and `lrr_fit` (ridge followed by a rank-R projection of the
-vectorized outputs) are the flat baselines; `krls_fit`/`klrr_fit` are their
-dual forms.
+The flat baselines are rank presets of the same fit on vectorized outputs:
+`rls_fit` (ridge) is the fit at full rank (d0, D), `krls_fit` the dual fit at
+(N, D) and `klrr_fit` the dual fit at (R, D).  A mode at full rank keeps no
+factor (None in `TuckerFactors`: the identity, never stored or multiplied).
+`lrr_fit` (ridge followed by a rank-R projection of the vectorized outputs)
+keeps its own D x D eigenproblem: it is the fit-time baseline.
 """
 
 from __future__ import annotations
@@ -43,10 +47,9 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .linalg import NotPositiveDefiniteError
 from .tensor import (
     TuckerFactors,
-    _fix_signs,
+    _sign_flips,
     dematricize,
     matricize,
     mode_vector_product,
@@ -81,14 +84,13 @@ __all__ = [
 ]
 
 MODEL_MAGIC = "HOLRR"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 # bytes of Y per row block (`row_blocks`) of the mode Grams and the CLI's training error
 _BLOCK_BYTES = 1 << 24
 
-_CORE_FALLBACK = "projected gram singular; using pseudo-inverse core solve"
 _SINGULAR_INPUT = (
     "input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range"
 )
@@ -196,27 +198,17 @@ def _check_gamma(gamma) -> float:
     return gamma
 
 
-def _solve(a: np.ndarray, b: np.ndarray, msg: str, noted: list = None) -> np.ndarray:
-    """Solve a x = b by Cholesky; when `a` is not positive definite, warn with
-    `msg` (also appended to `noted`) and use the pseudo-inverse instead."""
-    try:
-        return linalg.spd_solve(a, b)
-    except NotPositiveDefiniteError:
-        if noted is not None:
-            noted.append(msg)
-        warnings.warn(msg, stacklevel=3)
-        return linalg.pinv(a) @ b
-
-
-def _spectrum(x=None, k=None):
-    """(q, lam, v) with the fit rows' Gram X X^T (or K) = q diag(lam) q^T:
-    from the thin SVD X = q diag(sqrt(lam)) v^T, or from eigh(K) with lam
-    clipped at 0 (v is None)."""
+def _input_side(x=None, k=None):
+    """(q, lam, m, s) with the fit rows' Gram X X^T (or K) = q diag(lam) q^T,
+    from the thin SVD X = q diag(sqrt(lam)) m^T (s = 1) or eigh(K) clipped at
+    0 (m = q, s = lam^-1/2 taken as 0 where lam <= 1e-12 max(lam)).  The
+    factor-0 map M = m diag(s) takes coefficients on q to input space."""
     if k is None:
-        q, s, vt = np.linalg.svd(x, full_matrices=False)
-        return q, s * s, vt.T
+        q, sv, vt = np.linalg.svd(x, full_matrices=False)
+        return q, sv * sv, vt.T, np.ones(sv.size)
     lam, q = np.linalg.eigh((k + k.T) / 2.0)
-    return q, np.clip(lam, 0.0, None), None
+    lam = np.clip(lam, 0.0, None)
+    return q, lam, q, np.sqrt(_ridge_inverse(lam, 0.0))
 
 
 def _ridge_inverse(lam: np.ndarray, gamma: float) -> np.ndarray:
@@ -225,30 +217,6 @@ def _ridge_inverse(lam: np.ndarray, gamma: float) -> np.ndarray:
     denom = lam + gamma
     keep = denom > 1e-12 * lam.max()
     return np.where(keep, 1.0 / np.where(keep, denom, 1.0), 0.0)
-
-
-def _pencil(lam, z, gamma: float, r: int, dim: int, noted: list):
-    """Top-r pairs of the pencil (X^T Y_(0) Y_(0)^T X, X^T X + gamma I) from
-    Z = q^T Y_(0): the top eigenpairs (values, w) of D Z Z^T D, D = sqrt(lam inv),
-    give vectors V c, c = sqrt(inv) w.  `dim` is the order of the input Gram
-    (d0, or N for a kernel); its directions past len(lam) have lam = 0."""
-    inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
-    if not inv.all():
-        noted.append(_SINGULAR_INPUT)
-        warnings.warn(_SINGULAR_INPUT, stacklevel=3)
-    inv = inv[: lam.size]
-    d = np.sqrt(lam * inv)
-    res = linalg.sym_eig_top(d[:, None] * (z @ z.T) * d, r)
-    return res.values, np.sqrt(inv)[:, None] * res.vectors
-
-
-def _core(lam, z, gamma: float, c, factors: list, shape: tuple, noted: list) -> np.ndarray:
-    """Core (c^T diag(lam + gamma) c)^-1 c^T diag(sqrt(lam)) Z of input
-    coefficients c, folded to (R0, d1..dp) and projected on the output factors."""
-    left = (c.T * (lam + gamma)) @ c
-    m_map = _solve((left + left.T) / 2.0, c.T * np.sqrt(lam), _CORE_FALLBACK, noted)
-    core = dematricize(m_map @ z, 0, (c.shape[1],) + shape[1:])
-    return multi_mode_product(core, [u.T for u in factors], range(1, len(shape)))
 
 
 @dataclass
@@ -285,7 +253,8 @@ class RegressionProblem:
 
 @dataclass
 class HolrrModel:
-    """Fitted coefficient tensor in Tucker form; factors[0] is the input side."""
+    """Fitted coefficient tensor in Tucker form; factors[0] is the input side
+    (None, the identity, at full rank)."""
 
     factors: TuckerFactors
     ranks: tuple
@@ -304,7 +273,7 @@ class HolrrModel:
 @dataclass
 class KernelHolrrModel:
     """Dual fit: the dual coefficient tensor C in Tucker form, factors[0] the
-    dual basis A (N x R0), contracted against kernel vectors."""
+    dual basis A (N x R0, None at R0 = N), contracted against kernel vectors."""
 
     factors: TuckerFactors
     train_inputs: np.ndarray
@@ -316,58 +285,12 @@ class KernelHolrrModel:
 
     @property
     def dual_vectors(self) -> np.ndarray:
-        """The dual basis A: the pencil's dual eigenvectors for a kholrr fit."""
+        """The dual basis A: the pencil's dual eigenvectors (None at full rank)."""
         return self.factors.factors[0]
 
     def predict(self, x) -> np.ndarray:
         """Stacked predictions for a matrix of input rows."""
         return kholrr_predict_batch(self, x)
-
-
-def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
-    """Ridge solution (X^T X + gamma I)^-1 X^T Y, one output column at a time.
-
-    Falls back to the pseudo-inverse (with a warning) when gamma = 0 and
-    X^T X is singular.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y_flat = np.asarray(y_flat, dtype=np.float64)
-    gamma = _check_gamma(gamma)
-    if x.shape[0] != y_flat.shape[0]:
-        raise ValueError("row count mismatch between x and y")
-    a = x.T @ x + gamma * np.eye(x.shape[1])
-    return _solve(a, x.T @ y_flat, "normal equations singular; using pseudo-inverse")
-
-
-def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
-    """Rank-constrained ridge on vectorized outputs.
-
-    W = W_RLS V V^T with V the top-`rank` eigenvectors of Y^T P Y, P the ridge
-    hat matrix of X.  `rank` at or above the output dimension returns W_RLS.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y_flat = np.asarray(y_flat, dtype=np.float64)
-    w_rls = rls_fit(x, y_flat, gamma)
-    width = y_flat.shape[1]
-    if rank < 1:
-        warnings.warn(f"rank {rank} clamped to 1", stacklevel=2)
-        rank = 1
-    if rank >= width:
-        if rank > width:
-            warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=2)
-        return w_rls
-    # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
-    q, lam, _ = _spectrum(x)
-    e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ y_flat)
-    v = linalg.sym_eig_top(e.T @ e, rank).vectors
-    return w_rls @ v @ v.T
-
-
-def _orthonormalize(u: np.ndarray) -> np.ndarray:
-    q, r = np.linalg.qr(u)
-    flip = np.sign(np.diag(r))
-    flip[flip == 0] = 1.0
-    return q * flip[None, :]
 
 
 def row_blocks(y) -> list:
@@ -379,69 +302,101 @@ def row_blocks(y) -> list:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
-def _mode_grams(y: np.ndarray) -> list:
-    """The mode Grams Y_(i) Y_(i)^T, i >= 1, each summed over `row_blocks`
-    of Y: G_i = sum_B B_(i) B_(i)^T.  The only copies made are one block's
-    unfoldings, where `matricize(y, i)` of the whole of a column-major Y
-    would copy all of it for every mode.  When Y fits in one block the Grams
-    are exactly the unblocked products."""
-    grams = [np.zeros((d, d)) for d in y.shape[1:]]
-    for rows in row_blocks(y):
-        block = y[rows]
-        for i, g in enumerate(grams, start=1):
-            bi = matricize(block, i)
+def _mode_grams(y: np.ndarray, cut) -> list:
+    """The mode Grams Y_(i) Y_(i)^T, i >= 1 (None where `cut` is False), each
+    summed over `row_blocks` of Y: G_i = sum_B B_(i) B_(i)^T.  The only
+    copies made are one block's unfoldings, where `matricize(y, i)` of the
+    whole of a column-major Y would copy all of it for every mode.  When Y
+    fits in one block the Grams are exactly the unblocked products."""
+    grams = [np.zeros((d, d)) if c else None for d, c in zip(y.shape[1:], cut)]
+    formed = [(i, g) for i, g in enumerate(grams, start=1) if g is not None]
+    for rows in row_blocks(y) if formed else ():
+        for i, g in formed:
+            bi = matricize(y[rows], i)
             g += bi @ bi.T
     return grams
-
-
-def _output_factors(y: np.ndarray, ranks) -> list:
-    """Top-R_i eigenvectors of each mode Gram (`_mode_grams`), i >= 1."""
-    return [linalg.sym_eig_top((g + g.T) / 2.0, r).vectors for g, r in zip(_mode_grams(y), ranks)]
 
 
 def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:
     if requested > limit:
         msg = f"rank {requested} clamped to {limit} at mode {mode}"
         noted.append(msg)
-        warnings.warn(msg, stacklevel=3)
+        warnings.warn(msg, stacklevel=4)
         return limit
     return requested
 
 
-def _clamp_r0(requested: int, lam: np.ndarray, gamma: float, noted: list) -> int:
-    """R0 clamped to the directions the ridge inverse keeps (at least 1).  The
-    fits take the spectrum after the output factors; the note still goes
-    before theirs."""
-    head: list = []
-    r0 = _clamp_rank(requested, max(1, int(np.count_nonzero(_ridge_inverse(lam, gamma)))), 0, head)
-    noted[:0] = head
-    return r0
+def _orthonormalize(a: np.ndarray):
+    """(u, t) with u t = a: u the Q of the QR of a's sign-fixed columns,
+    flipped so that diag(t) >= 0."""
+    f = _sign_flips(a)
+    q, r = np.linalg.qr(a * f)
+    flip = np.sign(np.diag(r))
+    flip[flip == 0] = 1.0
+    return q * flip, flip[:, None] * r * f
+
+
+def _unit_columns(a: np.ndarray):
+    """(u, t) with u t = a: u a's columns at unit norm and sign-fixed, stored
+    column-major like a loaded model's blocks, so both predict bitwise alike."""
+    norms = np.linalg.norm(a, axis=0)
+    scale = np.where(norms > 1e-300, norms, 1.0)
+    f = _sign_flips(a / scale)
+    return np.asfortranarray(a / scale * f), np.diag(scale * f)
+
+
+def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
+    """The one fit behind every method: (TuckerFactors, clamped ranks, pencil
+    values, notes) at `ranks` from `side` = `_input_side(...)`, whose m has
+    dim rows (d0, or N).  With Z = q^T Y_(0), inv = `_ridge_inverse` and
+    D = sqrt(lam inv), R0 >= dim keeps no factor 0 and the core is the ridge
+    solution M diag(sqrt(lam) inv) Z.  A smaller R0 (clamped to the
+    directions inv keeps) takes the top-R0 eigenvectors w of D Z Z^T D:
+    c = sqrt(inv) w has c^T diag(lam + gamma) c = I, so the projected ridge
+    solve is the identity and, with (u0, t) = `normalize`(M c), the core is
+    t (w^T D Z).  Ri >= di keeps no factor; a smaller Ri projects the core
+    on the top-Ri eigenvectors of the mode Gram."""
+    q, lam, m, s = side
+    dims, dim = y.shape[1:], m.shape[0]
+    noted: list = []
+    inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
+    kept = max(1, int(np.count_nonzero(inv[: lam.size])))
+    r0 = _clamp_rank(ranks[0], dim if ranks[0] >= dim else kept, 0, noted)
+    out_ranks = [_clamp_rank(r, d, i, noted) for i, (r, d) in enumerate(zip(ranks[1:], dims), start=1)]
+    grams = _mode_grams(y, [r < d for r, d in zip(out_ranks, dims)])
+    factors = [None if g is None else linalg.sym_eig_top((g + g.T) / 2.0, r).vectors
+               for g, r in zip(grams, out_ranks)]
+    if not inv.all():
+        noted.append(_SINGULAR_INPUT)
+        warnings.warn(_SINGULAR_INPUT, stacklevel=3)
+    inv = inv[: lam.size]
+    z = q.T @ matricize(y, 0)
+    if r0 == dim:
+        u0, values = None, np.zeros(0)
+        core = (m * (s * np.sqrt(lam) * inv)) @ z
+    else:
+        d = np.sqrt(lam * inv)
+        res = linalg.sym_eig_top(d[:, None] * (z @ z.T) * d, r0)
+        values, w = res.values, res.vectors
+        u0, t = normalize(m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)))
+        core = t @ ((w.T * d) @ z)
+    core = dematricize(core, 0, (r0, *dims))
+    core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
+    return TuckerFactors(core=core, factors=[u0, *factors]), (r0, *out_ranks), values, noted
 
 
 def holrr_fit(prob: RegressionProblem) -> HolrrModel:
-    """Closed-form multilinear-rank-constrained ridge fit.
+    """Closed-form multilinear-rank-constrained ridge fit (`_tucker_fit`)
+    from the thin SVD of X; factor 0 is orthonormal.
 
-    The input factor is the top-R0 pencil eigenspace from the thin SVD of X
-    and the core the projected ridge solve on Z = Q^T Y_(0) (`_pencil`,
-    `_core`).  Directions where X^T X + gamma I is at or below 1e-12 of the
-    top eigenvalue of X^T X (gamma = 0 with rank-deficient X) are dropped
-    with the "pseudo-inverse pencil" warning.  Ranks are clamped to feasible
-    values (R0 <= the directions kept, at most min(d0, N); Ri <= di) with a
+    Directions where X^T X + gamma I is at or below 1e-12 of the top
+    eigenvalue of X^T X (gamma = 0 with rank-deficient X) are dropped with
+    the "pseudo-inverse pencil" warning.  Ranks are clamped to feasible
+    values (R0 >= d0 to d0, R0 < d0 to the directions kept; Ri <= di) with a
     warning recorded on the model.
     """
-    x, y, ranks, gamma = prob.x, prob.y, prob.ranks, prob.gamma
-    d0 = x.shape[1]
-    noted: list = []
-    out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(y.ndim - 1)]
-    factors = _output_factors(y, out_ranks)
-    q, lam, v = _spectrum(x)
-    r0 = _clamp_r0(ranks[0], lam, gamma, noted)
-    z = q.T @ matricize(y, 0)
-    _, c = _pencil(lam, z, gamma, r0, d0, noted)
-    u0 = _orthonormalize(_fix_signs(v @ c))
-    core = _core(lam, z, gamma, v.T @ u0, factors, y.shape, noted)
-    tf = TuckerFactors(core=core, factors=[u0] + factors)
-    return HolrrModel(factors=tf, ranks=(r0, *out_ranks), gamma=gamma, warnings=tuple(noted))
+    tf, ranks, _, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(prob.x))
+    return HolrrModel(factors=tf, ranks=ranks, gamma=prob.gamma, warnings=tuple(noted))
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
@@ -450,9 +405,9 @@ def holrr_predict(model: HolrrModel, x) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError("holrr_predict expects a single input vector")
     u0 = model.factors.factors[0]
-    if x.shape[0] != u0.shape[0]:
-        raise ValueError(f"input has length {x.shape[0]}, model expects {u0.shape[0]}")
-    t = mode_vector_product(model.factors.core, u0.T @ x, 0)
+    if x.shape[0] != model.factors.shape[0]:
+        raise ValueError(f"input has length {x.shape[0]}, model expects {model.factors.shape[0]}")
+    t = mode_vector_product(model.factors.core, x if u0 is None else u0.T @ x, 0)
     return multi_mode_product(t, model.factors.factors[1:])
 
 
@@ -461,55 +416,87 @@ def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a matrix of input rows")
-    mats = [x @ model.factors.factors[0]] + model.factors.factors[1:]
-    return multi_mode_product(model.factors.core, mats)
+    u0, *rest = model.factors.factors
+    return multi_mode_product(model.factors.core, [x if u0 is None else x @ u0, *rest])
+
+
+def _flat_fit(a, y_flat, gamma: float, rank, kernel: bool):
+    """(coefficients, input side) of the fit at ranks (rank, D) on vectorized
+    outputs, full rank for rank None: W from X, or the dual C from a Gram."""
+    a = np.asarray(a, dtype=np.float64)
+    y_flat = np.asarray(y_flat, dtype=np.float64)
+    gamma = _check_gamma(gamma)
+    if a.ndim != 2 or y_flat.ndim != 2 or a.shape[0] != y_flat.shape[0]:
+        raise ValueError(f"row count mismatch between x {a.shape} and y {y_flat.shape}")
+    side = _input_side(k=a) if kernel else _input_side(a)
+    ranks = (side[2].shape[0] if rank is None else rank, y_flat.shape[1])
+    tf = _tucker_fit(y_flat, ranks, gamma, side, _unit_columns if kernel else _orthonormalize)[0]
+    return tucker_reconstruct(tf), side
+
+
+def _flat_rank(rank: int, y_flat):
+    """An lrr/klrr rank clamped to [1, D] with a warning; None (full rank) at D."""
+    width = np.shape(y_flat)[1]
+    if rank < 1:
+        warnings.warn(f"rank {rank} clamped to 1", stacklevel=3)
+        rank = 1
+    elif rank > width:
+        warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=3)
+    return rank if rank < width else None
+
+
+def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
+    """Ridge solution (X^T X + gamma I)^-1 X^T Y: the fit at full rank, from
+    the thin SVD of X.  At gamma = 0 with X^T X singular it is the
+    minimum-norm least-squares solution, with the pseudo-inverse warning.
+    """
+    return _flat_fit(x, y_flat, gamma, None, False)[0]
+
+
+def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
+    """Rank-constrained ridge on vectorized outputs.
+
+    W = W_RLS V V^T with V the top-`rank` eigenvectors of Y^T P Y, P the ridge
+    hat matrix of X, both from one thin SVD of X.  `rank` at or above the
+    output dimension returns W_RLS, bitwise `rls_fit`'s.
+    """
+    w_rls, (q, lam, _, _) = _flat_fit(x, y_flat, gamma, None, False)
+    rank = _flat_rank(rank, y_flat)
+    if rank is None:
+        return w_rls
+    # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
+    e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ np.asarray(y_flat, dtype=np.float64))
+    v = linalg.sym_eig_top(e.T @ e, rank).vectors
+    return w_rls @ v @ v.T
 
 
 def krls_fit(k, y_flat, gamma: float) -> np.ndarray:
-    """Dual ridge coefficients (K + gamma I)^-1 Y."""
-    k = np.asarray(k, dtype=np.float64)
-    y_flat = np.asarray(y_flat, dtype=np.float64)
-    gamma = _check_gamma(gamma)
-    a = k + gamma * np.eye(k.shape[0])
-    return _solve(a, y_flat, "gram matrix singular; using pseudo-inverse")
+    """Dual ridge coefficients (K + gamma I)^-1 Y: the kernel fit at full
+    rank, which leaves out directions of K that the lam^-1/2 rule drops."""
+    return _flat_fit(k, y_flat, gamma, None, True)[0]
 
 
 def klrr_fit(k, y_flat, rank: int, gamma: float) -> np.ndarray:
-    """Dual form of lrr_fit: krls coefficients projected onto the top output
-    directions of Y^T K (K + gamma I)^-1 Y."""
-    k = np.asarray(k, dtype=np.float64)
-    y_flat = np.asarray(y_flat, dtype=np.float64)
-    base = krls_fit(k, y_flat, gamma)
-    width = y_flat.shape[1]
-    if rank < 1:
-        warnings.warn(f"rank {rank} clamped to 1", stacklevel=2)
-        rank = 1
-    if rank >= width:
-        if rank > width:
-            warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=2)
-        return base
-    s = y_flat.T @ (k @ base)
-    v = linalg.sym_eig_top((s + s.T) / 2.0, rank).vectors
-    return base @ v @ v.T
+    """Dual form of lrr_fit: the dual coefficients C = A G of the kernel fit
+    at ranks (rank, D); `rank` at or above D returns krls_fit's."""
+    return _flat_fit(k, y_flat, gamma, _flat_rank(rank, y_flat), True)[0]
 
 
 def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None) -> dict:
     """Validation predictions of holrr_fit (kholrr_fit when `kernel` is given)
     at every (gamma, ranks) point, from one decomposition of the fit rows.
 
-    In the pencil basis of `_pencil` the core solve is the identity,
-    c^T diag(lam + gamma) c = W^T W = I with c = sqrt(inv) W, so every
-    prediction is a product of prefixes:
+    In the pencil basis of `_tucker_fit` the core solve is the identity, so
+    every prediction is a product of prefixes:
 
         pred(gamma, R0..Rp) = [(B sqrt(inv) W[:, :R0]) (W[:, :R0]^T D Z)]
                               x_1 U_1[:, :R1] U_1[:, :R1]^T ... x_p U_p[:, :Rp] U_p[:, :Rp]^T
 
-    with Q, lam from `_spectrum` of the fit rows, Z = Q^T Y_(0),
+    with q, lam, M from `_input_side` of the fit rows, Z = q^T Y_(0),
     inv = `_ridge_inverse`(lam, gamma), D = sqrt(lam inv), W the
     eigenvectors of D Z Z^T D (one eigh per gamma) and U_i all eigenvectors
     of the mode Gram Y_(i) Y_(i)^T (one eigh per mode, and none for a mode
-    no candidate truncates).  B is X_val V, or for a kernel
-    K_val Q diag(lam^-1/2), lam^-1/2 taken as 0 by kholrr_fit's rule.
+    no candidate truncates).  B is X_val M, or K_val M for a kernel.
     R0 at or above the kept rank count_nonzero(inv) and Ri >= di project
     nothing; a rank tuple of None is the unprojected ridge prediction.  The
     flat baselines are cases of it: rls/krls are None on flattened outputs
@@ -520,18 +507,14 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     """
     y = np.asarray(y_fit, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
-    if kernel is None:
-        q, lam, v = _spectrum(np.asarray(x_fit, dtype=np.float64))
-        basis = x_val @ v
-    else:
-        q, lam, _ = _spectrum(k=gram(x_fit, kernel))
-        basis = kernel_cross(kernel, x_val, x_fit) @ q * np.sqrt(_ridge_inverse(lam, 0.0))
+    x_fit = np.asarray(x_fit, dtype=np.float64)
+    q, lam, m, s = _input_side(x_fit) if kernel is None else _input_side(k=gram(x_fit, kernel))
+    basis = (x_val if kernel is None else kernel_cross(kernel, x_val, x_fit)) @ m * s
     z = q.T @ matricize(y, 0)
     dims = y.shape[1:]
     cut = [any(r is not None and r[i + 1] < d for r in rank_tuples) for i, d in enumerate(dims)]
-    grams = _mode_grams(y) if any(cut) else [None] * len(dims)
     # descending eigenvectors of each mode Gram some candidate truncates
-    out = [np.linalg.eigh((g + g.T) / 2.0)[1][:, ::-1] if c else None for g, c in zip(grams, cut)]
+    out = [None if g is None else np.linalg.eigh((g + g.T) / 2.0)[1][:, ::-1] for g in _mode_grams(y, cut)]
     preds = {}
     for gamma in gammas:
         inv = _ridge_inverse(lam, gamma)
@@ -558,50 +541,30 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
 def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> KernelHolrrModel:
     """Dual multilinear-rank-constrained ridge fit from a Gram matrix.
 
-    Same route as holrr_fit with eigh(K) = Q diag(lam) Q^T in place of the
-    SVD of X: the pencil coefficients c map to the dual basis
-    A = Q diag(lam^-1/2) c (unit columns, lam^-1/2 taken as 0 where lam is at
-    or below 1e-12 max(lam)), the output factors are unchanged, and the dual
-    coefficient tensor is
+    The same fit (`_tucker_fit`) as holrr_fit with eigh(K) = Q diag(lam) Q^T
+    in place of the SVD of X: the pencil coefficients c map to the dual basis
+    A = Q diag(lam^-1/2) c with unit columns (lam^-1/2 taken as 0 where lam
+    is at or below 1e-12 max(lam)), and the dual coefficient tensor is
 
-        C = G x_0 A x_1 U_1 ... x_p U_p,
-        G = Y x_0 (A^T K (K + gamma I) A)^-1 A^T K x_1 U_1^T ... x_p U_p^T.
+        C = G x_0 A x_1 U_1 ... x_p U_p.
 
     C is never materialized: the model keeps G, A and the U_i.  The dual
     eigenpairs (pencil values and the columns of A) are kept on the model;
     their feature-space transport X^T A recovers the primal pencil
-    directions.  A singular K + gamma I (by the same 1e-12 rule) warns
-    "pseudo-inverse pencil, restricting to its range", and R0 is clamped to
-    the directions kept, like holrr_fit's.
+    directions.  R0 >= N keeps no A: G is then the dual ridge solution
+    Q diag(P inv) Q^T Y, P the directions lam^-1/2 keeps.  A singular
+    K + gamma I warns "pseudo-inverse pencil, restricting to its range", and
+    a smaller R0 is clamped to the directions kept, like holrr_fit's.
     """
     k = np.asarray(k, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("gram matrix must be square")
-    n = k.shape[0]
-    if train_inputs.shape[0] != n:
+    if train_inputs.shape[0] != k.shape[0]:
         raise ValueError("train_inputs row count must match the gram matrix")
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
-    y, ranks, gamma = prob.y, prob.ranks, prob.gamma
-    noted: list = []
-    out_ranks = [_clamp_rank(ranks[i + 1], y.shape[i + 1], i + 1, noted) for i in range(y.ndim - 1)]
-    factors = _output_factors(y, out_ranks)
-
-    q, lam, _ = _spectrum(k=k)
-    r0 = _clamp_r0(ranks[0], lam, gamma, noted)
-    z = q.T @ matricize(y, 0)
-    dual_values, c = _pencil(lam, z, gamma, r0, n, noted)
-    a = q @ (np.sqrt(_ridge_inverse(lam, 0.0))[:, None] * c)
-    norms = np.linalg.norm(a, axis=0)
-    # column-major like a loaded model's blocks, so both predict bitwise alike
-    a = np.asfortranarray(_fix_signs(a / np.where(norms > 1e-300, norms, 1.0)))
-    # K A = Q diag(sqrt(lam)) (Q^T A): the coefficients of A's range in the core
-    core = _core(lam, z, gamma, np.sqrt(lam)[:, None] * (q.T @ a), factors, y.shape, noted)
-    tf = TuckerFactors(core=core, factors=[a] + factors)
-    return KernelHolrrModel(
-        tf, train_inputs, kernel, (r0, *out_ranks), gamma, dual_values, warnings=tuple(noted)
-    )
+    tf, ranks, values, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(k=k), _unit_columns)
+    return KernelHolrrModel(tf, train_inputs, kernel, ranks, prob.gamma, values, warnings=tuple(noted))
 
 
 def kholrr_predict(model: KernelHolrrModel, x) -> np.ndarray:
@@ -627,7 +590,7 @@ def _encode(model) -> bytes:
     if not isinstance(model, (HolrrModel, KernelHolrrModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     blocks = {"core": model.factors.core}
-    blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors))
+    blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors) if u is not None)
     kernel = None
     if isinstance(model, KernelHolrrModel):
         kernel = model.kernel.to_dict()
@@ -646,8 +609,8 @@ def _encode(model) -> bytes:
 
 def save_model(model, path_or_file) -> None:
     """Write a fitted model: magic line, one JSON header line, then the DTEN
-    blocks core, factor0..factorp and, for a kernel model, train_inputs and
-    (when non-empty) dual_values."""
+    blocks core, factor0..factorp (none for a factor that is the identity)
+    and, for a kernel model, train_inputs and (when non-empty) dual_values."""
     data = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii") + _encode(model)
     if hasattr(path_or_file, "write"):
         path_or_file.write(data)
@@ -655,19 +618,19 @@ def save_model(model, path_or_file) -> None:
         Path(path_or_file).write_bytes(data)
 
 
-def _model_from_header(header: dict, blocks: dict):
+def _model_from_header(header: dict, blocks: dict, version: str):
     if header["kind"] not in ("holrr", "kholrr"):
         raise ValueError(f"unknown model kind {header['kind']!r}")
     ranks = tuple(int(r) for r in header["ranks"])
     gamma = _check_gamma(header["gamma"])
     warns = tuple(str(w) for w in header["warnings"])
+    # only HOLRR 3 leaves out a factor's block, for the identity
+    lookup = blocks.get if version == str(MODEL_VERSION) else blocks.__getitem__
     if "coeff" in blocks:  # HOLRR 1 kernel file: its dense C is the core, with identity factors
-        core = blocks["coeff"]
-        blocks = {"core": core, "train_inputs": blocks["train_inputs"]}
-        blocks.update((f"factor{i}", np.eye(d)) for i, d in enumerate(core.shape))
-        ranks = core.shape
+        blocks = {"core": blocks["coeff"], "train_inputs": blocks["train_inputs"]}
+        ranks, lookup = blocks["core"].shape, blocks.get
     core = blocks["core"]
-    factors = TuckerFactors(core=core, factors=[blocks[f"factor{i}"] for i in range(core.ndim)])
+    factors = TuckerFactors(core=core, factors=[lookup(f"factor{i}") for i in range(core.ndim)])
     if ranks != factors.ranks:
         raise ValueError(f"header ranks {ranks} do not match the core's shape {factors.ranks}")
     if header["kind"] == "holrr":
@@ -685,16 +648,17 @@ def load_model(path_or_file):
 
     Every block must be finite and agree with the header and the other
     blocks, and the file must be exactly what `save_model` writes for the
-    model it loads as.  A HOLRR 1 file reads too: its primal layout is the
-    current one, and a kernel file's dense dual tensor loads as the core with
-    identity factors (its dual eigenpairs are dropped).
+    model it loads as.  HOLRR 1 and 2 files read too: they store every
+    factor, an identity one as an explicit block, and a HOLRR 1 kernel
+    file's dense dual tensor loads as the core with identity (None) factors
+    (its dual eigenpairs are dropped).
     """
     data = path_or_file.read() if hasattr(path_or_file, "read") else Path(path_or_file).read_bytes()
     f = io.BytesIO(data)
     head, _, version = f.readline().decode("ascii", errors="replace").rstrip("\n").partition(" ")
     if head != MODEL_MAGIC:
         raise ValueError("not a model file")
-    if version not in ("1", str(MODEL_VERSION)):
+    if version not in ("1", "2", str(MODEL_VERSION)):
         raise ValueError(f"unsupported model version {version}")
     start = f.tell()
     header = json.loads(f.readline().decode("ascii"))
@@ -703,7 +667,7 @@ def load_model(path_or_file):
         for name, block in blocks.items():
             if not np.isfinite(block).all():
                 raise ValueError(f"model block {name} is not finite")
-        model = _model_from_header(header, blocks)
+        model = _model_from_header(header, blocks, version)
     except (KeyError, TypeError) as e:
         # the header is outside input: a missing key or a wrong JSON type
         raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None

@@ -152,7 +152,8 @@ def frobenius_norm(t) -> float:
 
 @dataclass
 class TuckerFactors:
-    """Tucker form: core of shape (R_0..R_p) and factor i of shape (d_i, R_i)."""
+    """Tucker form: core of shape (R_0..R_p) and factor i of shape (d_i, R_i).
+    A factor of None is the identity (d_i = R_i): no block, no product."""
 
     core: np.ndarray
     factors: list = field(default_factory=list)
@@ -160,20 +161,20 @@ class TuckerFactors:
 
     def __post_init__(self):
         self.core = _as_tensor(self.core)
-        self.factors = [np.asarray(u, dtype=np.float64) for u in self.factors]
+        self.factors = [None if u is None else np.asarray(u, dtype=np.float64) for u in self.factors]
         if len(self.factors) != self.core.ndim:
             raise ValueError(
                 f"{len(self.factors)} factors for an order-{self.core.ndim} core"
             )
         for i, u in enumerate(self.factors):
-            if u.ndim != 2 or u.shape[1] != self.core.shape[i]:
+            if u is not None and (u.ndim != 2 or u.shape[1] != self.core.shape[i]):
                 raise ValueError(
                     f"factor {i} has shape {u.shape}, core mode {i} has size {self.core.shape[i]}"
                 )
 
     @property
     def shape(self) -> tuple:
-        return tuple(u.shape[0] for u in self.factors)
+        return tuple(r if u is None else u.shape[0] for r, u in zip(self.core.shape, self.factors))
 
     @property
     def ranks(self) -> tuple:
@@ -182,8 +183,8 @@ class TuckerFactors:
     def max_orthonormality_defect(self) -> float:
         worst = 0.0
         for u in self.factors:
-            g = u.T @ u
-            worst = max(worst, float(np.max(np.abs(g - np.eye(u.shape[1])))))
+            if u is not None:
+                worst = max(worst, float(np.max(np.abs(u.T @ u - np.eye(u.shape[1])))))
         return worst
 
 
@@ -205,15 +206,16 @@ def multilinear_rank(t, tol: float = 1e-9) -> tuple:
     return tuple(ranks)
 
 
+def _sign_flips(u: np.ndarray) -> np.ndarray:
+    """-1 for each column whose largest-magnitude entry (first on ties) is
+    negative, else +1."""
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return np.where(top < 0, -1.0, 1.0)
+
+
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column positive (first on ties)."""
-    u = np.array(u, dtype=np.float64)
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            u[:, j] = -col
-    return u
+    return u * _sign_flips(u)
 
 
 def hosvd_truncated(t, ranks) -> TuckerFactors:

@@ -68,7 +68,7 @@ def test_fit_then_predict_round_trip(tmp_path, capsys):
     assert events[0]["model"] == "holrr"
     assert events[0]["ranks"] == [2, 2, 2]
     assert np.isfinite(events[0]["training_rmse"])
-    assert model_path.read_bytes().startswith(b"HOLRR 2\n")
+    assert model_path.read_bytes().startswith(b"HOLRR 3\n")
 
     pred_path = tmp_path / "pred.dten"
     code, events, _ = run_cli(
@@ -185,6 +185,20 @@ def test_exit_code_2_malformed_model_file(tmp_path, capsys):
         err = capsys.readouterr().err
         assert code == 2, header
         assert err.startswith("tensorreg: ") and "malformed model header" in err, header
+
+
+def test_exit_code_2_model_file_without_a_factor_block(tmp_path, capsys):
+    # HOLRR 3 leaves out an identity factor's block; a HOLRR 2 file may not
+    data, _, _, xt_csv = make_problem_files(tmp_path, seed=8)
+    model = holrr_fit(RegressionProblem(data.x_train, data.y_train, (2, 3, 2), 0.01))
+    assert model.factors.factors[1] is None
+    path = tmp_path / "m.bin"
+    save_model(model, path)
+    path.write_bytes(b"HOLRR 2\n" + path.read_bytes()[len(b"HOLRR 3\n"):])
+    code = main(["predict", "--model", str(path), "--x", str(xt_csv), "--out", str(tmp_path / "p.dten")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("tensorreg: ") and "malformed model header" in err and "factor1" in err, err
 
 
 def test_exit_code_2_non_finite_model_block(tmp_path, capsys):

@@ -281,12 +281,13 @@ def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
     assert calls == []
 
     # one synth-linear task: CV picks each method's point, then one refit
-    # per method (rls, lrr, holrr), and lrr's runs lrr_fit once
+    # per method (rls, lrr, holrr): rls is holrr_fit at full rank, and lrr's
+    # runs lrr_fit once
     cfg = dict(default_config("synth-linear"), trials=1, train_sizes=[20])
     _run_synth_task((cfg, "synth-linear", 0, 0))
     assert calls.count("harness.fit_method") == 3
     assert calls.count("regress.lrr_fit") == 1
-    assert calls.count("regress.holrr_fit") == 1
+    assert calls.count("regress.holrr_fit") == 2
 
 
 def test_median_sigma_is_bitwise_the_broadcast_median_in_quadratic_memory():
@@ -658,6 +659,24 @@ def test_every_method_model_reads_back_from_its_file():
         again = io.BytesIO()
         regress.save_model(back, again)
         assert again.getvalue() == buf.getvalue(), method
+
+
+def test_flat_baseline_models_store_no_identity_factors():
+    # rls/lrr/krls keep no factor at all and klrr only its N x R dual basis:
+    # no N x N block (an explicit identity made a krls model file 947 bytes
+    # at N = 6, against kholrr's 668)
+    data = gen_linear_synthetic(
+        SynthSpec(input_dim=3, output_dims=(2, 2), ranks=(2, 2, 2), n_train=6, n_test=1, noise_std=0.1, seed=71)
+    )
+    kernel = regress.KernelSpec(kind="rbf", sigma=2.0)
+    for method in ("rls", "lrr", "krls", "klrr"):
+        model = fit_method(method, data.x_train, data.y_train, 1e-2, (2, 2, 2), kernel)
+        u0, *rest = model.factors.factors
+        assert all(u is None for u in rest), method
+        assert (u0 is None) == (method != "klrr") and (u0 is None or u0.shape == (6, 2)), method
+        buf = io.BytesIO()
+        regress.save_model(model, buf)
+        assert b"DTEN 1 2 6 6\n" not in buf.getvalue(), method
 
 
 def test_run_forecast_experiment(tmp_path):

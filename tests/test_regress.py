@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import oracles
+from tensorreg import linalg
 from tensorreg.datagen import (
     SynthSpec,
     gen_linear_synthetic,
@@ -16,6 +17,7 @@ from tensorreg.datagen import (
 )
 from tensorreg.linalg import gen_sym_eig_top
 from tensorreg.regress import (
+    HolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,
@@ -35,7 +37,9 @@ from tensorreg.regress import (
     save_model,
 )
 from tensorreg.tensor import (
+    TuckerFactors,
     matricize,
+    mode_product,
     mode_vector_product,
     multilinear_rank,
     tucker_reconstruct,
@@ -87,6 +91,25 @@ def test_rls_singular_falls_back_to_min_norm():
         w = rls_fit(x, y, 0.0)
     ref = np.linalg.lstsq(x, y, rcond=None)[0]
     np.testing.assert_allclose(w, ref, atol=1e-8)
+
+
+def test_rls_and_lrr_match_the_augmented_least_squares_oracle():
+    # nearly rank-deficient X (rank 8 plus 1e-3 noise, 50 x 160) at gamma =
+    # 1e-4, where normal equations (the squared condition number) lose 1e-9
+    gamma = 1e-4
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        x, x_test = (rng.standard_normal((n, 8)) @ rng.standard_normal((8, 160)) for n in (50, 20))
+        x = x + 1e-3 * rng.standard_normal(x.shape)
+        y = rng.standard_normal((50, 12))
+        aug_x = np.vstack([x, np.sqrt(gamma) * np.eye(160)])
+        w_ls = np.linalg.lstsq(aug_x, np.vstack([y, np.zeros((160, 12))]), rcond=None)[0]
+        # lrr at rank 3: the oracle ridge solution projected on the top
+        # eigenvectors of Y^T P Y = Y^T X W_ls
+        v = np.linalg.eigh(y.T @ (x @ w_ls))[1][:, ::-1][:, :3]
+        for w, w_ref in ((rls_fit(x, y, gamma), w_ls), (lrr_fit(x, y, 3, gamma), w_ls @ v @ v.T)):
+            ref = x_test @ w_ref
+            assert np.linalg.norm(x_test @ w - ref) <= 1e-10 * np.linalg.norm(ref), seed
 
 
 def test_rls_validation():
@@ -263,9 +286,36 @@ def test_holrr_gamma_zero_rank_deficient_inputs():
     assert np.isfinite(holrr_predict_batch(model, x)).all()
 
 
+def test_a_full_rank_output_mode_keeps_no_factor_and_runs_no_eigh(monkeypatch):
+    # modes 1 and 3 at full rank (5 and 4); mode 2 cut to 2 of 3
+    prob, data = small_problem(47, dims=(6, 5, 3, 4), ranks=(2, 5, 2, 4))
+    spec = KernelSpec(kind="rbf", sigma=3.0)
+    real, sizes = linalg.sym_eig_top, []
+    monkeypatch.setattr(linalg, "sym_eig_top", lambda a, r: sizes.append(len(a)) or real(a, r))
+    fits = [
+        (lambda: holrr_fit(prob), 6),
+        (lambda: kholrr_fit(gram(prob.x, spec), prob.y, prob.ranks, prob.gamma, prob.x, spec), 30),
+    ]
+    for fit, pencil in fits:
+        sizes.clear()
+        model = fit()
+        assert sorted(sizes) == [3, pencil]  # the input pencil and mode 2 only
+        assert [u is None for u in model.factors.factors[1:]] == [True, False, True]
+        # the same fit with the full eigenbases of modes 1 and 3 stored
+        core, factors = model.factors.core, list(model.factors.factors)
+        for i in (1, 3):
+            yi = matricize(prob.y, i)
+            factors[i] = np.linalg.eigh(yi @ yi.T)[1]
+            core = mode_product(core, factors[i].T, i)
+        explicit = dataclasses.replace(model, factors=TuckerFactors(core, factors))
+        want = explicit.predict(data.x_test)
+        assert np.linalg.norm(model.predict(data.x_test) - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def test_gamma_zero_training_error_never_rises_with_r0():
     # rank-7 X: its last 3 columns repeat the first 3.  R0 past the kept
-    # directions clamps to 7 instead of filling U0 with arbitrary columns
+    # directions clamps to 7 instead of filling U0 with arbitrary columns,
+    # up to the primal fit's full rank R0 = d0 = 10, which keeps no U0
     rng = np.random.default_rng(0)
     x = rng.standard_normal((20, 10))
     x[:, 7:] = x[:, :3]
@@ -277,9 +327,12 @@ def test_gamma_zero_training_error_never_rises_with_r0():
             warnings.simplefilter("always")
             model = holrr_fit(RegressionProblem(x, y, (r0, 4, 3, 5), 0.0))
             kmodel = kholrr_fit(gram(x, spec), y, (r0, 4, 3, 5), 0.0, x, spec)
+        full = r0 == 10
+        assert model.ranks[0] == (10 if full else min(r0, 7)) and kmodel.ranks[0] == min(r0, 7)
+        assert (model.factors.factors[0] is None) == full
         for m in (model, kmodel):
-            assert m.ranks[0] == min(r0, 7)
-            assert (f"rank {r0} clamped to 7 at mode 0" in m.warnings) == (r0 > 7)
+            clamped = r0 > 7 and not (full and m is model)
+            assert (f"rank {r0} clamped to 7 at mode 0" in m.warnings) == clamped
             assert not any("core solve" in w for w in m.warnings)
         assert any("clamped" in str(w.message) for w in caught) == (r0 > 7)
         errors.append(np.sqrt(np.mean((model.predict(x) - y) ** 2)))
@@ -448,6 +501,20 @@ def test_klrr_linear_kernel_matches_lrr():
     pred_primal = x_test @ lrr_fit(x, y, 3, gamma)
     np.testing.assert_allclose(pred_dual, pred_primal, atol=1e-8)
     np.testing.assert_array_equal(klrr_fit(gram(x, spec), y, 6, gamma), krls_fit(gram(x, spec), y, gamma))
+
+
+def test_krls_matches_the_explicit_feature_ridge_oracle():
+    # (x.y)^2 on d0 = 10 has 55 features, so K (N = 67) is rank-deficient
+    spec = KernelSpec(kind="polynomial", degree=2, offset=0.0)
+    gamma = 1e-4
+    for seed in range(5):
+        rng = np.random.default_rng(100 + seed)
+        x, x_test = rng.standard_normal((67, 10)), rng.standard_normal((15, 10))
+        y = rng.standard_normal((67, 7))
+        u, sv, vt = np.linalg.svd(square_features(x), full_matrices=False)
+        ref = square_features(x_test) @ vt.T @ ((sv / (sv**2 + gamma))[:, None] * (u.T @ y))
+        pred = kernel_cross(spec, x_test, x) @ krls_fit(gram(x, spec), y, gamma)
+        assert np.linalg.norm(pred - ref) <= 1e-12 * np.linalg.norm(ref), seed
 
 
 def test_krls_validation():
@@ -694,13 +761,14 @@ def test_holrr_1_kernel_file_loads_its_dense_tensor_as_an_identity_tucker():
         write_dten(block, v1)
     back = load_model(io.BytesIO(v1.getvalue()))
     assert back.factors.core.shape == (25, 5, 3, 4) and back.ranks == (25, 5, 3, 4)
+    assert all(u is None for u in back.factors.factors)  # no N x N identity is built
     np.testing.assert_array_equal(back.factors.core, blocks["coeff"])
     assert back.dual_values.size == 0
     want = model.predict(data.x_test)
     assert np.linalg.norm(back.predict(data.x_test) - want) <= 1e-12 * np.linalg.norm(want)
     again = io.BytesIO()
     save_model(back, again)
-    assert again.getvalue().startswith(b"HOLRR 2\n")
+    assert again.getvalue().startswith(b"HOLRR 3\n")
     np.testing.assert_array_equal(load_model(io.BytesIO(again.getvalue())).factors.core, blocks["coeff"])
 
 
@@ -709,16 +777,42 @@ def test_holrr_1_primal_file_loads_bitwise():
     model = holrr_fit(prob)
     buf = io.BytesIO()
     save_model(model, buf)
-    v2 = buf.getvalue()
-    assert v2.startswith(b"HOLRR 2\n")
-    back = load_model(io.BytesIO(b"HOLRR 1\n" + v2[len(b"HOLRR 2\n"):]))  # the same layout
+    v3 = buf.getvalue()
+    assert v3.startswith(b"HOLRR 3\n")
+    back = load_model(io.BytesIO(b"HOLRR 1\n" + v3[len(b"HOLRR 3\n"):]))  # the same layout
     np.testing.assert_array_equal(back.factors.core, model.factors.core)
     for u, v in zip(back.factors.factors, model.factors.factors, strict=True):
         np.testing.assert_array_equal(u, v)
     np.testing.assert_array_equal(back.predict(data.x_test), model.predict(data.x_test))
     again = io.BytesIO()
     save_model(back, again)
-    assert again.getvalue() == v2
+    assert again.getvalue() == v3
+
+
+def test_holrr_2_file_with_explicit_identity_factors_loads_and_reencodes_bytewise():
+    prob, data = small_problem(48, ranks=(3, 5, 2, 4))
+    model = holrr_fit(prob)  # modes 1 and 3 at full rank keep no factor
+    assert [u is None for u in model.factors.factors] == [False, True, False, True]
+    # the HOLRR 2 form of the same fit: an identity block for each full mode
+    eyes = [np.eye(d) if u is None else u for u, d in zip(model.factors.factors, model.factors.shape)]
+    explicit = HolrrModel(TuckerFactors(model.factors.core, eyes), model.ranks, model.gamma, model.warnings)
+    buf = io.BytesIO()
+    save_model(explicit, buf)
+    body = buf.getvalue()[len(b"HOLRR 3\n"):]
+    back = load_model(io.BytesIO(b"HOLRR 2\n" + body))
+    np.testing.assert_array_equal(back.factors.factors[1], np.eye(5))
+    np.testing.assert_array_equal(back.predict(data.x_test), explicit.predict(data.x_test))
+    again = io.BytesIO()
+    save_model(back, again)
+    assert again.getvalue() == b"HOLRR 3\n" + body
+    want = model.predict(data.x_test)
+    assert np.linalg.norm(back.predict(data.x_test) - want) <= 1e-12 * np.linalg.norm(want)
+    # HOLRR 1 and 2 files store every factor: one without a factor block is malformed
+    compact = io.BytesIO()
+    save_model(model, compact)
+    for old in (b"HOLRR 1\n", b"HOLRR 2\n"):
+        with pytest.raises(ValueError, match="malformed model header"):
+            load_model(io.BytesIO(old + compact.getvalue()[len(b"HOLRR 3\n"):]))
 
 
 def test_load_model_rejects_kernel_blocks_that_disagree_on_n():

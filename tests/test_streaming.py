@@ -85,7 +85,7 @@ def test_blocked_mode_grams_match_the_unfoldings(seed, shape, layout, rows_per_b
         # rows_per_block rows and a few bytes: blocks of 1-3 rows, the last one short
         mp.setattr(regress, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes // 2)
         blocks = regress.row_blocks(y)
-        grams = regress._mode_grams(y)
+        grams = regress._mode_grams(y, [True] * (y.ndim - 1))
     assert [r.start for r in blocks] == list(range(0, y.shape[0], rows_per_block))
     assert blocks[-1].stop == y.shape[0]
     for i, g in enumerate(grams, start=1):
