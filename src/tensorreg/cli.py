@@ -54,8 +54,15 @@ def _write_tensor_atomic(t, path) -> None:
 
 def _training_rmse(model, x, y) -> float:
     """RMSE of the model's predictions for the training rows, summed over
-    `regress.row_blocks` so no N x D prediction is held at once."""
-    sq = sum(float(np.sum((y[rows] - model.predict(x[rows])) ** 2)) for rows in regress.row_blocks(y))
+    `regress.row_blocks` so no N x D prediction is held at once; each
+    block's residual is formed in its prediction's memory."""
+    sq = 0.0
+    for rows in regress.row_blocks(y):
+        r = model.predict(x[rows])
+        r -= y[rows]
+        r = r.ravel(order="K")
+        sq += float(r @ r)
+        del r  # the next block's prediction is made with no other alive
     return math.sqrt(sq / y.size)
 
 

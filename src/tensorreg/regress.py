@@ -26,7 +26,11 @@ X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
 which the pencil is a symmetric eigenproblem and the ridge inverse is
 1 / (lam + gamma), set to 0 where lam + gamma <= 1e-12 max(lam): the one
 pseudo-inverse rule, relative to scale, behind the "pseudo-inverse pencil,
-restricting to its range" warning of a singular input Gram.
+restricting to its range" warning of a singular input Gram.  Y is read only
+by GEMMs on its own memory: the mode Grams Y_(i) Y_(i)^T come from strided
+views of it, and when Q is square (every kernel fit, and X with d0 >= N) the
+pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
+N x D product Q^T Y_(0) is never formed.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
 `rls_fit` (ridge) is the fit at full rank (d0, D), `krls_fit` the dual fit at
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -49,6 +54,7 @@ import numpy as np
 from . import linalg
 from .tensor import (
     TuckerFactors,
+    _open_maybe,
     _sign_flips,
     dematricize,
     matricize,
@@ -88,8 +94,10 @@ MODEL_VERSION = 3
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
-# bytes of Y per row block (`row_blocks`) of the mode Grams and the CLI's training error
+# bytes of Y per row block (`row_blocks`) of the CLI's training error
 _BLOCK_BYTES = 1 << 24
+# bytes of the batch of slab Grams a middle mode's Gram is summed from (`_axis_gram`)
+_BATCH_BYTES = 1 << 18
 
 _SINGULAR_INPUT = (
     "input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range"
@@ -302,18 +310,46 @@ def row_blocks(y) -> list:
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
+def _contiguous(y: np.ndarray) -> np.ndarray:
+    """`y` itself when it is column-major or C-ordered, else a column-major copy."""
+    return y if y.flags.f_contiguous or y.flags.c_contiguous else np.asfortranarray(y)
+
+
+def _times_rows(a: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """a @ y0 laid out like y0, so that it folds back like Y without a copy."""
+    return (y0.T @ a.T).T if y0.flags.f_contiguous else a @ y0
+
+
+def _axis_gram(t: np.ndarray, j: int) -> np.ndarray:
+    """Gram of axis j of a column-major t, from its (L, d_j, T) view: S S^T
+    for L = 1, else the sum of s^T s over the T slabs s = (L, d_j) (one
+    product for the last axis), taken `_BATCH_BYTES` of slab Grams at a
+    time."""
+    d = t.shape[j]
+    v = t.reshape(math.prod(t.shape[:j]), d, -1, order="F")
+    if v.shape[0] == 1:
+        return v[0] @ v[0].T
+    slabs = v.transpose(2, 0, 1)
+    step = max(1, _BATCH_BYTES // (8 * d * d))
+    g = np.zeros((d, d))
+    for a in range(0, slabs.shape[0], step):
+        b = slabs[a : a + step]
+        g += (b.transpose(0, 2, 1) @ b).sum(axis=0)
+    return g
+
+
 def _mode_grams(y: np.ndarray, cut) -> list:
-    """The mode Grams Y_(i) Y_(i)^T, i >= 1 (None where `cut` is False), each
-    summed over `row_blocks` of Y: G_i = sum_B B_(i) B_(i)^T.  The only
-    copies made are one block's unfoldings, where `matricize(y, i)` of the
-    whole of a column-major Y would copy all of it for every mode.  When Y
-    fits in one block the Grams are exactly the unblocked products."""
-    grams = [np.zeros((d, d)) if c else None for d, c in zip(y.shape[1:], cut)]
-    formed = [(i, g) for i, g in enumerate(grams, start=1) if g is not None]
-    for rows in row_blocks(y) if formed else ():
-        for i, g in formed:
-            bi = matricize(y[rows], i)
-            g += bi @ bi.T
+    """The mode Grams G_i = Y_(i) Y_(i)^T, i = 0..p (None where `cut` is
+    False), each from GEMMs on strided views of Y's own memory: no unfolding
+    is copied.  A C-ordered Y is read as the column-major y.T, its modes
+    reversed; any other layout is made column-major once."""
+    grams = [None] * y.ndim
+    if any(cut):
+        y = _contiguous(y)
+        t, modes = (y, range(y.ndim)) if y.flags.f_contiguous else (y.T, range(y.ndim - 1, -1, -1))
+        for j, i in enumerate(modes):
+            if cut[i]:
+                grams[i] = _axis_gram(t, j)
     return grams
 
 
@@ -354,8 +390,11 @@ def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
     directions inv keeps) takes the top-R0 eigenvectors w of D Z Z^T D:
     c = sqrt(inv) w has c^T diag(lam + gamma) c = I, so the projected ridge
     solve is the identity and, with (u0, t) = `normalize`(M c), the core is
-    t (w^T D Z).  Ri >= di keeps no factor; a smaller Ri projects the core
-    on the top-Ri eigenvectors of the mode Gram."""
+    t (w^T D Z).  When q is square (every kernel fit, and X with d0 >= N)
+    Z is never formed: the pencil is D (q^T G_0 q) D with G_0 the mode-0
+    Gram, and the core t ((w^T D q^T) Y_(0)).  Ri >= di keeps no factor; a
+    smaller Ri projects the core on the top-Ri eigenvectors of the mode
+    Gram.  Y is read only through views of its memory."""
     q, lam, m, s = side
     dims, dim = y.shape[1:], m.shape[0]
     noted: list = []
@@ -363,24 +402,29 @@ def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
     kept = max(1, int(np.count_nonzero(inv[: lam.size])))
     r0 = _clamp_rank(ranks[0], dim if ranks[0] >= dim else kept, 0, noted)
     out_ranks = [_clamp_rank(r, d, i, noted) for i, (r, d) in enumerate(zip(ranks[1:], dims), start=1)]
-    grams = _mode_grams(y, [r < d for r, d in zip(out_ranks, dims)])
+    y = _contiguous(y)
+    order = "F" if y.flags.f_contiguous else "C"
+    square = r0 < dim and q.shape[1] == y.shape[0]
+    g0, *grams = _mode_grams(y, [square, *(r < d for r, d in zip(out_ranks, dims))])
     factors = [None if g is None else linalg.sym_eig_top((g + g.T) / 2.0, r).vectors
                for g, r in zip(grams, out_ranks)]
     if not inv.all():
         noted.append(_SINGULAR_INPUT)
         warnings.warn(_SINGULAR_INPUT, stacklevel=3)
     inv = inv[: lam.size]
-    z = q.T @ matricize(y, 0)
+    y0 = y.reshape(y.shape[0], -1, order=order)  # Y_(0), its columns in Y's memory order
+    z = None if square else _times_rows(q.T, y0)
     if r0 == dim:
         u0, values = None, np.zeros(0)
-        core = (m * (s * np.sqrt(lam) * inv)) @ z
+        core = _times_rows(m * (s * np.sqrt(lam) * inv), z)
     else:
         d = np.sqrt(lam * inv)
-        res = linalg.sym_eig_top(d[:, None] * (z @ z.T) * d, r0)
+        res = linalg.sym_eig_top(d[:, None] * (q.T @ g0 @ q if square else z @ z.T) * d, r0)
         values, w = res.values, res.vectors
         u0, t = normalize(m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)))
-        core = t @ ((w.T * d) @ z)
-    core = dematricize(core, 0, (r0, *dims))
+        a = t @ (w.T * d)
+        core = _times_rows(a @ q.T, y0) if square else _times_rows(a, z)
+    core = core.reshape((r0, *dims), order=order)
     core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
     return TuckerFactors(core=core, factors=[u0, *factors]), (r0, *out_ranks), values, noted
 
@@ -416,8 +460,14 @@ def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("expected a matrix of input rows")
+    if x.shape[1] != model.factors.shape[0]:
+        raise ValueError(f"input has {x.shape[1]} columns, model expects {model.factors.shape[0]}")
     u0, *rest = model.factors.factors
-    return multi_mode_product(model.factors.core, [x if u0 is None else x @ u0, *rest])
+    # C = core x_1 U_1 ... x_p U_p (the core itself when every U_i is None),
+    # then one GEMM writes the n x D prediction column-major
+    c = multi_mode_product(model.factors.core, rest, range(1, len(rest) + 1))
+    pred = (matricize(c, 0).T @ (x if u0 is None else x @ u0).T).T
+    return pred.reshape((x.shape[0], *c.shape[1:]), order="F")
 
 
 def _flat_fit(a, y_flat, gamma: float, rank, kernel: bool):
@@ -514,7 +564,7 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     dims = y.shape[1:]
     cut = [any(r is not None and r[i + 1] < d for r in rank_tuples) for i, d in enumerate(dims)]
     # descending eigenvectors of each mode Gram some candidate truncates
-    out = [None if g is None else np.linalg.eigh((g + g.T) / 2.0)[1][:, ::-1] for g in _mode_grams(y, cut)]
+    out = [None if g is None else np.linalg.eigh((g + g.T) / 2.0)[1][:, ::-1] for g in _mode_grams(y, [False, *cut])[1:]]
     preds = {}
     for gamma in gammas:
         inv = _ridge_inverse(lam, gamma)
@@ -585,10 +635,9 @@ def _json_line(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
-def _encode(model) -> bytes:
-    """The header line and DTEN blocks of a model file (all but its magic line)."""
-    if not isinstance(model, (HolrrModel, KernelHolrrModel)):
-        raise TypeError(f"cannot serialize {type(model).__name__}")
+def _encode(model, f) -> None:
+    """Write the header line and DTEN blocks of a model file (all but its
+    magic line) into `f`, each block from the model's own memory."""
     blocks = {"core": model.factors.core}
     blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors) if u is not None)
     kernel = None
@@ -600,22 +649,24 @@ def _encode(model) -> bytes:
     kind = "holrr" if kernel is None else "kholrr"
     header = dict(kind=kind, ranks=list(model.ranks), gamma=model.gamma, kernel=kernel,
                   warnings=list(model.warnings), blocks=list(blocks))
-    buf = io.BytesIO()
-    buf.write(_json_line(header))
+    f.write(_json_line(header))
     for block in blocks.values():
-        write_dten(block, buf)
-    return buf.getvalue()
+        write_dten(block, f)
 
 
 def save_model(model, path_or_file) -> None:
     """Write a fitted model: magic line, one JSON header line, then the DTEN
     blocks core, factor0..factorp (none for a factor that is the identity)
     and, for a kernel model, train_inputs and (when non-empty) dual_values."""
-    data = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii") + _encode(model)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(data)
-    else:
-        Path(path_or_file).write_bytes(data)
+    if not isinstance(model, (HolrrModel, KernelHolrrModel)):
+        raise TypeError(f"cannot serialize {type(model).__name__}")
+    f, close = _open_maybe(path_or_file, "wb")
+    try:
+        f.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii"))
+        _encode(model, f)
+    finally:
+        if close:
+            f.close()
 
 
 def _model_from_header(header: dict, blocks: dict, version: str):
@@ -671,6 +722,10 @@ def load_model(path_or_file):
     except (KeyError, TypeError) as e:
         # the header is outside input: a missing key or a wrong JSON type
         raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
-    if "coeff" not in blocks and _encode(model) != data[start:]:
+    if "coeff" in blocks:
+        return model
+    canonical = io.BytesIO()
+    _encode(model, canonical)
+    if canonical.getvalue() != data[start:]:
         raise ValueError("model file differs from what save_model writes: a non-canonical header or block, or trailing bytes")
     return model

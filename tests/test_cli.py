@@ -79,8 +79,10 @@ def test_fit_then_predict_round_trip(tmp_path, capsys):
     assert events[0]["event"] == "predict"
     assert events[0]["rows"] == 6
 
-    # CSV cells are repr() of the exact doubles, so this pipeline is lossless
-    prob = RegressionProblem(x=data.x_train, y=data.y_train, ranks=(2, 2, 2), gamma=0.01)
+    # CSV cells are repr() of the exact doubles, so this pipeline is lossless;
+    # the fit reads Y in its memory order, so the reference takes the
+    # column-major layout the CLI reads from DTEN
+    prob = RegressionProblem(x=data.x_train, y=np.asfortranarray(data.y_train), ranks=(2, 2, 2), gamma=0.01)
     ref = holrr_predict_batch(holrr_fit(prob), data.x_test)
     np.testing.assert_array_equal(read_dten(pred_path), ref)
 
@@ -112,7 +114,8 @@ def test_fit_kernel_model(tmp_path, capsys):
     )
     assert code == 0
     spec = KernelSpec(kind="rbf", sigma=2.0)
-    ref_model = kholrr_fit(gram(data.x_train, spec), data.y_train, (2, 2, 2), 0.1, data.x_train, spec)
+    y = np.asfortranarray(data.y_train)  # the layout the CLI reads, as above
+    ref_model = kholrr_fit(gram(data.x_train, spec), y, (2, 2, 2), 0.1, data.x_train, spec)
     np.testing.assert_array_equal(read_dten(pred_path), kholrr_predict_batch(ref_model, data.x_test))
 
 

@@ -99,15 +99,17 @@ def test_adapters_linear_kernel_duals_match_primal():
 def test_flat_baseline_models_predict_bitwise_like_the_flat_solution():
     data = small_data(4)
     rbf = KernelSpec(kind="rbf", sigma=2.0)
-    y_flat = matricize(data.y_train, 0)
-    shape = (data.x_test.shape[0], *data.y_train.shape[1:])
+    # the fits read Y in its memory order: both sides get it column-major
+    y = np.asfortranarray(data.y_train)
+    y_flat = matricize(y, 0)
+    shape = (data.x_test.shape[0], *y.shape[1:])
     w = rls_fit(data.x_train, y_flat, 0.1)
     expect = dematricize(data.x_test @ w, 0, shape)
-    got = fit_method("rls", data.x_train, data.y_train, 0.1).predict(data.x_test)
+    got = fit_method("rls", data.x_train, y, 0.1).predict(data.x_test)
     np.testing.assert_array_equal(got, expect)
     dual = krls_fit(gram(data.x_train, rbf), y_flat, 0.1)
     expect = dematricize(kernel_cross(rbf, data.x_test, data.x_train) @ dual, 0, shape)
-    got = fit_method("krls", data.x_train, data.y_train, 0.1, kernel=rbf).predict(data.x_test)
+    got = fit_method("krls", data.x_train, y, 0.1, kernel=rbf).predict(data.x_test)
     np.testing.assert_array_equal(got, expect)
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -557,6 +558,29 @@ def kernel_problem(seed, gamma=1e-3):
     spec = KernelSpec(kind="linear")
     k = gram(prob.x, spec)
     return prob, data, spec, k
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(kind="linear"), KernelSpec(kind="rbf", sigma=10.0)])
+def test_kholrr_dual_values_match_the_pencil_at_40_digits(spec):
+    """The pencil values against eigsy of D Q^T Y_(0) Y_(0)^T Q D in mpmath,
+    with K = Q diag(lam) Q^T and D = sqrt(lam / (lam + gamma)) in 40 digits
+    too: an oracle that shares no float64 rounding with the fit.  X is rank
+    5 plus 1e-3 noise, so the linear K has cond ~1e8; the outputs follow the
+    inputs, as the model assumes (outputs outside the range of X make the
+    values as sensitive as K's smallest eigenvalues, ~1e-10 relative)."""
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((14, 5)) @ rng.standard_normal((5, 30)) + 1e-3 * rng.standard_normal((14, 30))
+    y = mode_product(rng.standard_normal((30, 3, 4)), x, 0) + 0.01 * rng.standard_normal((14, 3, 4))
+    gamma = 1e-6
+    k = gram(x, spec)
+    model = kholrr_fit(k, y, (4, 3, 4), gamma, x, spec)
+    with mpmath.workdps(40):
+        lam, q = mpmath.eigsy(mpmath.matrix(k.tolist()))
+        d = mpmath.diag([mpmath.sqrt(v / (v + gamma)) for v in lam])
+        z = q.T * mpmath.matrix(matricize(y, 0).tolist())
+        values = mpmath.eigsy(d * z * z.T * d, eigvals_only=True)
+        ref = np.array(sorted((float(v) for v in values), reverse=True)[:4])
+    assert np.max(np.abs(model.dual_values - ref) / ref) <= 1e-12
 
 
 def test_kholrr_linear_kernel_matches_holrr():

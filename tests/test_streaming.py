@@ -1,16 +1,19 @@
-"""DTEN I/O in bounded chunks and mode Grams over row blocks.
+"""DTEN I/O in bounded chunks, mode Grams from views of Y, and the memory
+peaks of fit, predict and save.
 
 Property tests: DTEN files round-trip bit for bit (NaN payloads, infinities
 and -0.0 included) whatever the memory layout of the tensor written, the read
 path (`readinto` into the array, or into a growing one from a stream that
-cannot seek) and the chunk size; and the blocked mode Grams equal the
-unblocked products.  The I/O chunk, the first pipe capacity and the row block
-are patched down to a few entries, so every loop runs many times and row
+cannot seek) and the chunk size; and the mode Grams of C-ordered,
+column-major and strided Y equal the products of the unfoldings.  The I/O
+chunk, the first pipe capacity, the row block and the slab-Gram batch are
+patched down to a few entries, so every loop runs many times and row
 blocks come out odd-sized.
 
 Memory tests (tracemalloc, which sees numpy's allocations): reading a file
-or a pipe holds one copy of the data, writing one holds none, and a fit
-holds only blocks of Y on top of it.
+or a pipe holds one copy of the data, writing one holds none, the fits and
+the mode Grams read Y in place, a batch prediction holds little beyond its
+output, and a model is saved from its own memory.
 """
 
 import io
@@ -23,7 +26,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from tensorreg import regress, tensor
-from tensorreg.regress import RegressionProblem, holrr_fit
+from tensorreg.regress import (
+    KernelSpec,
+    RegressionProblem,
+    gram,
+    holrr_fit,
+    holrr_predict_batch,
+    kernel_cross,
+    kholrr_fit,
+    save_model,
+)
 from tensorreg.tensor import matricize, read_dten, write_dten
 from test_tensor import _Pipe
 
@@ -84,11 +96,13 @@ def test_blocked_mode_grams_match_the_unfoldings(seed, shape, layout, rows_per_b
     with pytest.MonkeyPatch.context() as mp:
         # rows_per_block rows and a few bytes: blocks of 1-3 rows, the last one short
         mp.setattr(regress, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes // 2)
+        # a middle mode's slab Grams in batches of one to a few
+        mp.setattr(regress, "_BATCH_BYTES", 32 * rows_per_block)
         blocks = regress.row_blocks(y)
-        grams = regress._mode_grams(y, [True] * (y.ndim - 1))
+        grams = regress._mode_grams(y, [True] * y.ndim)
     assert [r.start for r in blocks] == list(range(0, y.shape[0], rows_per_block))
     assert blocks[-1].stop == y.shape[0]
-    for i, g in enumerate(grams, start=1):
+    for i, g in enumerate(grams):
         yi = matricize(y, i)
         ref = yi @ yi.T
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -142,9 +156,52 @@ def test_write_dten_copies_nothing(y_file, tmp_path):
     assert _peak_bytes(write) <= 0.1 * y.nbytes
 
 
-def test_holrr_fit_holds_blocks_of_y(y_file, monkeypatch):
+def test_holrr_fit_reads_y_in_place(y_file):
     y, _ = y_file
     x = np.random.default_rng(4).standard_normal((N, 10))
-    monkeypatch.setattr(regress, "_BLOCK_BYTES", y.nbytes // 16)
     peak = _peak_bytes(lambda: holrr_fit(RegressionProblem(x=x, y=y, ranks=(3, 3, 3, 3), gamma=1e-3)))
     assert peak <= 0.5 * y.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kholrr_fit_reads_y_in_place(layout):
+    # q is square: the pencil comes from the mode-0 Gram, and no N x D product is formed
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((200, 30))
+    y = _laid_out(rng.standard_normal((200, 20, 20, 20)), layout)
+    spec = KernelSpec(kind="rbf", sigma=5.0)
+    k = gram(x, spec)
+    peak = _peak_bytes(lambda: kholrr_fit(k, y, (5, 3, 3, 3), 1e-3, x, spec))
+    assert peak <= 0.5 * y.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_mode_grams_read_y_in_place(layout):
+    y = _laid_out(np.random.default_rng(6).standard_normal((200, 20, 20, 20)), layout)
+    assert _peak_bytes(regress._mode_grams, y, [True] * y.ndim) <= 0.1 * y.nbytes
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+def test_predict_batch_holds_about_its_output(y_file, kernel):
+    y, _ = y_file
+    rng = np.random.default_rng(7)
+    x, x_new = rng.standard_normal((N, 10)), rng.standard_normal((N, 10))
+    if kernel:
+        spec = KernelSpec(kind="rbf", sigma=3.0)
+        model = kholrr_fit(gram(x, spec), y, (3, 3, 3, 3), 1e-3, x, spec)
+        rows = kernel_cross(spec, x_new, x)
+    else:
+        model, rows = holrr_fit(RegressionProblem(x=x, y=y, ranks=(3, 3, 3, 3), gamma=1e-3)), x_new
+    assert _peak_bytes(holrr_predict_batch, model, rows) <= 1.1 * y.nbytes
+
+
+def test_save_model_writes_from_the_model_memory(y_file, tmp_path):
+    # krls preset: the core is the N x D dual ridge solution, column-major
+    # like a fit of the Y the CLI reads
+    y, _ = y_file
+    x = np.random.default_rng(8).standard_normal((N, 10))
+    spec = KernelSpec(kind="rbf", sigma=3.0)
+    model = kholrr_fit(gram(x, spec), y, (N, *SHAPE), 1e-3, x, spec)
+    assert model.factors.core.shape == y.shape
+    payload = model.factors.core.nbytes + x.nbytes
+    assert _peak_bytes(save_model, model, tmp_path / "model.bin") <= 0.1 * payload
