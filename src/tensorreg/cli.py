@@ -10,7 +10,6 @@ TENSORREG_SEED environment variable (seeds only), then built-in defaults.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -22,7 +21,7 @@ import numpy as np
 from . import harness, regress
 from .harness import atomic_write, atomic_write_bytes
 from .regress import KernelSpec
-from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten
+from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten, write_matrix_csv
 
 SEED_ENV = "TENSORREG_SEED"
 
@@ -177,10 +176,7 @@ def _cmd_tensor(args) -> int:
         t = read_dten(args.path)
         if t.ndim != 2:
             raise CliError(f"{args.path}: CSV conversion handles order-2 tensors, got order {t.ndim}")
-        buf = io.StringIO()
-        for row in t:
-            buf.write(",".join(repr(float(v)) for v in row) + "\n")
-        atomic_write_bytes(args.out, buf.getvalue().encode("ascii"))
+        atomic_write(args.out, lambda f: write_matrix_csv(t, f))
     else:
         m = read_matrix_csv(args.path)
         _write_tensor_atomic(m, args.out)

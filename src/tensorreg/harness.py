@@ -87,15 +87,27 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # method adapters
 
 
+def _preset(method: str, x, y, ranks) -> tuple:
+    """The (R0, R1..Rp) at which `method` is the one fit, holrr_fit (kholrr_fit
+    for the kernel methods) on stacked data: rls at (d0, d1..dp), krls at
+    (N, d1..dp), lrr/klrr at (R, d1..dp) for R = ranks[0] (full rank for
+    R >= D), holrr/kholrr at `ranks`."""
+    (n, d0), dims = np.shape(x), np.shape(y)[1:]
+    full = (n if method.startswith("k") else d0, *dims)
+    if method in ("holrr", "kholrr"):
+        return tuple(ranks)
+    r = int(ranks[0]) if ranks else 1
+    return (r, *dims) if method in ("lrr", "klrr") and r < math.prod(dims) else full
+
+
 def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec = None):
     """Fit one method on stacked data; `ranks` is the full tuple for holrr
     variants and its first element feeds lrr variants.
 
     Returns a HolrrModel for the primal methods and a KernelHolrrModel for the
-    kernel ones, so every result predicts through `.predict(x)`.  The flat
-    baselines are rank presets of holrr_fit/kholrr_fit: rls at (d0, d1..dp),
-    krls at (N, d1..dp) and klrr at (R, d1..dp), (N, d1..dp) for R >= D.
-    lrr keeps its own D x D algorithm, folded into a model with no factors.
+    kernel ones, so every result predicts through `.predict(x)`.  Every
+    method but lrr is holrr_fit/kholrr_fit at its `_preset` ranks; lrr keeps
+    its own D x D algorithm, folded into a model with no factors.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -103,17 +115,14 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     y = np.asarray(y, dtype=np.float64)
     if method.startswith("k") and kernel is None:
         raise ValueError(f"{method} needs a kernel")
-    (n, d0), dims = x.shape, y.shape[1:]
-    r = int(ranks[0]) if ranks else 1
     if method == "lrr":
-        w = regress.lrr_fit(x, matricize(y, 0), r, gamma)
-        core = dematricize(w, 0, (d0, *dims))
+        w = regress.lrr_fit(x, matricize(y, 0), int(ranks[0]) if ranks else 1, gamma)
+        core = dematricize(w, 0, (x.shape[1], *y.shape[1:]))
         return regress.HolrrModel(TuckerFactors(core, [None] * core.ndim), core.shape, float(gamma))
-    presets = {"rls": (d0, *dims), "krls": (n, *dims), "klrr": (r if r < math.prod(dims) else n, *dims)}
-    ranks = presets.get(method, ranks)
+    ranks = _preset(method, x, y, ranks)
     if method.startswith("k"):
-        return regress.kholrr_fit(regress.gram(x, kernel), y, tuple(ranks), gamma, x, kernel)
-    return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=tuple(ranks), gamma=gamma))
+        return regress.kholrr_fit(regress.gram(x, kernel), y, ranks, gamma, x, kernel)
+    return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=ranks, gamma=gamma))
 
 
 def predict_method(model, x) -> np.ndarray:
@@ -209,31 +218,21 @@ def _select(splits, grid: GridSpec, method: str, kernel=None):
     """Score every grid point by its mean validation RMSE over the
     (x_fit, y_fit, x_val, y_val) splits; returns (best, table).
 
-    Every method scores a split's whole grid from one decomposition of its
-    fit rows (`regress.path_predict`): holrr/kholrr at their rank tuples, and
-    the flat baselines on flattened outputs, rls/krls unprojected and
-    lrr/klrr at ranks (R, D).
+    Each split's whole grid is scored from one decomposition of its fit
+    rows (`regress.path_predict`), every point at its `_preset` ranks.
     """
     points = _grid_points(method, grid)
     dual = method.startswith("k")
     if dual and kernel is None:
         raise ValueError(f"{method} needs a kernel")
-    flat = method not in ("holrr", "kholrr")
     errors = {point: [] for point in points}
     for x_fit, y_fit, x_val, y_val in splits:
-        width = math.prod(y_fit.shape[1:])
-        # the path's (gamma, ranks) key of each point: lrr/klrr rank R is (R, D)
-        keys = {(g, (r[0], width) if method in ("lrr", "klrr") else r): (g, r) for g, r in points}
+        ranks = {point: _preset(method, x_fit, y_fit, point[1]) for point in points}
         preds = regress.path_predict(
-            x_fit,
-            matricize(y_fit, 0) if flat else y_fit,
-            x_val,
-            sorted(set(grid.gammas)),
-            list(dict.fromkeys(r for _, r in keys)),
-            kernel if dual else None,
+            x_fit, y_fit, x_val, sorted(set(grid.gammas)), list(dict.fromkeys(ranks.values())), kernel if dual else None
         )
-        for key, point in keys.items():
-            errors[point].append(rmse(y_val, preds[key].reshape(y_val.shape, order="F")))
+        for point, r in ranks.items():
+            errors[point].append(rmse(y_val, preds[point[0], r]))
     table = [{"gamma": g, "ranks": r, "score": float(np.mean(errors[(g, r)]))} for g, r in points]
     best = min(table, key=lambda row: (row["score"], _point_key((row["gamma"], row["ranks"]))))
     return best, table

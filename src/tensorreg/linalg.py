@@ -42,8 +42,10 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    if float(np.max(np.abs(a - a.T))) > _SYM_TOL * scale:
+    top = float(np.max(np.abs(a))) if a.size else 0.0
+    if not np.isfinite(top):  # a NaN or inf entry
+        raise ValueError(f"{name} must be finite")
+    if float(np.max(np.abs(a - a.T))) > _SYM_TOL * max(1.0, top):
         raise ValueError(f"{name} is not symmetric")
     return a
 
@@ -90,7 +92,8 @@ class SymEigResult:
 def sym_eig_top(a, r: int) -> SymEigResult:
     """Top-r eigenpairs of symmetric `a`, descending, sign-fixed columns.
 
-    r larger than the dimension clamps with a warning.
+    r larger than the dimension clamps with a warning.  One dsyevr call, as
+    scipy's eigh(subset_by_index=...) makes, without its per-call overhead.
     """
     a = _check_symmetric(a, "A")
     if r < 1:
@@ -100,9 +103,15 @@ def sym_eig_top(a, r: int) -> SymEigResult:
         warnings.warn(f"eigenpair count {r} clamped to dimension {a.shape[0]}", stacklevel=2)
         r = a.shape[0]
         clamped = True
-    # eigh returns only the requested top r pairs, ascending
-    w, v = eigh((a + a.T) / 2.0, subset_by_index=[a.shape[0] - r, a.shape[0] - 1])
-    return SymEigResult(values=w[::-1], vectors=_fix_signs(v[:, ::-1]), clamped=clamped)
+    n = a.shape[0]
+    work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
+    # the top r pairs only, ascending
+    w, v, found, _, info = lapack.dsyevr(
+        (a + a.T) / 2.0, range="I", lower=1, il=n - r + 1, iu=n, lwork=int(work), liwork=int(iwork)
+    )
+    if info != 0 or found != r:
+        raise np.linalg.LinAlgError(f"dsyevr failed with info {info} ({found} of {r} pairs)")
+    return SymEigResult(values=w[r - 1 :: -1], vectors=_fix_signs(v[:, ::-1]), clamped=clamped)
 
 
 def gen_sym_eig_top(s, m, r: int):

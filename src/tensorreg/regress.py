@@ -37,7 +37,9 @@ The flat baselines are rank presets of the same fit on vectorized outputs:
 (N, D) and `klrr_fit` the dual fit at (R, D).  A mode at full rank keeps no
 factor (None in `TuckerFactors`: the identity, never stored or multiplied).
 `lrr_fit` (ridge followed by a rank-R projection of the vectorized outputs)
-keeps its own D x D eigenproblem: it is the fit-time baseline.
+keeps its own D x D eigenproblem: it is the fit-time baseline.  The CV path
+(`path_predict`) is the fit itself at many (gamma, ranks) points, which share
+the decomposition, the Grams and their eigenvectors.
 """
 
 from __future__ import annotations
@@ -56,8 +58,8 @@ from .tensor import (
     TuckerFactors,
     _open_maybe,
     _sign_flips,
-    dematricize,
     matricize,
+    mode_product,
     mode_vector_product,
     multi_mode_product,
     read_dten,
@@ -98,11 +100,6 @@ _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 _BLOCK_BYTES = 1 << 24
 # bytes of the batch of slab Grams a middle mode's Gram is summed from (`_axis_gram`)
 _BATCH_BYTES = 1 << 18
-
-_SINGULAR_INPUT = (
-    "input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range"
-)
-
 
 @dataclass
 class KernelSpec:
@@ -354,10 +351,9 @@ def _mode_grams(y: np.ndarray, cut) -> list:
 
 
 def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:
+    """`requested` capped at `limit`; a cap is recorded in `noted`."""
     if requested > limit:
-        msg = f"rank {requested} clamped to {limit} at mode {mode}"
-        noted.append(msg)
-        warnings.warn(msg, stacklevel=4)
+        noted.append(f"rank {requested} clamped to {limit} at mode {mode}")
         return limit
     return requested
 
@@ -381,52 +377,85 @@ def _unit_columns(a: np.ndarray):
     return np.asfortranarray(a / scale * f), np.diag(scale * f)
 
 
-def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
-    """The one fit behind every method: (TuckerFactors, clamped ranks, pencil
-    values, notes) at `ranks` from `side` = `_input_side(...)`, whose m has
-    dim rows (d0, or N).  With Z = q^T Y_(0), inv = `_ridge_inverse` and
-    D = sqrt(lam inv), R0 >= dim keeps no factor 0 and the core is the ridge
-    solution M diag(sqrt(lam) inv) Z.  A smaller R0 (clamped to the
-    directions inv keeps) takes the top-R0 eigenvectors w of D Z Z^T D:
-    c = sqrt(inv) w has c^T diag(lam + gamma) c = I, so the projected ridge
-    solve is the identity and, with (u0, t) = `normalize`(M c), the core is
-    t (w^T D Z).  When q is square (every kernel fit, and X with d0 >= N)
-    Z is never formed: the pencil is D (q^T G_0 q) D with G_0 the mode-0
-    Gram, and the core t ((w^T D q^T) Y_(0)).  Ri >= di keeps no factor; a
-    smaller Ri projects the core on the top-Ri eigenvectors of the mode
-    Gram.  Y is read only through views of its memory."""
+def _tucker_path(y, side, gammas, rank_tuples):
+    """The one fit behind every method at each point of gammas x rank_tuples,
+    from `side` = `_input_side(...)`, whose m has dim rows (d0, or N).
+    Yields ((gamma, ranks), TuckerFactors, clamped ranks, pencil values,
+    notes) per point, factor 0 the un-normalized M c.
+
+    With Z = q^T Y_(0), inv = `_ridge_inverse` and D = sqrt(lam inv), R0 >=
+    dim keeps no factor 0 and the core is the ridge solution
+    M diag(sqrt(lam) inv) Z.  A smaller R0 (clamped to the directions inv
+    keeps) takes the top-R0 eigenvectors w of D Z Z^T D: c = sqrt(inv) w has
+    c^T diag(lam + gamma) c = I, so the projected ridge solve is the identity
+    and the core is w^T D Z.  When q is square (every kernel fit, and X with
+    d0 >= N) the pencil is D (q^T G_0 q) D with G_0 the mode-0 Gram, and the
+    core (w^T D q^T) Y_(0), so Z is never formed.  Ri < di projects the core
+    on the top-Ri eigenvectors of the mode Gram.  Rank clamps and a singular
+    input Gram are noted, not warned.  Every point takes prefixes of shared
+    eigenvectors: each mode Gram's up to the largest Ri cut, and per gamma
+    the pencil's up to the largest R0.
+    """
     q, lam, m, s = side
     dims, dim = y.shape[1:], m.shape[0]
-    noted: list = []
-    inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
-    kept = max(1, int(np.count_nonzero(inv[: lam.size])))
-    r0 = _clamp_rank(ranks[0], dim if ranks[0] >= dim else kept, 0, noted)
-    out_ranks = [_clamp_rank(r, d, i, noted) for i, (r, d) in enumerate(zip(ranks[1:], dims), start=1)]
     y = _contiguous(y)
     order = "F" if y.flags.f_contiguous else "C"
-    square = r0 < dim and q.shape[1] == y.shape[0]
-    g0, *grams = _mode_grams(y, [square, *(r < d for r, d in zip(out_ranks, dims))])
-    factors = [None if g is None else linalg.sym_eig_top((g + g.T) / 2.0, r).vectors
-               for g, r in zip(grams, out_ranks)]
-    if not inv.all():
-        noted.append(_SINGULAR_INPUT)
-        warnings.warn(_SINGULAR_INPUT, stacklevel=3)
-    inv = inv[: lam.size]
     y0 = y.reshape(y.shape[0], -1, order=order)  # Y_(0), its columns in Y's memory order
+    square = q.shape[1] == y.shape[0]
+    wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
+    cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
+    g0, *grams = _mode_grams(y, [square and wide, *cuts])
+    out = [None if g is None else linalg.sym_eig_top((g + g.T) / 2.0, c).vectors for g, c in zip(grams, cuts)]
+    del grams
     z = None if square else _times_rows(q.T, y0)
-    if r0 == dim:
-        u0, values = None, np.zeros(0)
-        core = _times_rows(m * (s * np.sqrt(lam) * inv), z)
-    else:
+    pencil = (q.T @ g0 @ q if square else z @ z.T) if wide else None
+    del g0  # q^T G_0 q replaces it
+
+    def rows(a):  # a q^T Y_(0)
+        return _times_rows(a @ q.T, y0) if square else _times_rows(a, z)
+
+    for gamma in gammas:
+        inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
+        singular = not inv.all()
+        kept = max(1, int(np.count_nonzero(inv[: lam.size])))
+        inv = inv[: lam.size]
         d = np.sqrt(lam * inv)
-        res = linalg.sym_eig_top(d[:, None] * (q.T @ g0 @ q if square else z @ z.T) * d, r0)
-        values, w = res.values, res.vectors
-        u0, t = normalize(m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)))
-        a = t @ (w.T * d)
-        core = _times_rows(a @ q.T, y0) if square else _times_rows(a, z)
-    core = core.reshape((r0, *dims), order=order)
-    core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
-    return TuckerFactors(core=core, factors=[u0, *factors]), (r0, *out_ranks), values, noted
+        full = rows(m * (s * np.sqrt(lam) * inv)) if any(r[0] >= dim for r in rank_tuples) else None
+        top = max((min(r[0], kept) for r in rank_tuples if r[0] < dim), default=0)
+        if top:
+            res = linalg.sym_eig_top(d[:, None] * pencil * d, top)
+            head = rows(res.vectors.T * d)
+        for ranks in rank_tuples:
+            noted: list = []
+            r0 = _clamp_rank(ranks[0], dim if ranks[0] >= dim else kept, 0, noted)
+            out_ranks = [_clamp_rank(r, di, i, noted) for i, (r, di) in enumerate(zip(ranks[1:], dims), start=1)]
+            if singular:
+                noted.append("input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range")
+            if r0 == dim:
+                u0, values, core = None, np.zeros(0), full
+            else:
+                w = res.vectors[:, :r0]
+                u0, values, core = m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)), res.values[:r0], head[:r0]
+            factors = [None if r == di else u[:, :r] for u, r, di in zip(out, out_ranks, dims)]
+            core = multi_mode_product(
+                core.reshape((r0, *dims), order=order),
+                [None if u is None else u.T for u in factors],
+                range(1, y.ndim),
+            )
+            yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), (r0, *out_ranks), values, noted
+
+
+def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
+    """`_tucker_path` at one point, with (u0, t) = `normalize`(M c) and t
+    applied to mode 0 of the core; each note is also warned."""
+    _, tf, ranks, values, noted = next(_tucker_path(y, side, [gamma], [ranks]))
+    u0, *factors = tf.factors
+    if u0 is not None:
+        u0, t = normalize(u0)
+        tf = TuckerFactors(core=mode_product(tf.core, t, 0), factors=[u0, *factors])
+    for msg in noted:
+        warnings.warn(msg, stacklevel=3)
+    return tf, ranks, values, noted
 
 
 def holrr_fit(prob: RegressionProblem) -> HolrrModel:
@@ -534,58 +563,20 @@ def klrr_fit(k, y_flat, rank: int, gamma: float) -> np.ndarray:
 
 def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None) -> dict:
     """Validation predictions of holrr_fit (kholrr_fit when `kernel` is given)
-    at every (gamma, ranks) point, from one decomposition of the fit rows.
-
-    In the pencil basis of `_tucker_fit` the core solve is the identity, so
-    every prediction is a product of prefixes:
-
-        pred(gamma, R0..Rp) = [(B sqrt(inv) W[:, :R0]) (W[:, :R0]^T D Z)]
-                              x_1 U_1[:, :R1] U_1[:, :R1]^T ... x_p U_p[:, :Rp] U_p[:, :Rp]^T
-
-    with q, lam, M from `_input_side` of the fit rows, Z = q^T Y_(0),
-    inv = `_ridge_inverse`(lam, gamma), D = sqrt(lam inv), W the
-    eigenvectors of D Z Z^T D (one eigh per gamma) and U_i all eigenvectors
-    of the mode Gram Y_(i) Y_(i)^T (one eigh per mode, and none for a mode
-    no candidate truncates).  B is X_val M, or K_val M for a kernel.
-    R0 at or above the kept rank count_nonzero(inv) and Ri >= di project
-    nothing; a rank tuple of None is the unprojected ridge prediction.  The
-    flat baselines are cases of it: rls/krls are None on flattened outputs
-    and lrr/klrr the ranks (R, D).
+    at every (gamma, ranks) point: `_tucker_path` over one decomposition of
+    the fit rows, each point predicted on X_val (or K_val).
 
     Returns {(gamma, ranks): prediction}, predictions (n_val, d1..dp).
     Ranks must be >= 1.
     """
-    y = np.asarray(y_fit, dtype=np.float64)
-    x_val = np.asarray(x_val, dtype=np.float64)
     x_fit = np.asarray(x_fit, dtype=np.float64)
-    q, lam, m, s = _input_side(x_fit) if kernel is None else _input_side(k=gram(x_fit, kernel))
-    basis = (x_val if kernel is None else kernel_cross(kernel, x_val, x_fit)) @ m * s
-    z = q.T @ matricize(y, 0)
-    dims = y.shape[1:]
-    cut = [any(r is not None and r[i + 1] < d for r in rank_tuples) for i, d in enumerate(dims)]
-    # descending eigenvectors of each mode Gram some candidate truncates
-    out = [None if g is None else np.linalg.eigh((g + g.T) / 2.0)[1][:, ::-1] for g in _mode_grams(y, [False, *cut])[1:]]
-    preds = {}
-    for gamma in gammas:
-        inv = _ridge_inverse(lam, gamma)
-        kept = np.count_nonzero(inv)
-        left = basis * np.sqrt(inv)
-        dz = np.sqrt(lam * inv)[:, None] * z
-        w = None
-        if any(r is not None and r[0] < kept for r in rank_tuples):
-            w = np.linalg.eigh(dz @ dz.T)[1][:, ::-1]
-        for ranks in rank_tuples:
-            r0, *rest = ranks or (kept, *dims)
-            w0 = w[:, :r0] if r0 < kept else None
-            core = dz if w0 is None else w0.T @ dz
-            factors = [u[:, :r] if r < d else None for u, r, d in zip(out, rest, dims)]
-            core = multi_mode_product(
-                dematricize(core, 0, (core.shape[0], *dims)),
-                [None if u is None else u.T for u in factors],
-                range(1, len(dims) + 1),
-            )
-            preds[gamma, ranks] = multi_mode_product(core, [left if w0 is None else left @ w0] + factors)
-    return preds
+    x_val = np.asarray(x_val, dtype=np.float64)
+    if kernel is None:
+        side, rows = _input_side(x_fit), x_val
+    else:
+        side, rows = _input_side(k=gram(x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
+    path = _tucker_path(np.asarray(y_fit, dtype=np.float64), side, gammas, [tuple(r) for r in rank_tuples])
+    return {point: holrr_predict_batch(HolrrModel(tf, ranks, point[0]), rows) for point, tf, ranks, _, _ in path}
 
 
 def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> KernelHolrrModel:

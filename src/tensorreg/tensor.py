@@ -360,15 +360,19 @@ def read_dten(path_or_file) -> np.ndarray:
             f.close()
 
 
-def write_matrix_csv(m, path) -> None:
-    """Order-2 tensors only; one row per line, repr-precision floats."""
+def write_matrix_csv(m, path_or_file) -> None:
+    """Order-2 tensors only; one row per line, repr-precision floats, as
+    ASCII bytes to a path or a binary file."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"CSV export is for matrices, got order {m.ndim}")
-    with open(path, "w", encoding="ascii") as f:
+    f, close = _open_maybe(path_or_file, "wb")
+    try:
         for row in m:
-            f.write(",".join(repr(float(v)) for v in row))
-            f.write("\n")
+            f.write((",".join(repr(float(v)) for v in row) + "\n").encode("ascii"))
+    finally:
+        if close:
+            f.close()
 
 
 def read_matrix_csv(path) -> np.ndarray:

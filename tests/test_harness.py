@@ -258,8 +258,9 @@ def test_lrr_cv_path_matches_fitting_every_grid_point():
             for row in table:
                 expect = ref[(row["gamma"], row["ranks"])]
                 worst[method] = max(worst[method], abs(row["score"] - expect) / expect)
-    assert max(worst["lrr"], worst["klrr"]) <= 1e-11, worst
-    assert max(worst.values()) <= 1e-10, worst
+    # rls/krls run the refit's own arithmetic; the others agree to rounding
+    assert worst["rls"] == worst["krls"] == 0.0, worst
+    assert max(worst.values()) <= 1e-13, worst
 
 
 def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
@@ -279,8 +280,16 @@ def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
     for seed in range(len(_PATH_CASES)):
         x, y, grid, kernel = _path_problem(seed)
         for method in METHODS:
+            calls.clear()
             grid_search_cv(x, y, grid, method, kernel if method.startswith("k") else None)
-    assert calls == []
+            # no fit, and per fold at most one pencil eigenproblem per gamma
+            # and one per output mode some candidate cuts
+            cut = 0
+            if method in ("holrr", "kholrr"):
+                cut = sum(any(rc[i] < d for rc in grid.rank_candidates) for i, d in enumerate(y.shape[1:], start=1))
+            assert set(calls) <= {"linalg.sym_eig_top"}, calls
+            assert len(calls) <= grid.folds * (len(grid.gammas) + cut), (method, seed, len(calls))
+    calls.clear()
 
     # one synth-linear task: CV picks each method's point, then one refit
     # per method (rls, lrr, holrr): rls is holrr_fit at full rank, and lrr's

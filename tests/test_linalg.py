@@ -101,6 +101,24 @@ def test_sym_eig_top_clamp_and_validation():
         sym_eig_top(np.eye(3), 0)
     with pytest.raises(ValueError, match="symmetric"):
         sym_eig_top(np.array([[1.0, 2.0], [0.0, 1.0]]), 1)
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[0, 2] = a[2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sym_eig_top(a, 2)
+
+
+@pytest.mark.parametrize("n", [1, 10, 50, 300])
+def test_sym_eig_top_is_bitwise_scipy_eigh(n):
+    # the direct dsyevr call is what eigh(subset_by_index=...) runs
+    b = np.random.default_rng(n).standard_normal((n, n))
+    a = b + b.T
+    for r in sorted({1, max(1, n // 3), n}):
+        res = sym_eig_top(a, r)
+        w, v = scipy.linalg.eigh(a, subset_by_index=[n - r, n - 1])
+        assert np.array_equal(res.values, w[::-1])
+        flips = np.where(res.vectors[0] * v[0, ::-1] < 0, -1.0, 1.0)
+        assert np.array_equal(res.vectors, v[:, ::-1] * flips)
 
 
 def test_gen_sym_eig_top_identity_metric_is_ordinary():

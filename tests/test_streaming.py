@@ -11,8 +11,8 @@ patched down to a few entries, so every loop runs many times and row
 blocks come out odd-sized.
 
 Memory tests (tracemalloc, which sees numpy's allocations): reading a file
-or a pipe holds one copy of the data, writing one holds none, the fits and
-the mode Grams read Y in place, a batch prediction holds little beyond its
+or a pipe holds one copy of the data, writing one holds none, the fits, the
+CV path and the mode Grams read Y in place, a batch prediction holds little beyond its
 output, and a model is saved from its own memory.
 """
 
@@ -34,6 +34,7 @@ from tensorreg.regress import (
     holrr_predict_batch,
     kernel_cross,
     kholrr_fit,
+    path_predict,
     save_model,
 )
 from tensorreg.tensor import matricize, read_dten, write_dten
@@ -172,6 +173,18 @@ def test_kholrr_fit_reads_y_in_place(layout):
     spec = KernelSpec(kind="rbf", sigma=5.0)
     k = gram(x, spec)
     peak = _peak_bytes(lambda: kholrr_fit(k, y, (5, 3, 3, 3), 1e-3, x, spec))
+    assert peak <= 0.5 * y.nbytes
+
+
+@pytest.mark.parametrize("layout, kernel", [("C", True), ("F", True), ("C", False)])
+def test_path_predict_reads_y_in_place(layout, kernel):
+    # the CV path is the fit at many points: no unfolding of Y is copied, and
+    # beside Y it holds Z = q^T Y_(0) (d0 x D) only for a thin primal q
+    rng = np.random.default_rng(9)
+    x, x_val = rng.standard_normal((200, 30)), rng.standard_normal((20, 30))
+    y = _laid_out(rng.standard_normal((200, 20, 20, 20)), layout)
+    spec = KernelSpec(kind="rbf", sigma=5.0) if kernel else None
+    peak = _peak_bytes(path_predict, x, y, x_val, [1e-3], [(5, 3, 3, 3)], spec)
     assert peak <= 0.5 * y.nbytes
 
 
