@@ -24,6 +24,8 @@ from .regress import KernelSpec
 from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten, write_matrix_csv
 
 SEED_ENV = "TENSORREG_SEED"
+# bytes of Y per row block (`row_blocks`) of the training error
+_BLOCK_BYTES = 1 << 24
 
 
 class CliError(Exception):
@@ -51,12 +53,21 @@ def _write_tensor_atomic(t, path) -> None:
     atomic_write(path, lambda f: write_dten(t, f))
 
 
+def row_blocks(y) -> list:
+    """Slices of consecutive rows (mode-0 indices) of `y`, each at most
+    `_BLOCK_BYTES` of it and at least one row: the blocks in which sums over
+    the rows of a large output tensor are taken."""
+    n = y.shape[0]
+    step = max(1, _BLOCK_BYTES // max(1, y[:1].nbytes))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
 def _training_rmse(model, x, y) -> float:
     """RMSE of the model's predictions for the training rows, summed over
-    `regress.row_blocks` so no N x D prediction is held at once; each
-    block's residual is formed in its prediction's memory."""
+    `row_blocks` so no N x D prediction is held at once; each block's
+    residual is formed in its prediction's memory."""
     sq = 0.0
-    for rows in regress.row_blocks(y):
+    for rows in row_blocks(y):
         r = model.predict(x[rows])
         r -= y[rows]
         r = r.ravel(order="K")
@@ -80,12 +91,9 @@ def _cmd_fit(args) -> int:
     y = read_dten(args.y)
     ranks = _parse_ranks(args.ranks)
     gamma = float(args.gamma)
+    kernel = None if args.kernel is None else KernelSpec.from_string(args.kernel)
     t0 = time.perf_counter()
-    if args.kernel is None:
-        model = regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=ranks, gamma=gamma))
-    else:
-        kernel = KernelSpec.from_string(args.kernel)
-        model = regress.kholrr_fit(regress.gram(x, kernel), y, ranks, gamma, x, kernel)
+    model = harness.fit_method("kholrr" if kernel else "holrr", x, y, gamma, ranks, kernel)
     training_rmse = _training_rmse(model, x, y)
     seconds = time.perf_counter() - t0
     atomic_write(args.out, lambda f: regress.save_model(model, f))

@@ -18,6 +18,7 @@ import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -95,6 +96,8 @@ def _preset(method: str, x, y, ranks) -> tuple:
     (n, d0), dims = np.shape(x), np.shape(y)[1:]
     full = (n if method.startswith("k") else d0, *dims)
     if method in ("holrr", "kholrr"):
+        if len(ranks) != len(dims) + 1:
+            raise ValueError(f"{method} needs {len(dims) + 1} ranks (input mode plus output modes), got {tuple(ranks)}")
         return tuple(ranks)
     r = int(ranks[0]) if ranks else 1
     return (r, *dims) if method in ("lrr", "klrr") and r < math.prod(dims) else full
@@ -192,11 +195,6 @@ def cv_folds(n: int, folds: int, seed: int) -> list:
     return list(np.array_split(perm, folds))
 
 
-def _point_key(point):
-    gamma, ranks = point
-    return (gamma, ranks if ranks is not None else ())
-
-
 def grid_search_cv(x, y, grid: GridSpec, method: str, kernel: KernelSpec = None):
     """k-fold cross validation over the grid; mean validation RMSE per point.
 
@@ -234,7 +232,7 @@ def _select(splits, grid: GridSpec, method: str, kernel=None):
         for point, r in ranks.items():
             errors[point].append(rmse(y_val, preds[point[0], r]))
     table = [{"gamma": g, "ranks": r, "score": float(np.mean(errors[(g, r)]))} for g, r in points]
-    best = min(table, key=lambda row: (row["score"], _point_key((row["gamma"], row["ranks"]))))
+    best = min(table, key=lambda row: (row["score"], row["gamma"], row["ranks"] or ()))
     return best, table
 
 
@@ -522,18 +520,46 @@ def default_config(name: str) -> dict:
     raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
 
 
-def _kernel_kind(entry: dict) -> str:
-    kernel = entry.get("kernel")
-    if kernel is None:
-        return ""
-    if isinstance(kernel, str):
-        return KernelSpec.from_string(kernel).kind
-    kind = kernel.get("kind", "linear")
-    return "polynomial" if kind == "poly" else kind
+def _score_methods(cfg, experiment, train, test, select, seed, ranks, **tags) -> list:
+    """A record per method of `cfg`: (gamma, ranks) from `select(grid, method,
+    kernel)` unless the grid has one point, a timed refit on `train`, the RMSE
+    on `test`.  `ranks` are the default rank candidates; `tags` fill N, k, trial."""
+    (x, y), (x_test, y_test) = train, test
+    records = []
+    for entry in cfg["methods"]:
+        method = entry["method"]
+        kernel = _resolve_kernel(entry.get("kernel"), x)
+        candidates = entry.get("rank_candidates", cfg.get("rank_candidates"))
+        grid = GridSpec(
+            gammas=tuple(entry.get("gammas", cfg["gammas"])),
+            rank_candidates=tuple(tuple(rc) for rc in (ranks if candidates is None else candidates)),
+            folds=int(cfg.get("cv_folds", GridSpec.folds)),
+            seed=seed,
+        )
+        points = _grid_points(method, grid)
+        gamma, point_ranks = points[0]
+        if len(points) > 1:
+            best, _ = select(grid, method, kernel)
+            gamma, point_ranks = best["gamma"], best["ranks"]
+        t0 = time.perf_counter()
+        model = fit_method(method, x, y, gamma, point_ranks, kernel)
+        seconds = time.perf_counter() - t0
+        records.append(
+            {
+                "experiment": experiment,
+                "method": method,
+                "kernel": kernel.kind if kernel else "",
+                **tags,
+                "seed": seed,
+                "rmse": rmse(y_test, predict_method(model, x_test)),
+                "fit_seconds": seconds,
+            }
+        )
+    return records
 
 
 def _run_synth_task(args) -> list:
-    """(config, name, size_index, trial) -> records for every method."""
+    """(config, name, size_index, trial) -> records, selected by k-fold CV."""
     cfg, name, si, trial = args
     n = int(cfg["train_sizes"][si])
     seed = datagen.derive_seed(cfg["seed"], si, trial)
@@ -551,45 +577,15 @@ def _run_synth_task(args) -> list:
         if name == "synth-linear"
         else datagen.gen_nonlinear_synthetic(spec)
     )
-    records = []
-    for entry in cfg["methods"]:
-        method = entry["method"]
-        kernel = _resolve_kernel(entry.get("kernel"), data.x_train)
-        grid = GridSpec(
-            gammas=tuple(entry.get("gammas", cfg["gammas"])),
-            rank_candidates=tuple(tuple(rc) for rc in entry.get("rank_candidates", cfg["rank_candidates"])),
-            folds=int(cfg["cv_folds"]),
-            seed=seed,
-        )
-        points = _grid_points(method, grid)
-        if len(points) > 1:
-            best, _ = grid_search_cv(data.x_train, data.y_train, grid, method, kernel)
-            gamma, ranks = best["gamma"], best["ranks"]
-        else:
-            gamma, ranks = points[0]
-        t0 = time.perf_counter()
-        model = fit_method(method, data.x_train, data.y_train, gamma, ranks, kernel)
-        seconds = time.perf_counter() - t0
-        err = rmse(data.y_test, predict_method(model, data.x_test))
-        records.append(
-            {
-                "experiment": name,
-                "method": method,
-                "kernel": _kernel_kind(entry),
-                "N": n,
-                "k": "",
-                "trial": trial,
-                "seed": seed,
-                "rmse": err,
-                "fit_seconds": seconds,
-            }
-        )
-    return records
+    train, test = (data.x_train, data.y_train), (data.x_test, data.y_test)
+    select = partial(grid_search_cv, *train)
+    return _score_methods(cfg, name, train, test, select, seed, (), N=n, k="", trial=trial)
 
 
 def _run_forecast_task(args) -> list:
-    cfg, ds_payload, hi, si, run = args
-    ds = ForecastDataset(**ds_payload)
+    """(config, ForecastDataset, horizon_index, size_index, run) -> records,
+    selected on one held-out validation split."""
+    cfg, ds, hi, si, run = args
     n_train = int(cfg["train_sizes"][si])
     n_test = int(cfg["test_size"])
     n_val = int(cfg["val_size"])
@@ -607,45 +603,12 @@ def _run_forecast_task(args) -> list:
         x_all, y_all, _ = normalize_forecast(ds, tr)
     else:
         x_all, y_all = ds.x, ds.y
-    records = []
-    for entry in cfg["methods"]:
-        method = entry["method"]
-        kernel = _resolve_kernel(entry.get("kernel"), x_all[tr])
-        candidates = entry.get("rank_candidates", cfg.get("rank_candidates"))
-        if candidates is None:
-            candidates = _default_forecast_ranks(ds.horizon, len(ds.station_names), len(ds.variables))
-        grid = GridSpec(
-            gammas=tuple(entry.get("gammas", cfg["gammas"])),
-            rank_candidates=tuple(tuple(rc) for rc in candidates),
-            seed=seed,
-        )
-        best, _ = _select([(x_all[tr], y_all[tr], x_all[va], y_all[va])], grid, method, kernel)
-        t0 = time.perf_counter()
-        model = fit_method(method, x_all[tr], y_all[tr], best["gamma"], best["ranks"], kernel)
-        seconds = time.perf_counter() - t0
-        err = rmse(y_all[te], predict_method(model, x_all[te]))
-        records.append(
-            {
-                "experiment": "forecast",
-                "method": method,
-                "kernel": _kernel_kind(entry),
-                "N": n_train,
-                "k": ds.horizon,
-                "trial": run,
-                "seed": seed,
-                "rmse": err,
-                "fit_seconds": seconds,
-            }
-        )
-    return records
-
-
-def _default_forecast_ranks(horizon: int, n_stations: int, n_vars: int) -> list:
-    r1 = min(2, horizon)
-    return [
-        [10, r1, min(8, n_stations), min(4, n_vars)],
-        [20, r1, min(8, n_stations), min(4, n_vars)],
-    ]
+    train, test = (x_all[tr], y_all[tr]), (x_all[te], y_all[te])
+    select = partial(_select, [(*train, x_all[va], y_all[va])])
+    # the rank candidates where neither the method entry nor the config names any
+    modes = (min(2, ds.horizon), min(8, len(ds.station_names)), min(4, len(ds.variables)))
+    ranks = [[10, *modes], [20, *modes]]
+    return _score_methods(cfg, "forecast", train, test, select, seed, ranks, N=n_train, k=ds.horizon, trial=run)
 
 
 def _load_image(cfg) -> np.ndarray:
@@ -653,10 +616,6 @@ def _load_image(cfg) -> np.ndarray:
     if isinstance(image, str) and not image.lower().endswith(".ppm"):
         return datagen.synthetic_image(image, cfg.get("height", 50), cfg.get("width", 50))
     return datagen.read_ppm(image)
-
-
-def _safe_rank_tag(ranks) -> str:
-    return "-".join(str(r) for r in ranks)
 
 
 def _run_image(cfg, out_dir) -> list:
@@ -676,6 +635,7 @@ def _run_image(cfg, out_dir) -> list:
             image, task, n=int(cfg["n_train"]), noise_std=float(cfg["noise_std"]), seed=seed
         )
         for method, ranks in [("rls", None)] + lrr + holrr:
+            variant = "-".join(str(r) for r in ranks) if ranks else "full"
             t0 = time.perf_counter()
             w_hat = fit_method(method, x, y, gamma, ranks).coefficients()
             seconds = time.perf_counter() - t0
@@ -691,11 +651,11 @@ def _run_image(cfg, out_dir) -> list:
                     "seed": seed,
                     "rmse": err,
                     "fit_seconds": seconds,
-                    "_variant": _safe_rank_tag(ranks) if ranks else "full",
+                    "_variant": variant,
                 }
             )
             if out_dir is not None and trial == 0:
-                tag = f"{method}" if ranks is None else f"{method}_{_safe_rank_tag(ranks)}"
+                tag = method if ranks is None else f"{method}_{variant}"
                 recon = datagen.coefficients_to_image(w_hat, task)
                 datagen.write_ppm(recon, os.path.join(out_dir, f"recon_{task}_{tag}.ppm"))
     return records
@@ -737,17 +697,8 @@ def run_experiment(name: str, config: dict = None, out_dir=None, jobs: int = 1, 
         chunks = []
         for hi, horizon in enumerate(cfg["horizons"]):
             ds = build_forecast_dataset(data, window=int(cfg["window"]), horizon=int(horizon))
-            payload = {
-                "x": ds.x,
-                "y": ds.y,
-                "target_months": ds.target_months,
-                "station_names": ds.station_names,
-                "variables": ds.variables,
-                "window": ds.window,
-                "horizon": ds.horizon,
-            }
             tasks = [
-                (cfg, payload, hi, si, run)
+                (cfg, ds, hi, si, run)
                 for si in range(len(cfg["train_sizes"]))
                 for run in range(int(cfg["runs"]))
             ]
@@ -805,19 +756,13 @@ def _aggregate(records) -> list:
 _CSV_COLUMNS = ("experiment", "method", "kernel", "N", "k", "trial", "seed", "rmse", "fit_seconds")
 
 
-def _csv_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_report(report: ExperimentReport, out_dir) -> None:
     """report.csv (fixed columns), report.json (config + aggregates), and one
     plot CSV per (experiment, horizon) with mean RMSE per method against N."""
     os.makedirs(out_dir, exist_ok=True)
     lines = [",".join(_CSV_COLUMNS)]
     for r in report.records:
-        lines.append(",".join(_csv_cell(r[c]) for c in _CSV_COLUMNS))
+        lines.append(",".join(str(r[c]) for c in _CSV_COLUMNS))
     atomic_write_bytes(os.path.join(out_dir, "report.csv"), ("\n".join(lines) + "\n").encode("ascii"))
 
     payload = {
@@ -830,28 +775,18 @@ def write_report(report: ExperimentReport, out_dir) -> None:
         (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii"),
     )
 
-    sizes = sorted({r["N"] for r in report.records})
-    horizons = sorted({r["k"] for r in report.records}, key=lambda v: (v == "", v))
-    if len(sizes) > 1:
-        for k in horizons:
-            rows = [r for r in report.records if r["k"] == k]
-            methods = []
-            for r in rows:
-                label = r["method"] if not r["kernel"] else f"{r['method']}:{r['kernel']}"
-                if label not in methods:
-                    methods.append(label)
-            out = ["N," + ",".join(methods)]
-            for n in sorted({r["N"] for r in rows}):
-                cells = [str(n)]
-                for label in methods:
-                    sel = [
-                        r["rmse"]
-                        for r in rows
-                        if r["N"] == n
-                        and (r["method"] if not r["kernel"] else f"{r['method']}:{r['kernel']}") == label
-                    ]
-                    cells.append(repr(float(np.mean(sel))) if sel else "")
-                out.append(",".join(cells))
+    if len({a["N"] for a in report.aggregates}) > 1:
+        # per horizon, {(method, kernel): {N: mean RMSE}} in record order
+        tables = {}
+        for r in report.records:
+            tables.setdefault(r["k"], {}).setdefault((r["method"], r["kernel"]), {})
+        for a in report.aggregates:
+            tables[a["k"]][a["method"], a["kernel"]][a["N"]] = a["mean_rmse"]
+        for k in sorted(tables, key=lambda v: (v == "", v)):
+            means = tables[k]
+            out = ["N," + ",".join(f"{m}:{kind}" if kind else m for m, kind in means)]
+            for n in sorted({n for by_n in means.values() for n in by_n}):
+                out.append(",".join([str(n)] + [repr(by_n[n]) if n in by_n else "" for by_n in means.values()]))
             suffix = f"_k{k}" if k != "" else ""
             atomic_write_bytes(
                 os.path.join(out_dir, f"plot_rmse_vs_n{suffix}.csv"),
@@ -860,6 +795,8 @@ def write_report(report: ExperimentReport, out_dir) -> None:
 
 
 def _jsonable(obj):
+    if isinstance(obj, KernelSpec):
+        return obj.to_dict()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -83,7 +83,6 @@ __all__ = [
     "krls_fit",
     "klrr_fit",
     "path_predict",
-    "row_blocks",
     "kholrr_fit",
     "kholrr_predict",
     "kholrr_predict_batch",
@@ -96,8 +95,6 @@ MODEL_VERSION = 3
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
-# bytes of Y per row block (`row_blocks`) of the CLI's training error
-_BLOCK_BYTES = 1 << 24
 # bytes of the batch of slab Grams a middle mode's Gram is summed from (`_axis_gram`)
 _BATCH_BYTES = 1 << 18
 
@@ -296,15 +293,6 @@ class KernelHolrrModel:
     def predict(self, x) -> np.ndarray:
         """Stacked predictions for a matrix of input rows."""
         return kholrr_predict_batch(self, x)
-
-
-def row_blocks(y) -> list:
-    """Slices of consecutive rows (mode-0 indices) of `y`, each at most
-    `_BLOCK_BYTES` of it and at least one row: the blocks in which sums over
-    the rows of a large output tensor are taken."""
-    n = y.shape[0]
-    step = max(1, _BLOCK_BYTES // max(1, y[:1].nbytes))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def _contiguous(y: np.ndarray) -> np.ndarray:

@@ -239,6 +239,18 @@ def test_exit_code_2_bad_rank_candidates(tmp_path, capsys):
         assert err.startswith("tensorreg: ") and "rank candidates" in err, candidates
 
 
+def test_exit_code_2_rank_candidate_arity(tmp_path, capsys):
+    # synth-linear's data has order 4: a shorter candidate must not reach the CV
+    # path's per-mode indexing, and a longer one must not be cut there
+    for candidate in ([6, 4, 4], [6, 4, 4, 8, 2]):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rank_candidates": [candidate], "trials": 1, "train_sizes": [20]}))
+        code = main(["experiment", "synth-linear", "--quick", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2, candidate
+        assert err == f"tensorreg: holrr needs 4 ranks (input mode plus output modes), got {tuple(candidate)}\n", err
+
+
 def test_exit_code_2_image_rank_zero(tmp_path, capsys):
     base = {"image": "fields", "height": 8, "width": 8, "n_train": 20, "trials": 1}
     for key, value in (("lrr_ranks", [0]), ("holrr_ranks", [[3, 0, 4]])):
@@ -274,7 +286,7 @@ def test_exit_code_2_non_canonical_dten_header(tmp_path, capsys):
 def test_fit_training_rmse_is_the_rmse_of_the_training_predictions(tmp_path, capsys, monkeypatch):
     data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=5)
     # blocks of 3 training rows: the sum runs over 7 blocks, the last one short
-    monkeypatch.setattr(regress, "_BLOCK_BYTES", 3 * 8 * 6)
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 8 * 6)
     for kernel in ([], ["--kernel", "rbf:2.0"]):
         model_path = tmp_path / "model.bin"
         code, events, _ = run_cli(

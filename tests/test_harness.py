@@ -9,7 +9,7 @@ import pytest
 
 import helpers
 from tensorreg import linalg, regress
-from tensorreg.datagen import SynthSpec, gen_linear_synthetic
+from tensorreg.datagen import SynthSpec, gen_linear_synthetic, substream
 from tensorreg.harness import (
     DEFAULT_STATIONS,
     METHODS,
@@ -719,6 +719,71 @@ def test_run_forecast_experiment(tmp_path):
         assert np.isfinite(r["rmse"])
         assert r["rmse"] < 2.0  # z-scored outputs
     assert (out / "report.csv").exists()
+
+
+def test_forecast_parallel_jobs_match_serial(tmp_path):
+    # each task carries its ForecastDataset to the worker process
+    met = tmp_path / "met"
+    cfg = {"met_dir": str(met), "stations": helpers.write_station_dir(met, n_months=240)}
+    rep1 = run_experiment("forecast", cfg, jobs=1, timing="none", quick=True)
+    rep2 = run_experiment("forecast", cfg, jobs=2, timing="none", quick=True)
+    assert len(rep1.records) == 3 * 2 * 3 * 6  # horizons x sizes x runs x methods
+    assert rep1.records == rep2.records
+
+
+def test_forecast_one_point_grid_fits_without_search(tmp_path, monkeypatch):
+    met = tmp_path / "met"
+    stations = helpers.write_station_dir(met, n_months=80)
+    rbf = {"kind": "rbf", "sigma": "median"}
+    cfg = {
+        "seed": 4,
+        "met_dir": str(met),
+        "stations": stations,
+        "horizons": [1, 2],
+        "train_sizes": [30],
+        "test_size": 20,
+        "val_size": 10,
+        "runs": 2,
+        "methods": [{"method": m} for m in ("rls", "lrr", "holrr")] + [{"method": "kholrr", "kernel": rbf}],
+        "gammas": [1e-2],
+        "rank_candidates": [[6, 1, 4, 3]],
+    }
+    calls, path_predict = [], regress.path_predict
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return path_predict(*args, **kw)
+
+    monkeypatch.setattr(regress, "path_predict", spy)
+    report = run_experiment("forecast", cfg, timing="none")
+    assert calls == []
+    # each record is the fit at the one point on its task's rows
+    data = load_metoffice(met, stations)
+    assert len(report.records) == 2 * 2 * 4
+    for r in report.records:
+        ds = build_forecast_dataset(data, window=2, horizon=r["k"])
+        tr, te = np.split(substream(r["seed"], "trial").permutation(len(ds.x))[:50], [30])
+        x, y, _ = normalize_forecast(ds, tr)
+        kernel = _resolve_kernel(rbf, x[tr]) if r["kernel"] else None
+        model = fit_method(r["method"], x[tr], y[tr], 1e-2, (6, 1, 4, 3), kernel)
+        assert r["rmse"] == rmse(y[te], model.predict(x[te])), r
+
+
+def test_kernel_spec_entries_report_like_their_dict_form(tmp_path):
+    poly = KernelSpec(kind="polynomial", degree=2, offset=0.0)
+    reports = []
+    for kernel in (poly, poly.to_dict()):
+        cfg = tiny_synth_config(
+            trials=1,
+            methods=[{"method": "rls"}, {"method": "krls", "kernel": kernel}, {"method": "kholrr", "kernel": kernel}],
+        )
+        out = tmp_path / type(kernel).__name__
+        reports.append((run_experiment("synth-linear", cfg, out_dir=out, timing="none"), out))
+    (spec_rep, spec_out), (dict_rep, dict_out) = reports
+    assert spec_rep.records == dict_rep.records
+    assert [r["kernel"] for r in spec_rep.records[:3]] == ["", "polynomial", "polynomial"]
+    for fname in ("report.csv", "report.json", "plot_rmse_vs_n.csv"):
+        assert (spec_out / fname).read_bytes() == (dict_out / fname).read_bytes(), fname
 
 
 def test_unknown_experiment():

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tensorreg import regress, tensor
+from tensorreg import cli, regress, tensor
 from tensorreg.regress import (
     KernelSpec,
     RegressionProblem,
@@ -96,10 +96,10 @@ def test_blocked_mode_grams_match_the_unfoldings(seed, shape, layout, rows_per_b
     row_bytes = 8 * y[:1].size
     with pytest.MonkeyPatch.context() as mp:
         # rows_per_block rows and a few bytes: blocks of 1-3 rows, the last one short
-        mp.setattr(regress, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes // 2)
+        mp.setattr(cli, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes // 2)
         # a middle mode's slab Grams in batches of one to a few
         mp.setattr(regress, "_BATCH_BYTES", 32 * rows_per_block)
-        blocks = regress.row_blocks(y)
+        blocks = cli.row_blocks(y)
         grams = regress._mode_grams(y, [True] * y.ndim)
     assert [r.start for r in blocks] == list(range(0, y.shape[0], rows_per_block))
     assert blocks[-1].stop == y.shape[0]
