@@ -525,10 +525,11 @@ def _score_methods(cfg, experiment, train, test, select, seed, ranks, **tags) ->
     kernel)` unless the grid has one point, a timed refit on `train`, the RMSE
     on `test`.  `ranks` are the default rank candidates; `tags` fill N, k, trial."""
     (x, y), (x_test, y_test) = train, test
-    records = []
+    records, kernels = [], {}  # each distinct kernel config resolved once (a median sigma is O(N^2))
     for entry in cfg["methods"]:
         method = entry["method"]
-        kernel = _resolve_kernel(entry.get("kernel"), x)
+        key = repr(entry.get("kernel"))
+        kernel = kernels[key] = kernels.get(key) or _resolve_kernel(entry.get("kernel"), x)
         candidates = entry.get("rank_candidates", cfg.get("rank_candidates"))
         grid = GridSpec(
             gammas=tuple(entry.get("gammas", cfg["gammas"])),

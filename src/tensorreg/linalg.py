@@ -42,10 +42,10 @@ def _check_symmetric(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be square, got {a.shape}")
-    top = float(np.max(np.abs(a))) if a.size else 0.0
+    top = max(float(a.max()), -float(a.min())) if a.size else 0.0  # max |a_ij|
     if not np.isfinite(top):  # a NaN or inf entry
         raise ValueError(f"{name} must be finite")
-    if float(np.max(np.abs(a - a.T))) > _SYM_TOL * max(1.0, top):
+    if float(np.max(abs(a - a.T))) > _SYM_TOL * max(1.0, top):  # abs() of a temporary reuses it
         raise ValueError(f"{name} is not symmetric")
     return a
 
@@ -105,9 +105,10 @@ def sym_eig_top(a, r: int) -> SymEigResult:
         clamped = True
     n = a.shape[0]
     work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
-    # the top r pairs only, ascending
+    # the top r pairs only, ascending; sym.T is sym, and column-major, so not copied
+    sym = (a + a.T) / 2.0
     w, v, found, _, info = lapack.dsyevr(
-        (a + a.T) / 2.0, range="I", lower=1, il=n - r + 1, iu=n, lwork=int(work), liwork=int(iwork)
+        sym.T, range="I", lower=1, il=n - r + 1, iu=n, lwork=int(work), liwork=int(iwork), overwrite_a=1
     )
     if info != 0 or found != r:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info} ({found} of {r} pairs)")

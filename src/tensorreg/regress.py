@@ -15,11 +15,12 @@ The fit costs one small eigenproblem per mode and carries a (p+1)-factor
 approximation guarantee relative to the exact rank-constrained minimizer.
 
 The kernel variant replaces X by the Gram matrix and learns a dual coefficient
-tensor C (N x d1 x ... x dp) with f(x) = C contracted with the kernel vector
-of x against the training inputs.  C is never materialized: the kernel model
-keeps it in the same Tucker form as the primal one, C = G x_0 A x_1 U_1 ...
-x_p U_p with the dual basis A (N x R0) as factor 0, and predicts through
-`holrr_predict`/`holrr_predict_batch` applied to kernel vectors.
+tensor C (N x d1 x ... x dp), never materialized: the kernel model keeps it in
+the same Tucker form as the primal one, C = G x_0 A x_1 U_1 ... x_p U_p with
+the dual basis A (N x R0) as factor 0.  A prediction is the contraction
+G x_0 (A^T k) x_1 U_1 ... x_p U_p of the kernel vector k of x against the
+training rows, whose norms and finite check the model computes once: a row
+costs N kernel terms and one `multi_mode_product`.
 
 Every fit takes its input side from one decomposition of the fit rows' Gram,
 X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
@@ -60,7 +61,6 @@ from .tensor import (
     _sign_flips,
     matricize,
     mode_product,
-    mode_vector_product,
     multi_mode_product,
     read_dten,
     tucker_reconstruct,
@@ -95,7 +95,7 @@ MODEL_VERSION = 3
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
-# bytes of the batch of slab Grams a middle mode's Gram is summed from (`_axis_gram`)
+# bytes of a batch of slab Grams (`_axis_gram`) and of a block `_all_finite` checks
 _BATCH_BYTES = 1 << 18
 
 @dataclass
@@ -157,13 +157,14 @@ class KernelSpec:
         }
 
 
-def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
-    """Matrix of k(xa_i, xb_j), shape (len(xa), len(xb))."""
+def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
+    """`kernel_cross`, with `na`/`nb` the squared row norms of xa/xb where a
+    caller keeps them: rows that come with their norms are known finite."""
     xa = np.asarray(xa, dtype=np.float64)
     xb = np.asarray(xb, dtype=np.float64)
     if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
         raise ValueError(f"incompatible input shapes {xa.shape} and {xb.shape}")
-    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+    if not ((na is not None or np.isfinite(xa).all()) and (nb is not None or np.isfinite(xb).all())):
         raise ValueError("kernel inputs must be finite")
     dots = xa @ xb.T
     if kernel.kind == "linear":
@@ -171,12 +172,17 @@ def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
     if kernel.kind == "polynomial":
         return (dots + kernel.offset) ** kernel.degree
     sq = (
-        np.sum(xa * xa, axis=1)[:, None]
-        + np.sum(xb * xb, axis=1)[None, :]
+        (np.sum(xa * xa, axis=1) if na is None else na)[:, None]
+        + (np.sum(xb * xb, axis=1) if nb is None else nb)[None, :]
         - 2.0 * dots
     )
     np.clip(sq, 0.0, None, out=sq)
     return np.exp(-sq / (2.0 * kernel.sigma**2))
+
+
+def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
+    """Matrix of k(xa_i, xb_j), shape (len(xa), len(xb))."""
+    return _cross(kernel, xa, xb)
 
 
 def gram(x, kernel: KernelSpec) -> np.ndarray:
@@ -249,8 +255,14 @@ class RegressionProblem:
             )
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be >= 1")
-        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+        if not (_all_finite(self.x) and _all_finite(self.y)):
             raise ValueError("training data must be finite")
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all(), checked `_BATCH_BYTES` / 8 entries at a time."""
+    blocks = np.nditer(a, flags=["external_loop", "buffered", "zerosize_ok"], buffersize=_BATCH_BYTES // 8)
+    return all(np.isfinite(block).all() for block in blocks)
 
 
 @dataclass
@@ -284,6 +296,7 @@ class KernelHolrrModel:
     gamma: float
     dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     warnings: tuple = ()
+    _train_terms: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @property
     def dual_vectors(self) -> np.ndarray:
@@ -465,11 +478,10 @@ def holrr_predict(model: HolrrModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("holrr_predict expects a single input vector")
-    u0 = model.factors.factors[0]
+    u0, *rest = model.factors.factors
     if x.shape[0] != model.factors.shape[0]:
         raise ValueError(f"input has length {x.shape[0]}, model expects {model.factors.shape[0]}")
-    t = mode_vector_product(model.factors.core, x if u0 is None else u0.T @ x, 0)
-    return multi_mode_product(t, model.factors.factors[1:])
+    return multi_mode_product(model.factors.core, [(x if u0 is None else u0.T @ x)[None, :], *rest])[0]
 
 
 def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
@@ -596,14 +608,28 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     return KernelHolrrModel(tf, train_inputs, kernel, ranks, prob.gamma, values, warnings=tuple(noted))
 
 
+def _train_norms(model: KernelHolrrModel) -> np.ndarray:
+    """Squared row norms of the model's training rows, which are checked
+    finite: computed once per `train_inputs` object (reassigning recomputes)."""
+    if model._train_terms[0] is not model.train_inputs:
+        x = np.asarray(model.train_inputs, dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise ValueError("kernel inputs must be finite")
+        model._train_terms = (model.train_inputs, np.sum(x * x, axis=-1))
+    return model._train_terms[1]
+
+
 def kholrr_predict(model: KernelHolrrModel, x) -> np.ndarray:
-    """Predict the output tensor for a single input vector."""
-    return holrr_predict(model, kernel_vec(model.kernel, model.train_inputs, x))
+    """Predict the output tensor for a single input vector (`kernel_vec`, then `holrr_predict`)."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("kernel_vec expects a single input vector")
+    return holrr_predict(model, _cross(model.kernel, model.train_inputs, x[None, :], _train_norms(model))[:, 0])
 
 
 def kholrr_predict_batch(model: KernelHolrrModel, x) -> np.ndarray:
     """Stacked predictions for a matrix of input rows."""
-    return holrr_predict_batch(model, kernel_cross(model.kernel, x, model.train_inputs))
+    return holrr_predict_batch(model, _cross(model.kernel, x, model.train_inputs, nb=_train_norms(model)))
 
 
 # ---------------------------------------------------------------------------

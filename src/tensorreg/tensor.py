@@ -93,17 +93,7 @@ def vectorize(t) -> np.ndarray:
 
 def mode_product(t, m, mode: int) -> np.ndarray:
     """Mode-`mode` product with a matrix: result_(mode) = m @ t_(mode)."""
-    t = _as_tensor(t)
-    m = np.asarray(m, dtype=np.float64)
-    _check_mode(t, mode)
-    if m.ndim != 2:
-        raise ValueError("mode_product expects a matrix")
-    if m.shape[1] != t.shape[mode]:
-        raise ValueError(
-            f"matrix has {m.shape[1]} columns, tensor mode {mode} has size {t.shape[mode]}"
-        )
-    out_shape = t.shape[:mode] + (m.shape[0],) + t.shape[mode + 1 :]
-    return dematricize(m @ matricize(t, mode), mode, out_shape)
+    return multi_mode_product(t, [m], [mode])
 
 
 def mode_vector_product(t, v, mode: int) -> np.ndarray:
@@ -113,28 +103,33 @@ def mode_vector_product(t, v, mode: int) -> np.ndarray:
     _check_mode(t, mode)
     if v.ndim != 1 or v.shape[0] != t.shape[mode]:
         raise ValueError(f"vector of length {v.shape} does not match mode {mode} of {t.shape}")
-    out = mode_product(t, v[None, :], mode)
-    out = np.squeeze(out, axis=mode)
-    if out.ndim == 0:
-        out = out.reshape(1)[0]
-        return float(out)
-    return out
+    out = np.squeeze(multi_mode_product(t, [v[None, :]], [mode]), axis=mode)
+    return float(out) if out.ndim == 0 else out
 
 
 def multi_mode_product(t, mats, modes=None) -> np.ndarray:
-    """Apply mode products for several modes in one call.
+    """Apply mode products for several modes in one call, in turn.
 
-    `mats` may contain None to skip a mode.  `modes` defaults to 0..len(mats)-1.
+    `mats` may contain None to skip a mode.  `modes` defaults to
+    0..len(mats)-1.  Each product is one GEMM, m @ t_(mode), on the
+    matricization `matricize` makes (a copy unless it is already a view), and
+    its result folds back as a view, so it rounds bitwise as
+    dematricize(m @ matricize(t, mode), mode, shape): BLAS rounds a column by
+    its place in the matrix, so no other column order would.
     """
     t = _as_tensor(t)
-    if modes is None:
-        modes = range(len(mats))
-    out = t
-    for m, mode in zip(mats, modes):
+    for m, mode in zip(mats, range(len(mats)) if modes is None else modes):
         if m is None:
             continue
-        out = mode_product(out, m, mode)
-    return out
+        m = np.asarray(m, dtype=np.float64)
+        _check_mode(t, mode)
+        if m.ndim != 2 or m.shape[1] != t.shape[mode]:
+            raise ValueError(f"mode {mode} of size {t.shape[mode]} needs a matrix with that many columns, got shape {m.shape}")
+        front = [mode, *range(mode), *range(mode + 1, t.ndim)]  # moveaxis(mode, 0)
+        out = m @ t.transpose(front).reshape(t.shape[mode], -1, order="F")
+        back = [*range(1, mode + 1), 0, *range(mode + 1, t.ndim)]  # moveaxis(0, mode)
+        t = out.reshape([out.shape[0], *(t.shape[i] for i in front[1:])], order="F").transpose(back)
+    return t
 
 
 def inner(s, t) -> float:

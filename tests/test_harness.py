@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from tensorreg import linalg, regress
+from tensorreg import harness, linalg, regress
 from tensorreg.datagen import SynthSpec, gen_linear_synthetic, substream
 from tensorreg.harness import (
     DEFAULT_STATIONS,
@@ -729,6 +729,23 @@ def test_forecast_parallel_jobs_match_serial(tmp_path):
     rep2 = run_experiment("forecast", cfg, jobs=2, timing="none", quick=True)
     assert len(rep1.records) == 3 * 2 * 3 * 6  # horizons x sizes x runs x methods
     assert rep1.records == rep2.records
+
+
+def test_forecast_resolves_each_kernel_config_once_per_task(tmp_path, monkeypatch):
+    # the median sigma is O(N^2): krls, klrr and kholrr share one rbf config
+    met = tmp_path / "met"
+    cfg = {"met_dir": str(met), "stations": helpers.write_station_dir(met, n_months=240)}
+    medians, resolve = [], harness._resolve_kernel
+
+    def spy(spec, x):
+        if isinstance(spec, dict) and spec.get("sigma") == "median":
+            medians.append(len(x))
+        return resolve(spec, x)
+
+    monkeypatch.setattr(harness, "_resolve_kernel", spy)
+    report = run_experiment("forecast", cfg, timing="none", quick=True)
+    assert len(medians) == 3 * 2 * 3  # horizons x sizes x runs: one per task
+    assert len(report.records) == len(medians) * 6
 
 
 def test_forecast_one_point_grid_fits_without_search(tmp_path, monkeypatch):

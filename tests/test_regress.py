@@ -19,6 +19,7 @@ from tensorreg.datagen import (
 from tensorreg.linalg import gen_sym_eig_top
 from tensorreg.regress import (
     HolrrModel,
+    KernelHolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,
@@ -447,6 +448,76 @@ def test_kernel_cross_validation():
     bad[0, 0] = np.inf
     with pytest.raises(ValueError, match="finite"):
         kernel_cross(spec, bad, np.zeros((2, 3)))
+
+
+# --- a kernel model computes its training-row terms once ---------------------
+
+KERNELS = (
+    KernelSpec(kind="linear"),
+    KernelSpec(kind="polynomial", degree=2, offset=0.5),
+    KernelSpec(kind="rbf", sigma=2.0),
+)
+
+
+def _kernel_model(spec, seed=31):
+    prob, data = small_problem(seed)
+    model = kholrr_fit(gram(prob.x, spec), prob.y, prob.ranks, prob.gamma, prob.x, spec)
+    return model, data.x_test
+
+
+@pytest.mark.parametrize("spec", KERNELS, ids=lambda s: s.kind)
+def test_kholrr_rows_are_the_uncached_kernel_vector_and_the_batch_rows(spec):
+    model, x = _kernel_model(spec)
+    batch = kholrr_predict_batch(model, x)
+    assert np.array_equal(batch, holrr_predict_batch(model, kernel_cross(spec, x, model.train_inputs)))
+    for i in range(len(x)):
+        row = kholrr_predict(model, x[i])
+        assert np.array_equal(row, holrr_predict(model, kernel_vec(spec, model.train_inputs, x[i])))
+        assert np.max(np.abs(row - batch[i])) <= 1e-12
+
+
+def test_kholrr_predict_computes_the_training_row_norms_once(monkeypatch):
+    model, x = _kernel_model(KernelSpec(kind="rbf", sigma=2.0))
+    rows, np_sum = [], np.sum
+
+    def spy(a, *args, **kw):
+        rows.append(np.shape(a)[0])
+        return np_sum(a, *args, **kw)
+
+    monkeypatch.setattr(np, "sum", spy)
+    for i in range(100):
+        kholrr_predict(model, x[i % len(x)])
+    kholrr_predict_batch(model, x)
+    # the training rows' norms once; each query's own norms on every call
+    assert rows.count(len(model.train_inputs)) == 1
+    assert rows.count(1) == 100 and rows.count(len(x)) == 1
+
+
+def test_reassigned_train_inputs_predict_as_a_freshly_built_model():
+    model, x = _kernel_model(KernelSpec(kind="rbf", sigma=2.0))
+    before = kholrr_predict(model, x[1])
+    moved = model.train_inputs + 0.25
+    model.train_inputs = moved
+    fresh = KernelHolrrModel(model.factors, moved, model.kernel, model.ranks, model.gamma, model.dual_values)
+    assert np.array_equal(kholrr_predict(model, x[1]), kholrr_predict(fresh, x[1]))
+    assert not np.array_equal(kholrr_predict(model, x[1]), before)
+    assert np.array_equal(kholrr_predict_batch(model, x), kholrr_predict_batch(fresh, x))
+
+
+def test_kernel_model_inputs_are_checked_finite():
+    model, x = _kernel_model(KernelSpec(kind="rbf", sigma=2.0))
+    bad = model.train_inputs.copy()
+    bad[3, 1] = np.nan
+    hand = KernelHolrrModel(model.factors, bad, model.kernel, model.ranks, model.gamma)
+    query = x[0].copy()
+    query[2] = np.inf
+    kholrr_predict(model, x[0])  # the query keeps its check once the training rows are cached
+    for predict, m, q in ((kholrr_predict, hand, x[0]), (kholrr_predict_batch, hand, x),
+                          (kholrr_predict, model, query), (kholrr_predict_batch, model, query[None, :])):
+        with pytest.raises(ValueError, match="kernel inputs must be finite"):
+            predict(m, q)
+    with pytest.raises(ValueError, match="single input"):
+        kholrr_predict(model, x[:2])
 
 
 def test_kernel_spec_parsing():

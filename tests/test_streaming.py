@@ -13,7 +13,9 @@ blocks come out odd-sized.
 Memory tests (tracemalloc, which sees numpy's allocations): reading a file
 or a pipe holds one copy of the data, writing one holds none, the fits, the
 CV path and the mode Grams read Y in place, a batch prediction holds little beyond its
-output, and a model is saved from its own memory.
+output, and a model is saved from its own memory.  The training data's finite
+check makes no array of Y's size, and a kernel fit holds four N x N arrays
+at its peak.
 """
 
 import io
@@ -162,6 +164,32 @@ def test_holrr_fit_reads_y_in_place(y_file):
     x = np.random.default_rng(4).standard_normal((N, 10))
     peak = _peak_bytes(lambda: holrr_fit(RegressionProblem(x=x, y=y, ranks=(3, 3, 3, 3), gamma=1e-3)))
     assert peak <= 0.5 * y.nbytes
+
+
+def test_finite_check_of_training_data_is_blockwise(y_file):
+    y, _ = y_file
+    x = np.ones((N, 3))
+    assert _peak_bytes(RegressionProblem, x, y, (1, 1, 1, 1)) <= 0.05 * y.nbytes
+    # a strided view is checked in bounded blocks too, and a NaN in its last entry is seen
+    rows = y[: N // 2]
+    assert not rows.flags.f_contiguous and not rows.flags.c_contiguous
+    assert _peak_bytes(RegressionProblem, x[: N // 2], rows, (1, 1, 1, 1)) <= 0.05 * y.nbytes
+    bad = y.copy(order="F")[: N // 2]
+    bad[-1, -1, -1, -1] = np.nan
+    with pytest.raises(ValueError, match="training data must be finite"):
+        RegressionProblem(x[: N // 2], bad, (1, 1, 1, 1))
+
+
+def test_kholrr_fit_holds_four_gram_sized_arrays():
+    # Q of eigh(K), the pencil Q^T G_0 Q, its scaled copy D P D and one
+    # temporary inside sym_eig_top: the symmetry check and the symmetrized
+    # copy each take one N x N buffer, and dsyevr works in the latter
+    n = 300
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((n, 6)), rng.standard_normal((n, 4, 3, 2))
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    k = gram(x, spec)
+    assert _peak_bytes(kholrr_fit, k, y, (5, 2, 2, 2), 1e-3, x, spec) <= 4.5 * k.nbytes
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])

@@ -351,6 +351,23 @@ def test_matrix_csv_errors(tmp_path):
         read_matrix_csv(p)
 
 
+@pytest.mark.parametrize(
+    "shape, rows",
+    [((45, 31, 12), (None, 50, None)), ((24, 36, 44), (41, 38, 35)), ((13, 22, 50), (22, 56, 18))],
+)
+def test_multi_mode_product_is_bitwise_the_matricized_definition(shape, rows):
+    # at these sizes BLAS rounds a column of a GEMM by its place in the
+    # matrix, so only the matricization's own column order passes
+    rng = np.random.default_rng(sum(shape))
+    t = rng.standard_normal(shape)
+    mats = [None if r is None else rng.standard_normal((r, d)) for r, d in zip(rows, shape)]
+    want = t
+    for i, m in enumerate(mats):
+        if m is not None:
+            want = dematricize(m @ matricize(want, i), i, want.shape[:i] + (m.shape[0],) + want.shape[i + 1 :])
+    assert np.array_equal(multi_mode_product(t, mats), want)
+
+
 def test_multi_mode_product_skips_none():
     rng = np.random.default_rng(13)
     t = rng.standard_normal((3, 4, 2))
