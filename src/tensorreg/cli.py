@@ -24,7 +24,7 @@ from .regress import KernelSpec
 from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten, write_matrix_csv
 
 SEED_ENV = "TENSORREG_SEED"
-# bytes of Y per row block (`row_blocks`) of the training error
+# bytes of Y per row block (`row_blocks`) of a kernel model's training error
 _BLOCK_BYTES = 1 << 24
 
 
@@ -55,24 +55,28 @@ def _write_tensor_atomic(t, path) -> None:
 
 def row_blocks(y) -> list:
     """Slices of consecutive rows (mode-0 indices) of `y`, each at most
-    `_BLOCK_BYTES` of it and at least one row: the blocks in which sums over
-    the rows of a large output tensor are taken."""
+    `_BLOCK_BYTES` of it and at least one row: the blocks in which a kernel
+    model's training error forms its kernel rows."""
     n = y.shape[0]
     step = max(1, _BLOCK_BYTES // max(1, y[:1].nbytes))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 def _training_rmse(model, x, y) -> float:
-    """RMSE of the model's predictions for the training rows, summed over
-    `row_blocks` so no N x D prediction is held at once; each block's
-    residual is formed in its prediction's memory."""
+    """RMSE of the model's predictions for the training rows, summed over the
+    column blocks of `regress.predict_blocks` so no N x D prediction is
+    formed: each block's residual is taken in the block's memory, against
+    the same columns of Y_(0) (contiguous in a column-major Y, as `read_dten`
+    gives it).  A kernel model's kernel rows are formed per `row_blocks`."""
+    y0 = y.reshape(y.shape[0], -1, order="F")
     sq = 0.0
-    for rows in row_blocks(y):
-        r = model.predict(x[rows])
-        r -= y[rows]
-        r = r.ravel(order="K")
-        sq += float(r @ r)
-        del r  # the next block's prediction is made with no other alive
+    for rows in row_blocks(y) if isinstance(model, regress.KernelHolrrModel) else [slice(None)]:
+        a = 0
+        for block in regress.predict_blocks(model, x[rows])[1]():
+            block -= y0[rows, a : a + block.shape[1]]
+            a += block.shape[1]
+            r = block.ravel(order="K")
+            sq += float(r @ r)
     return math.sqrt(sq / y.size)
 
 
@@ -117,9 +121,9 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     model = regress.load_model(args.model)
     x = _read_matrix(args.x)
-    preds = model.predict(x)
-    _write_tensor_atomic(preds, args.out)
-    _emit({"event": "predict", "rows": int(x.shape[0]), "shape": list(preds.shape), "out": str(args.out)})
+    shape, blocks = regress.predict_blocks(model, x)
+    atomic_write(args.out, lambda f: write_dten(shape, f, blocks()))
+    _emit({"event": "predict", "rows": int(x.shape[0]), "shape": list(shape), "out": str(args.out)})
     return 0
 
 

@@ -29,9 +29,18 @@ which the pencil is a symmetric eigenproblem and the ridge inverse is
 pseudo-inverse rule, relative to scale, behind the "pseudo-inverse pencil,
 restricting to its range" warning of a singular input Gram.  Y is read only
 by GEMMs on its own memory: the mode Grams Y_(i) Y_(i)^T come from strided
-views of it, and when Q is square (every kernel fit, and X with d0 >= N) the
-pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
-N x D product Q^T Y_(0) is never formed.
+views of it, and when Q is square (every kernel fit, and X with d0 >= N) and
+the outputs are at least as wide as N, the pencil runs through the mode-0
+Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the N x D product Q^T Y_(0) is never
+formed.
+
+A batch prediction is one loop (`_column_blocks`): B = X U_0 (K_x A for a
+kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
+once, and the n x D prediction Y_(0) comes out in column blocks of about
+1 MiB, one GEMM B C_(0)[:, cols] each.  `holrr_predict_batch` writes the
+blocks into one column-major array; `predict_blocks` hands them out one at a
+time, so the CLI streams a prediction to its file and sums the training
+error with no n x D prediction formed.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
 `rls_fit` (ridge) is the fit at full rank (d0, D), `krls_fit` the dual fit at
@@ -77,6 +86,7 @@ __all__ = [
     "holrr_fit",
     "holrr_predict",
     "holrr_predict_batch",
+    "predict_blocks",
     "gram",
     "kernel_cross",
     "kernel_vec",
@@ -97,6 +107,8 @@ _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 # bytes of a batch of slab Grams (`_axis_gram`) and of a block `_all_finite` checks
 _BATCH_BYTES = 1 << 18
+# bytes of a column block of a prediction (`_column_blocks`)
+_PREDICT_BYTES = 1 << 20
 
 @dataclass
 class KernelSpec:
@@ -320,13 +332,15 @@ def _times_rows(a: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
 def _axis_gram(t: np.ndarray, j: int) -> np.ndarray:
     """Gram of axis j of a column-major t, from its (L, d_j, T) view: S S^T
-    for L = 1, else the sum of s^T s over the T slabs s = (L, d_j) (one
-    product for the last axis), taken `_BATCH_BYTES` of slab Grams at a
-    time."""
+    for L = 1, s^T s for T = 1 (the last axis, one slab s = (L, d_j)), else
+    the sum of s^T s over the T slabs, taken `_BATCH_BYTES` of slab Grams at
+    a time."""
     d = t.shape[j]
     v = t.reshape(math.prod(t.shape[:j]), d, -1, order="F")
     if v.shape[0] == 1:
         return v[0] @ v[0].T
+    if v.shape[2] == 1:
+        return v[:, :, 0].T @ v[:, :, 0]
     slabs = v.transpose(2, 0, 1)
     step = max(1, _BATCH_BYTES // (8 * d * d))
     g = np.zeros((d, d))
@@ -349,6 +363,14 @@ def _mode_grams(y: np.ndarray, cut) -> list:
             if cut[i]:
                 grams[i] = _axis_gram(t, j)
     return grams
+
+
+def _pencil_via_g0(n: int, width: int) -> bool:
+    """Whether a square q's pencil D q^T Y_(0) Y_(0)^T q D goes through the
+    mode-0 Gram G_0 (0.5 N^2 D + 2 N^3 flops, no N x D array) rather than
+    Z = q^T Y_(0) (1.5 N^2 D flops): when D >= N, where Z would be larger
+    than one N x N array and no cheaper."""
+    return width >= n
 
 
 def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:
@@ -390,32 +412,38 @@ def _tucker_path(y, side, gammas, rank_tuples):
     keeps) takes the top-R0 eigenvectors w of D Z Z^T D: c = sqrt(inv) w has
     c^T diag(lam + gamma) c = I, so the projected ridge solve is the identity
     and the core is w^T D Z.  When q is square (every kernel fit, and X with
-    d0 >= N) the pencil is D (q^T G_0 q) D with G_0 the mode-0 Gram, and the
-    core (w^T D q^T) Y_(0), so Z is never formed.  Ri < di projects the core
-    on the top-Ri eigenvectors of the mode Gram.  Rank clamps and a singular
-    input Gram are noted, not warned.  Every point takes prefixes of shared
-    eigenvectors: each mode Gram's up to the largest Ri cut, and per gamma
-    the pencil's up to the largest R0.
+    d0 >= N) and D >= N (`_pencil_via_g0`) the pencil is D (q^T G_0 q) D
+    with G_0 the mode-0 Gram, and the core (w^T D q^T) Y_(0), so Z is never
+    formed.  Ri < di projects the core on the top-Ri eigenvectors of the
+    mode Gram.  Rank clamps and a singular input Gram are noted, not warned.
+    Every point takes prefixes of shared eigenvectors: each mode Gram's up to
+    the largest Ri cut, and per gamma the pencil's up to the largest R0; the
+    last gamma scales the pencil in place.
     """
     q, lam, m, s = side
     dims, dim = y.shape[1:], m.shape[0]
     y = _contiguous(y)
     order = "F" if y.flags.f_contiguous else "C"
     y0 = y.reshape(y.shape[0], -1, order=order)  # Y_(0), its columns in Y's memory order
-    square = q.shape[1] == y.shape[0]
+    via_g0 = q.shape[1] == y.shape[0] and _pencil_via_g0(*y0.shape)
     wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
-    g0, *grams = _mode_grams(y, [square and wide, *cuts])
+    g0, *grams = _mode_grams(y, [via_g0 and wide, *cuts])
     out = [None if g is None else linalg.sym_eig_top((g + g.T) / 2.0, c).vectors for g, c in zip(grams, cuts)]
     del grams
-    z = None if square else _times_rows(q.T, y0)
-    pencil = (q.T @ g0 @ q if square else z @ z.T) if wide else None
-    del g0  # q^T G_0 q replaces it
+    z = None if via_g0 else _times_rows(q.T, y0)
+    pencil = None
+    if wide and via_g0:
+        pencil = q.T @ g0
+        del g0  # q^T G_0 replaces it before the second product
+        pencil = pencil @ q
+    elif wide:
+        pencil = z @ z.T
 
     def rows(a):  # a q^T Y_(0)
-        return _times_rows(a @ q.T, y0) if square else _times_rows(a, z)
+        return _times_rows(a @ q.T, y0) if via_g0 else _times_rows(a, z)
 
-    for gamma in gammas:
+    for i, gamma in enumerate(gammas):
         inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
         singular = not inv.all()
         kept = max(1, int(np.count_nonzero(inv[: lam.size])))
@@ -424,7 +452,12 @@ def _tucker_path(y, side, gammas, rank_tuples):
         full = rows(m * (s * np.sqrt(lam) * inv)) if any(r[0] >= dim for r in rank_tuples) else None
         top = max((min(r[0], kept) for r in rank_tuples if r[0] < dim), default=0)
         if top:
-            res = linalg.sym_eig_top(d[:, None] * pencil * d, top)
+            if i == len(gammas) - 1:  # the last gamma scales the pencil in place
+                pencil *= d[:, None]
+                pencil *= d
+                res = linalg.sym_eig_top(pencil, top)
+            else:
+                res = linalg.sym_eig_top(d[:, None] * pencil * d, top)
             head = rows(res.vectors.T * d)
         for ranks in rank_tuples:
             noted: list = []
@@ -484,19 +517,50 @@ def holrr_predict(model: HolrrModel, x) -> np.ndarray:
     return multi_mode_product(model.factors.core, [(x if u0 is None else u0.T @ x)[None, :], *rest])[0]
 
 
-def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
-    """Stacked predictions for a matrix of input rows (kernel rows for a kernel model)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
+def _column_blocks(model, rows) -> tuple:
+    """(shape, blocks): the one block loop behind every batch prediction, on
+    design rows (kernel rows for a kernel model).  The rows are checked, and
+    B = rows U_0 and C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0) formed,
+    before this returns.  blocks(out) yields the n x D prediction Y_(0) in
+    column blocks of about `_PREDICT_BYTES`, each one GEMM B C_(0)[:, cols]
+    into a column-major block: `out[:, cols]` of a column-major n x D `out`,
+    or without `out` one reused buffer, each block valid until the next."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
         raise ValueError("expected a matrix of input rows")
-    if x.shape[1] != model.factors.shape[0]:
-        raise ValueError(f"input has {x.shape[1]} columns, model expects {model.factors.shape[0]}")
+    if rows.shape[1] != model.factors.shape[0]:
+        raise ValueError(f"input has {rows.shape[1]} columns, model expects {model.factors.shape[0]}")
     u0, *rest = model.factors.factors
-    # C = core x_1 U_1 ... x_p U_p (the core itself when every U_i is None),
-    # then one GEMM writes the n x D prediction column-major
+    b = _contiguous(rows) if u0 is None else rows @ u0
     c = multi_mode_product(model.factors.core, rest, range(1, len(rest) + 1))
-    pred = (matricize(c, 0).T @ (x if u0 is None else x @ u0).T).T
-    return pred.reshape((x.shape[0], *c.shape[1:]), order="F")
+    c0 = matricize(c, 0)
+    n, width = b.shape[0], c0.shape[1]
+    step = max(1, _PREDICT_BYTES // (8 * max(1, n)))
+
+    def blocks(out=None):
+        buf = np.empty((n, min(step, width)), order="F") if out is None else None
+        for a in range(0, width, step):
+            w = min(step, width - a)
+            yield np.matmul(b, c0[:, a : a + w], out=buf[:, :w] if out is None else out[:, a : a + w])
+
+    return (n, *c.shape[1:]), blocks
+
+
+def predict_blocks(model, x) -> tuple:
+    """(shape, blocks) of `model`'s prediction for input rows x, streamed in
+    column blocks (`_column_blocks`): x is checked, and kernel rows formed,
+    before this returns, so a bad x fails before the first block."""
+    return _column_blocks(model, _kernel_rows(model, x) if isinstance(model, KernelHolrrModel) else x)
+
+
+def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
+    """Stacked predictions for a matrix of input rows (kernel rows for a
+    kernel model), written block by block into one column-major array."""
+    shape, blocks = _column_blocks(model, x)
+    out = np.empty(shape, order="F")
+    for _ in blocks(out.reshape(shape[0], -1, order="F")):
+        pass
+    return out
 
 
 def _flat_fit(a, y_flat, gamma: float, rank, kernel: bool):
@@ -623,13 +687,18 @@ def kholrr_predict(model: KernelHolrrModel, x) -> np.ndarray:
     """Predict the output tensor for a single input vector (`kernel_vec`, then `holrr_predict`)."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
-        raise ValueError("kernel_vec expects a single input vector")
+        raise ValueError("kholrr_predict expects a single input vector")
     return holrr_predict(model, _cross(model.kernel, model.train_inputs, x[None, :], _train_norms(model))[:, 0])
+
+
+def _kernel_rows(model: KernelHolrrModel, x) -> np.ndarray:
+    """The kernel rows k(x_i, x_train_n) of input rows x."""
+    return _cross(model.kernel, x, model.train_inputs, nb=_train_norms(model))
 
 
 def kholrr_predict_batch(model: KernelHolrrModel, x) -> np.ndarray:
     """Stacked predictions for a matrix of input rows."""
-    return holrr_predict_batch(model, _cross(model.kernel, x, model.train_inputs, nb=_train_norms(model)))
+    return holrr_predict_batch(model, _kernel_rows(model, x))
 
 
 # ---------------------------------------------------------------------------

@@ -251,24 +251,39 @@ def _open_maybe(path_or_file, mode):
     return open(path_or_file, mode), True
 
 
-def write_dten(t, path_or_file) -> None:
+def write_dten(t, path_or_file, blocks=None) -> None:
     """Write the DTEN v1 format: ASCII header line, then little-endian doubles.
 
     Header is ``DTEN 1 <order> <d_0> ... <d_p>``: single spaces, decimal
     fields without sign or leading zeros.  The payload is the column-major
-    linearization, 8 bytes per entry, written in `_IO_CHUNK`-byte slices of
-    the tensor's own memory: a column-major float64 tensor (what `read_dten`
-    returns) is written without a copy, any other layout costs one.
+    linearization, 8 bytes per entry, written block by block: with `blocks`,
+    `t` is only the tensor's shape and `blocks` yields arrays whose
+    column-major entries, one block after another, are the payload (a
+    prediction streamed in column blocks); their total must fill the shape.
+    Without, the blocks are `_IO_CHUNK`-byte slices of the tensor's own
+    memory: a column-major float64 tensor (what `read_dten` returns) is
+    written without a copy, any other layout costs one.
     """
-    t = _as_tensor(t)
-    flat = np.ascontiguousarray(vectorize(t), dtype="<f8")
+    if blocks is None:
+        t = _as_tensor(t)
+        shape, flat = t.shape, np.ascontiguousarray(vectorize(t), dtype="<f8")
+        step = max(1, _IO_CHUNK // 8)
+        blocks = (flat[a : a + step] for a in range(0, flat.size, step))
+    else:
+        shape = tuple(int(d) for d in t)
     f, close = _open_maybe(path_or_file, "wb")
     try:
-        dims = " ".join(str(d) for d in t.shape)
-        f.write(f"{DTEN_MAGIC} {DTEN_VERSION} {t.ndim} {dims}\n".encode("ascii"))
-        payload = memoryview(flat).cast("B")
-        for start in range(0, payload.nbytes, _IO_CHUNK):
-            f.write(payload[start : start + _IO_CHUNK])
+        dims = " ".join(str(d) for d in shape)
+        f.write(f"{DTEN_MAGIC} {DTEN_VERSION} {len(shape)} {dims}\n".encode("ascii"))
+        left = math.prod(shape)
+        for block in blocks:
+            entries = np.asarray(block, dtype="<f8").reshape(-1, order="F")
+            left -= entries.size
+            if left < 0:
+                break
+            f.write(memoryview(entries).cast("B"))
+        if left:
+            raise ValueError(f"DTEN blocks do not fill the shape {shape}")
     finally:
         if close:
             f.close()

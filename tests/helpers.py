@@ -1,7 +1,10 @@
-"""Shared fixtures: synthetic Met-Office-format station files."""
+"""Shared fixtures: synthetic Met-Office-format station files, and the
+memory peak of a CLI command run in a process of its own."""
 
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -69,3 +72,21 @@ def write_hand_fixture(dirpath, n_stations=16):
 
 def hand_value(si, var, month):
     return 100.0 * si + 10.0 * var + month
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def cli_peak_rss(argv) -> tuple:
+    """(exit code, peak RSS in bytes) of `python -m tensorreg.cli argv` in a
+    child process with one BLAS thread.  The peak is the child's own
+    `ru_maxrss`, read with `os.wait4`, so earlier children do not count."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tensorreg.cli", *map(str, argv)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, usage.ru_maxrss * 1024

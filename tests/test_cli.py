@@ -285,7 +285,9 @@ def test_exit_code_2_non_canonical_dten_header(tmp_path, capsys):
 
 def test_fit_training_rmse_is_the_rmse_of_the_training_predictions(tmp_path, capsys, monkeypatch):
     data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=5)
-    # blocks of 3 training rows: the sum runs over 7 blocks, the last one short
+    # blocks of 4 columns (the last one short) of 20 rows, and for the kernel
+    # model blocks of 3 training rows: 7 blocks, the last one short
+    monkeypatch.setattr(regress, "_PREDICT_BYTES", 4 * 8 * 20)
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 8 * 6)
     for kernel in ([], ["--kernel", "rbf:2.0"]):
         model_path = tmp_path / "model.bin"

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 import oracles
-from tensorreg import linalg
+from tensorreg import linalg, regress
 from tensorreg.datagen import (
     SynthSpec,
     gen_linear_synthetic,
@@ -518,6 +518,51 @@ def test_kernel_model_inputs_are_checked_finite():
             predict(m, q)
     with pytest.raises(ValueError, match="single input"):
         kholrr_predict(model, x[:2])
+
+
+def test_kholrr_predict_names_itself_on_a_non_vector():
+    model, x = _kernel_model(KernelSpec(kind="rbf", sigma=2.0))
+    for bad in (x[:2], x[0, 0]):
+        with pytest.raises(ValueError, match="^kholrr_predict expects a single input vector$"):
+            kholrr_predict(model, bad)
+
+
+def _route_problem(width):
+    # N = 40 kernel rows; outputs 5 x 2 x (width / 10) wide
+    rng = np.random.default_rng(41)
+    x, y = rng.standard_normal((40, 5)), rng.standard_normal((40, 5, 2, width // 10))
+    return x, y, rng.standard_normal((9, 5))
+
+
+@pytest.mark.parametrize("width", [20, 80])
+def test_square_q_pencil_routes_agree(width, monkeypatch):
+    # the pencil through Z = q^T Y_(0) and through G_0 give the same fit,
+    # with D below N and above it
+    x, y, x_test = _route_problem(width)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    preds = []
+    for via_g0 in (False, True):
+        monkeypatch.setattr(regress, "_pencil_via_g0", lambda n, w, via_g0=via_g0: via_g0)
+        model = kholrr_fit(gram(x, spec), y, (4, 3, 2, 2), 1e-3, x, spec)
+        preds.append(kholrr_predict_batch(model, x_test))
+    assert np.linalg.norm(preds[0] - preds[1]) <= 1e-12 * np.linalg.norm(preds[1])
+
+
+@pytest.mark.parametrize("width, formed", [(20, False), (30, False), (40, True), (80, True)])
+def test_square_q_forms_g0_only_when_the_outputs_are_at_least_n_wide(width, formed, monkeypatch):
+    # N = 40: the Z route for D < N (no larger than one N x N, and cheaper),
+    # the mode-0 Gram for D >= N
+    x, y, _ = _route_problem(width)
+    cuts, mode_grams = [], regress._mode_grams
+
+    def spy(y, cut):
+        cuts.append(list(cut))
+        return mode_grams(y, cut)
+
+    monkeypatch.setattr(regress, "_mode_grams", spy)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    kholrr_fit(gram(x, spec), y, (4, 3, 2, 2), 1e-3, x, spec)
+    assert [c[0] for c in cuts] == [formed]
 
 
 def test_kernel_spec_parsing():

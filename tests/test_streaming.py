@@ -15,11 +15,23 @@ or a pipe holds one copy of the data, writing one holds none, the fits, the
 CV path and the mode Grams read Y in place, a batch prediction holds little beyond its
 output, and a model is saved from its own memory.  The training data's finite
 check makes no array of Y's size, and a kernel fit holds four N x N arrays
-at its peak.
+at its peak, three when the pencil goes through G_0.  A CLI `predict`
+process (its peak RSS, `helpers.cli_peak_rss`) holds column blocks of the
+prediction, not the prediction.
+
+The prediction stream: with the column block patched down to 1-3 columns,
+CLI `predict` files are bitwise the batch prediction, the training error is
+the RMSE of the training predictions, and a bad input fails before anything
+is written.
 """
 
+import contextlib
 import io
+import json
+import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +39,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tensorreg import cli, regress, tensor
+import helpers
+from tensorreg import cli, harness, regress, tensor
 from tensorreg.regress import (
     KernelSpec,
     RegressionProblem,
@@ -36,6 +49,7 @@ from tensorreg.regress import (
     holrr_predict_batch,
     kernel_cross,
     kholrr_fit,
+    load_model,
     path_predict,
     save_model,
 )
@@ -83,6 +97,11 @@ def test_dten_round_trip_is_bitwise(a, layout, chunk):
         again = io.BytesIO()
         write_dten(back, again)
         assert again.getvalue() == data
+        # the same payload arriving in blocks, column-major pieces of it
+        pieces = np.array_split(np.asfortranarray(back).reshape(-1, order="F"), 3)
+        streamed = io.BytesIO()
+        write_dten(a.shape, streamed, (p.reshape(1, -1, order="F") for p in pieces))
+        assert streamed.getvalue() == data
         np.testing.assert_array_equal(_bits(read_dten(_Pipe(data))), _bits(a))
 
 
@@ -109,6 +128,12 @@ def test_blocked_mode_grams_match_the_unfoldings(seed, shape, layout, rows_per_b
         yi = matricize(y, i)
         ref = yi @ yi.T
         assert np.linalg.norm(g - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_write_dten_blocks_must_fill_the_shape():
+    for blocks in ([np.zeros(5)], [np.zeros(6), np.zeros(1)], []):
+        with pytest.raises(ValueError, match="do not fill the shape"):
+            write_dten((2, 3), io.BytesIO(), blocks)
 
 
 # about 8 MB of outputs, column-major like a tensor read from a DTEN file
@@ -180,6 +205,20 @@ def test_finite_check_of_training_data_is_blockwise(y_file):
         RegressionProblem(x[: N // 2], bad, (1, 1, 1, 1))
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kholrr_fit_holds_three_gram_sized_arrays(layout):
+    # D >= N, so the pencil goes through G_0: Q of eigh(K), then G_0 and
+    # Q^T G_0 (G_0 goes before the second product), then Q, the pencil and
+    # the symmetrized copy inside sym_eig_top (the only gamma scales the
+    # pencil in place).  The mode-0 Gram of a C-ordered Y is one product.
+    n = 300
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((n, 6)), _laid_out(rng.standard_normal((n, 8, 8, 5)), layout)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    k = gram(x, spec)
+    assert _peak_bytes(kholrr_fit, k, y, (5, 2, 2, 2), 1e-3, x, spec) <= 3.5 * k.nbytes
+
+
 def test_kholrr_fit_holds_four_gram_sized_arrays():
     # Q of eigh(K), the pencil Q^T G_0 Q, its scaled copy D P D and one
     # temporary inside sym_eig_top: the symmetry check and the symmetrized
@@ -246,3 +285,93 @@ def test_save_model_writes_from_the_model_memory(y_file, tmp_path):
     assert model.factors.core.shape == y.shape
     payload = model.factors.core.nbytes + x.nbytes
     assert _peak_bytes(save_model, model, tmp_path / "model.bin") <= 0.1 * payload
+
+
+def _cli(*argv) -> tuple:
+    """(exit code, stdout, stderr) of `cli.main` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+    st.sampled_from(("C", "F", "strided")),
+    hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4),
+    st.integers(1, 3),
+)
+def test_cli_predict_and_training_error_stream_column_blocks(seed, kernel, layout, dims, cols):
+    rng = np.random.default_rng(seed)
+    n, d0 = 7, 3
+    x, y = rng.standard_normal((n, d0)), np.asfortranarray(rng.standard_normal((n, *dims)))
+    x_new = _laid_out(rng.standard_normal((n, d0)), layout)
+    ranks = [int(rng.integers(1, d + 1)) for d in (n if kernel else d0, *dims)]
+    width = y[0].size
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        # blocks of `cols` columns of the n-row prediction, the last one
+        # short unless cols divides D; a kernel model's training error in
+        # blocks of 2 rows (the last one short)
+        mp.setattr(regress, "_PREDICT_BYTES", 8 * n * cols)
+        mp.setattr(cli, "_BLOCK_BYTES", 2 * y[:1].nbytes + 8)
+        d = Path(tmp)
+        for name, a in (("x", x), ("y", y), ("x_new", x_new)):
+            write_dten(a, d / f"{name}.dten")
+        code, out, _ = _cli("fit", "--x", d / "x.dten", "--y", d / "y.dten", "--ranks", ",".join(map(str, ranks)),
+                            "--gamma", "0.01", "--out", d / "model.bin", *(["--kernel", "rbf:2"] if kernel else []))
+        assert code == 0
+        model = load_model(d / "model.bin")
+        ref = harness.rmse(y, model.predict(x))
+        assert json.loads(out)["training_rmse"] == pytest.approx(ref, rel=1e-12, abs=0)
+
+        assert _cli("predict", "--model", d / "model.bin", "--x", d / "x_new.dten", "--out", d / "pred.dten")[0] == 0
+        # the file holds the bits of the batch prediction of the rows it read
+        np.testing.assert_array_equal(_bits(read_dten(d / "pred.dten")), _bits(model.predict(read_dten(d / "x_new.dten"))))
+        # and streamed blocks are those of the batch prediction whatever the rows' layout
+        pred = model.predict(x_new)
+        shape, blocks = regress.predict_blocks(model, x_new)
+        streamed = [b.copy(order="F") for b in blocks()]
+        assert shape == y.shape
+        assert [b.shape[1] for b in streamed] == [cols] * (width // cols) + [width % cols] * (width % cols > 0)
+        np.testing.assert_array_equal(_bits(np.hstack(streamed)), _bits(pred.reshape(n, -1, order="F")))
+        assert np.linalg.norm(pred - read_dten(d / "pred.dten")) <= 1e-12 * np.linalg.norm(pred)
+        # against the materialized coefficient tensor
+        rows = kernel_cross(model.kernel, x_new, x) if kernel else x_new
+        ref = np.tensordot(rows, tensor.tucker_reconstruct(model.factors), axes=(1, 0))
+        assert np.linalg.norm(pred - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
+
+        # failures found before the first block: nothing is written
+        files = sorted(os.listdir(d))
+        bad_rows = [(x_new[:, :-1], "columns" if not kernel else "incompatible input shapes")]
+        if kernel:
+            nan_row = x_new.copy()
+            nan_row[int(rng.integers(n))] = np.nan
+            bad_rows.append((nan_row, "kernel inputs must be finite"))
+        for bad, message in bad_rows:
+            write_dten(bad, d / "x_new.dten")
+            code, _, err = _cli("predict", "--model", d / "model.bin", "--x", d / "x_new.dten", "--out", d / "bad.dten")
+            assert code == 2 and message in err
+            assert sorted(os.listdir(d)) == files
+
+
+def test_cli_predict_process_holds_blocks_not_the_prediction(tmp_path):
+    # a 64 MB prediction against a 1-row one, each predicted by the CLI in a
+    # process of its own: the difference in peak RSS is what the
+    # prediction costs beyond its file
+    rng = np.random.default_rng(11)
+    x, y = rng.standard_normal((40, 5)), rng.standard_normal((40, 20, 20, 20))
+    save_model(holrr_fit(RegressionProblem(x=x, y=y, ranks=(3, 3, 3, 3), gamma=1e-3)), tmp_path / "m.bin")
+    n = 1000
+    out_bytes = 8 * n * y[0].size
+    peaks = []
+    for rows in (1, n):
+        write_dten(rng.standard_normal((rows, 5)), tmp_path / "x.dten")
+        code, peak = helpers.cli_peak_rss(
+            ["predict", "--model", tmp_path / "m.bin", "--x", tmp_path / "x.dten", "--out", tmp_path / "p.dten"]
+        )
+        assert code == 0
+        peaks.append(peak)
+    assert (tmp_path / "p.dten").stat().st_size > out_bytes
+    assert peaks[1] - peaks[0] <= 0.25 * out_bytes, peaks
