@@ -46,8 +46,6 @@ from .regress import (
     kholrr_fit,
     kholrr_predict,
     kholrr_predict_batch,
-    klrr_fit,
-    krls_fit,
     load_model,
     lrr_fit,
     rls_fit,

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -97,7 +98,9 @@ def _cmd_fit(args) -> int:
     gamma = float(args.gamma)
     kernel = None if args.kernel is None else KernelSpec.from_string(args.kernel)
     t0 = time.perf_counter()
-    model = harness.fit_method("kholrr" if kernel else "holrr", x, y, gamma, ranks, kernel)
+    with warnings.catch_warnings():  # the fit's notes print once, as `tensorreg:` lines below
+        warnings.simplefilter("ignore", UserWarning)
+        model = harness.fit_method("kholrr" if kernel else "holrr", x, y, gamma, ranks, kernel)
     training_rmse = _training_rmse(model, x, y)
     seconds = time.perf_counter() - t0
     atomic_write(args.out, lambda f: regress.save_model(model, f))

@@ -43,11 +43,12 @@ time, so the CLI streams a prediction to its file and sums the training
 error with no n x D prediction formed.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
-`rls_fit` (ridge) is the fit at full rank (d0, D), `krls_fit` the dual fit at
-(N, D) and `klrr_fit` the dual fit at (R, D).  A mode at full rank keeps no
-factor (None in `TuckerFactors`: the identity, never stored or multiplied).
-`lrr_fit` (ridge followed by a rank-R projection of the vectorized outputs)
-keeps its own D x D eigenproblem: it is the fit-time baseline.  The CV path
+`rls_fit` (ridge) is `holrr_fit` at full rank (d0, D), and the kernel
+baselines krls and klrr are `kholrr_fit` at (N, D) and (R, D) (through
+`harness.fit_method`).  A mode at full rank keeps no factor (None in
+`TuckerFactors`: the identity, never stored or multiplied).  `lrr_fit`
+(ridge followed by a rank-R projection of the vectorized outputs) keeps its
+own D x D eigenproblem: it is the fit-time baseline.  The CV path
 (`path_predict`) is the fit itself at many (gamma, ranks) points, which share
 the decomposition, the Grams and their eigenvectors.
 """
@@ -90,8 +91,6 @@ __all__ = [
     "gram",
     "kernel_cross",
     "kernel_vec",
-    "krls_fit",
-    "klrr_fit",
     "path_predict",
     "kholrr_fit",
     "kholrr_predict",
@@ -183,13 +182,16 @@ def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
         return dots
     if kernel.kind == "polynomial":
         return (dots + kernel.offset) ** kernel.degree
-    sq = (
-        (np.sum(xa * xa, axis=1) if na is None else na)[:, None]
-        + (np.sum(xb * xb, axis=1) if nb is None else nb)[None, :]
-        - 2.0 * dots
-    )
+    sq = (_row_norms(xa) if na is None else na)[:, None] + (_row_norms(xb) if nb is None else nb)[None, :] - 2.0 * dots
     np.clip(sq, 0.0, None, out=sq)
     return np.exp(-sq / (2.0 * kernel.sigma**2))
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Squared row norms, summed on C-ordered rows: every layout of the same
+    rows gives the same bits."""
+    x = np.ascontiguousarray(x)
+    return np.sum(x * x, axis=1)
 
 
 def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
@@ -198,7 +200,8 @@ def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
 
 
 def gram(x, kernel: KernelSpec) -> np.ndarray:
-    """Training Gram matrix, symmetrized."""
+    """Training Gram matrix, symmetrized, from C-ordered rows."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
     g = kernel_cross(kernel, x, x)
     return (g + g.T) / 2.0
 
@@ -525,13 +528,13 @@ def _column_blocks(model, rows) -> tuple:
     column blocks of about `_PREDICT_BYTES`, each one GEMM B C_(0)[:, cols]
     into a column-major block: `out[:, cols]` of a column-major n x D `out`,
     or without `out` one reused buffer, each block valid until the next."""
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.float64)  # C-ordered: the GEMMs round alike for every layout
     if rows.ndim != 2:
         raise ValueError("expected a matrix of input rows")
     if rows.shape[1] != model.factors.shape[0]:
         raise ValueError(f"input has {rows.shape[1]} columns, model expects {model.factors.shape[0]}")
     u0, *rest = model.factors.factors
-    b = _contiguous(rows) if u0 is None else rows @ u0
+    b = rows if u0 is None else rows @ u0
     c = multi_mode_product(model.factors.core, rest, range(1, len(rest) + 1))
     c0 = matricize(c, 0)
     n, width = b.shape[0], c0.shape[1]
@@ -563,66 +566,37 @@ def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
     return out
 
 
-def _flat_fit(a, y_flat, gamma: float, rank, kernel: bool):
-    """(coefficients, input side) of the fit at ranks (rank, D) on vectorized
-    outputs, full rank for rank None: W from X, or the dual C from a Gram."""
-    a = np.asarray(a, dtype=np.float64)
-    y_flat = np.asarray(y_flat, dtype=np.float64)
-    gamma = _check_gamma(gamma)
-    if a.ndim != 2 or y_flat.ndim != 2 or a.shape[0] != y_flat.shape[0]:
-        raise ValueError(f"row count mismatch between x {a.shape} and y {y_flat.shape}")
-    side = _input_side(k=a) if kernel else _input_side(a)
-    ranks = (side[2].shape[0] if rank is None else rank, y_flat.shape[1])
-    tf = _tucker_fit(y_flat, ranks, gamma, side, _unit_columns if kernel else _orthonormalize)[0]
-    return tucker_reconstruct(tf), side
-
-
-def _flat_rank(rank: int, y_flat):
-    """An lrr/klrr rank clamped to [1, D] with a warning; None (full rank) at D."""
-    width = np.shape(y_flat)[1]
-    if rank < 1:
-        warnings.warn(f"rank {rank} clamped to 1", stacklevel=3)
-        rank = 1
-    elif rank > width:
-        warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=3)
-    return rank if rank < width else None
-
-
 def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
-    """Ridge solution (X^T X + gamma I)^-1 X^T Y: the fit at full rank, from
-    the thin SVD of X.  At gamma = 0 with X^T X singular it is the
-    minimum-norm least-squares solution, with the pseudo-inverse warning.
+    """Ridge solution (X^T X + gamma I)^-1 X^T Y: the coefficients of
+    `holrr_fit` at full rank (d0, D).  At gamma = 0 with X^T X singular it is
+    the minimum-norm least-squares solution, with the pseudo-inverse warning.
     """
-    return _flat_fit(x, y_flat, gamma, None, False)[0]
+    if np.ndim(y_flat) != 2:
+        raise ValueError("y_flat must be a matrix of vectorized outputs")
+    return holrr_fit(RegressionProblem(x, y_flat, (*np.shape(x)[1:2], np.shape(y_flat)[1]), gamma)).coefficients()
 
 
 def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
     """Rank-constrained ridge on vectorized outputs.
 
     W = W_RLS V V^T with V the top-`rank` eigenvectors of Y^T P Y, P the ridge
-    hat matrix of X, both from one thin SVD of X.  `rank` at or above the
-    output dimension returns W_RLS, bitwise `rls_fit`'s.
+    hat matrix of X from its thin SVD.  `rank` is clamped to [1, D] with a
+    warning; at D it returns W_RLS, bitwise `rls_fit`'s.
     """
-    w_rls, (q, lam, _, _) = _flat_fit(x, y_flat, gamma, None, False)
-    rank = _flat_rank(rank, y_flat)
-    if rank is None:
+    w_rls = rls_fit(x, y_flat, gamma)
+    width = w_rls.shape[1]
+    if rank < 1:
+        warnings.warn(f"rank {rank} clamped to 1", stacklevel=2)
+        rank = 1
+    elif rank > width:
+        warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=2)
+    if rank >= width:
         return w_rls
+    q, lam, _, _ = _input_side(np.asarray(x, dtype=np.float64))
     # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
     e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ np.asarray(y_flat, dtype=np.float64))
     v = linalg.sym_eig_top(e.T @ e, rank).vectors
     return w_rls @ v @ v.T
-
-
-def krls_fit(k, y_flat, gamma: float) -> np.ndarray:
-    """Dual ridge coefficients (K + gamma I)^-1 Y: the kernel fit at full
-    rank, which leaves out directions of K that the lam^-1/2 rule drops."""
-    return _flat_fit(k, y_flat, gamma, None, True)[0]
-
-
-def klrr_fit(k, y_flat, rank: int, gamma: float) -> np.ndarray:
-    """Dual form of lrr_fit: the dual coefficients C = A G of the kernel fit
-    at ranks (rank, D); `rank` at or above D returns krls_fit's."""
-    return _flat_fit(k, y_flat, gamma, _flat_rank(rank, y_flat), True)[0]
 
 
 def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None) -> dict:
@@ -679,7 +653,7 @@ def _train_norms(model: KernelHolrrModel) -> np.ndarray:
         x = np.asarray(model.train_inputs, dtype=np.float64)
         if not np.isfinite(x).all():
             raise ValueError("kernel inputs must be finite")
-        model._train_terms = (model.train_inputs, np.sum(x * x, axis=-1))
+        model._train_terms = (model.train_inputs, _row_norms(x))
     return model._train_terms[1]
 
 
@@ -692,8 +666,8 @@ def kholrr_predict(model: KernelHolrrModel, x) -> np.ndarray:
 
 
 def _kernel_rows(model: KernelHolrrModel, x) -> np.ndarray:
-    """The kernel rows k(x_i, x_train_n) of input rows x."""
-    return _cross(model.kernel, x, model.train_inputs, nb=_train_norms(model))
+    """The kernel rows k(x_i, x_train_n) of input rows x, taken C-ordered."""
+    return _cross(model.kernel, np.ascontiguousarray(x, dtype=np.float64), model.train_inputs, nb=_train_norms(model))
 
 
 def kholrr_predict_batch(model: KernelHolrrModel, x) -> np.ndarray:

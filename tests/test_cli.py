@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,7 +123,8 @@ def test_fit_kernel_model(tmp_path, capsys):
 def test_fit_reports_clamping_on_stderr(tmp_path, capsys):
     _, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=2)
     model_path = tmp_path / "model.bin"
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code, events, err = run_cli(
             capsys,
             [
@@ -137,6 +139,31 @@ def test_fit_reports_clamping_on_stderr(tmp_path, capsys):
     assert events[0]["ranks"] == [4, 3, 2]
     assert events[0]["warnings"]
     assert "tensorreg: " in err and "clamped" in err
+    # each note reaches stderr once, as its `tensorreg:` line, and no
+    # UserWarning escapes the fit
+    assert not [w for w in caught if issubclass(w.category, UserWarning)]
+    for note in events[0]["warnings"]:
+        assert err.count(note) == 1 and f"tensorreg: {note}\n" in err
+
+
+@pytest.mark.parametrize("kernel", [None, "rbf:3.0"])
+def test_csv_and_dten_inputs_give_the_same_bytes(tmp_path, capsys, kernel):
+    # the same rows read C-ordered (CSV) or column-major (DTEN) give
+    # byte-identical model and prediction files
+    rng = np.random.default_rng(8)
+    x, x_new = rng.standard_normal((40, 40)), rng.standard_normal((30, 40))
+    write_dten(rng.standard_normal((40, 5, 4)), tmp_path / "y.dten")
+    outputs = []
+    for ext, write in (("csv", write_matrix_csv), ("dten", write_dten)):
+        write(x, tmp_path / f"x.{ext}")
+        write(x_new, tmp_path / f"xn.{ext}")
+        model, pred = tmp_path / f"m_{ext}.bin", tmp_path / f"p_{ext}.dten"
+        argv = ["fit", "--x", str(tmp_path / f"x.{ext}"), "--y", str(tmp_path / "y.dten"), "--ranks", "3,2,2"]
+        assert main(argv + ["--out", str(model)] + (["--kernel", kernel] if kernel else [])) == 0
+        assert main(["predict", "--model", str(model), "--x", str(tmp_path / f"xn.{ext}"), "--out", str(pred)]) == 0
+        outputs.append((model.read_bytes(), pred.read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_code_2_argument_and_file_errors(tmp_path, capsys):

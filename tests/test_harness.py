@@ -33,8 +33,8 @@ from tensorreg.harness import (
     run_experiment,
     write_report,
 )
-from tensorreg.regress import KernelSpec, gram, kernel_cross, krls_fit, rls_fit
-from tensorreg.tensor import dematricize, matricize
+from tensorreg.regress import KernelSpec, gram, kernel_cross, kholrr_fit, rls_fit
+from tensorreg.tensor import dematricize, matricize, tucker_reconstruct
 
 
 def test_rmse_values():
@@ -107,7 +107,8 @@ def test_flat_baseline_models_predict_bitwise_like_the_flat_solution():
     expect = dematricize(data.x_test @ w, 0, shape)
     got = fit_method("rls", data.x_train, y, 0.1).predict(data.x_test)
     np.testing.assert_array_equal(got, expect)
-    dual = krls_fit(gram(data.x_train, rbf), y_flat, 0.1)
+    # the dual ridge coefficients: kholrr at full rank (N, D) on vectorized outputs
+    dual = tucker_reconstruct(kholrr_fit(gram(data.x_train, rbf), y_flat, y_flat.shape, 0.1, data.x_train, rbf).factors)
     expect = dematricize(kernel_cross(rbf, data.x_test, data.x_train) @ dual, 0, shape)
     got = fit_method("krls", data.x_train, y, 0.1, kernel=rbf).predict(data.x_test)
     np.testing.assert_array_equal(got, expect)
@@ -275,7 +276,7 @@ def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
 
     spy("harness.fit_method", fit_method)
     spy("linalg.sym_eig_top", linalg.sym_eig_top)
-    for name in ("rls_fit", "lrr_fit", "holrr_fit", "krls_fit", "klrr_fit", "kholrr_fit"):
+    for name in ("rls_fit", "lrr_fit", "holrr_fit", "kholrr_fit"):
         spy(f"regress.{name}", getattr(regress, name))
     for seed in range(len(_PATH_CASES)):
         x, y, grid, kernel = _path_problem(seed)
@@ -293,12 +294,13 @@ def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
 
     # one synth-linear task: CV picks each method's point, then one refit
     # per method (rls, lrr, holrr): rls is holrr_fit at full rank, and lrr's
-    # runs lrr_fit once
+    # runs lrr_fit once, whose ridge step is rls_fit, holrr_fit at full rank
     cfg = dict(default_config("synth-linear"), trials=1, train_sizes=[20])
     _run_synth_task((cfg, "synth-linear", 0, 0))
     assert calls.count("harness.fit_method") == 3
     assert calls.count("regress.lrr_fit") == 1
-    assert calls.count("regress.holrr_fit") == 2
+    assert calls.count("regress.rls_fit") == 1
+    assert calls.count("regress.holrr_fit") == 3
 
 
 def test_median_sigma_is_bitwise_the_broadcast_median_in_quadratic_memory():

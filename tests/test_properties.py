@@ -6,6 +6,9 @@ rank-deficient X (the singular-Gram cutoff is relative to the data's scale).
 The data has a planted multilinear rank and little noise, so every cut sits
 at a clear spectral gap and the fitted subspaces are well defined.
 
+The layout property: a model predicts the same bits for C-ordered,
+column-major and strided copies of the same rows, primal or kernel.
+
 The contraction property: on random Tucker models of order 2-5 (factors kept
 or None, C- or F-ordered cores, flat p = 1 presets), a single-row prediction
 equals the batch row and the dense coefficient contraction, and one
@@ -152,3 +155,35 @@ def test_one_contraction_serves_every_predict(case):
             definition = dematricize(u @ matricize(definition, i), i, shape)
     whole = multi_mode_product(tf.core, tf.factors)
     assert np.array_equal(whole, chain) and np.array_equal(whole, definition)
+
+
+layouts = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**31 - 1),
+        "n": st.integers(1, 30),
+        "d0": st.integers(2, 48),
+        "r0": st.integers(1, 48),  # at or above min(N, d0): no factor 0
+        "kernel": st.sampled_from([None, "linear", "rbf:3", "poly:2"]),
+    }
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(layouts)
+def test_predictions_do_not_depend_on_the_row_layout(case):
+    rng = np.random.default_rng(case["seed"])
+    d0, n = case["d0"], case["n"]
+    x, y = rng.standard_normal((20, d0)), rng.standard_normal((20, 4, 3))
+    ranks = (case["r0"], 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if case["kernel"] is None:
+            model = holrr_fit(RegressionProblem(x, y, ranks, 1e-3))
+        else:
+            spec = KernelSpec.from_string(case["kernel"])
+            model = kholrr_fit(gram(x, spec), y, ranks, 1e-3, x, spec)
+    rows = rng.standard_normal((n, d0))
+    strided = np.zeros((2 * n, 3 * d0))
+    strided[::2, ::3] = rows
+    preds = {model.predict(r).tobytes() for r in (rows, np.asfortranarray(rows), strided[::2, ::3])}
+    assert len(preds) == 1

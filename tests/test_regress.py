@@ -16,6 +16,7 @@ from tensorreg.datagen import (
     random_lowrank_tensor,
     square_features,
 )
+from tensorreg.harness import fit_method
 from tensorreg.linalg import gen_sym_eig_top
 from tensorreg.regress import (
     HolrrModel,
@@ -31,8 +32,6 @@ from tensorreg.regress import (
     kholrr_fit,
     kholrr_predict,
     kholrr_predict_batch,
-    klrr_fit,
-    krls_fit,
     load_model,
     lrr_fit,
     rls_fit,
@@ -117,8 +116,22 @@ def test_rls_and_lrr_match_the_augmented_least_squares_oracle():
 def test_rls_validation():
     with pytest.raises(ValueError, match="gamma"):
         rls_fit(np.eye(2), np.eye(2), -1.0)
-    with pytest.raises(ValueError, match="row count"):
+    with pytest.raises(ValueError, match="2 input rows but 3 output slices"):
         rls_fit(np.eye(2), np.zeros((3, 1)), 0.0)
+    with pytest.raises(ValueError, match="y_flat must be a matrix"):
+        rls_fit(np.eye(2), np.zeros((2, 1, 1)), 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rls_and_lrr_reject_non_finite_data(bad):
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((12, 4)), rng.standard_normal((12, 3))
+    for fit in (lambda a, b: rls_fit(a, b, 1e-3), lambda a, b: lrr_fit(a, b, 2, 1e-3)):
+        for side in (0, 1):
+            data = [x.copy(), y.copy()]
+            data[side][3, 1] = bad
+            with pytest.raises(ValueError, match="training data must be finite"):
+                fit(*data)
 
 
 # --- lrr ------------------------------------------------------------------
@@ -381,8 +394,8 @@ def test_fits_reject_non_finite_gamma(gamma):
         lambda: RegressionProblem(x, prob.y, prob.ranks, gamma),
         lambda: rls_fit(x, y_flat, gamma),
         lambda: lrr_fit(x, y_flat, 2, gamma),
-        lambda: krls_fit(k, y_flat, gamma),
-        lambda: klrr_fit(k, y_flat, 2, gamma),
+        lambda: fit_method("krls", x, prob.y, gamma, kernel=KernelSpec()),
+        lambda: fit_method("klrr", x, prob.y, gamma, (2,), KernelSpec()),
         lambda: kholrr_fit(k, prob.y, prob.ranks, gamma, x, KernelSpec()),
     ]
     for fit in fits:
@@ -599,9 +612,8 @@ def test_krls_linear_kernel_matches_rls():
     y = rng.standard_normal((25, 6))
     gamma = 0.3
     spec = KernelSpec(kind="linear")
-    alpha = krls_fit(gram(x, spec), y, gamma)
     x_test = rng.standard_normal((7, 5))
-    pred_dual = kernel_cross(spec, x_test, x) @ alpha
+    pred_dual = fit_method("krls", x, y, gamma, kernel=spec).predict(x_test)
     pred_primal = x_test @ rls_fit(x, y, gamma)
     np.testing.assert_allclose(pred_dual, pred_primal, atol=1e-8)
 
@@ -612,12 +624,14 @@ def test_klrr_linear_kernel_matches_lrr():
     y = rng.standard_normal((25, 6))
     gamma = 0.3
     spec = KernelSpec(kind="linear")
-    alpha = klrr_fit(gram(x, spec), y, 3, gamma)
     x_test = rng.standard_normal((7, 5))
-    pred_dual = kernel_cross(spec, x_test, x) @ alpha
+    pred_dual = fit_method("klrr", x, y, gamma, (3,), spec).predict(x_test)
     pred_primal = x_test @ lrr_fit(x, y, 3, gamma)
     np.testing.assert_allclose(pred_dual, pred_primal, atol=1e-8)
-    np.testing.assert_array_equal(klrr_fit(gram(x, spec), y, 6, gamma), krls_fit(gram(x, spec), y, gamma))
+    # klrr at R >= D is krls: the same dual coefficients, bit for bit
+    krls = tucker_reconstruct(fit_method("krls", x, y, gamma, kernel=spec).factors)
+    for r in (6, 9):
+        np.testing.assert_array_equal(tucker_reconstruct(fit_method("klrr", x, y, gamma, (r,), spec).factors), krls)
 
 
 def test_krls_matches_the_explicit_feature_ridge_oracle():
@@ -630,13 +644,13 @@ def test_krls_matches_the_explicit_feature_ridge_oracle():
         y = rng.standard_normal((67, 7))
         u, sv, vt = np.linalg.svd(square_features(x), full_matrices=False)
         ref = square_features(x_test) @ vt.T @ ((sv / (sv**2 + gamma))[:, None] * (u.T @ y))
-        pred = kernel_cross(spec, x_test, x) @ krls_fit(gram(x, spec), y, gamma)
+        pred = fit_method("krls", x, y, gamma, kernel=spec).predict(x_test)
         assert np.linalg.norm(pred - ref) <= 1e-12 * np.linalg.norm(ref), seed
 
 
 def test_krls_validation():
     with pytest.raises(ValueError, match="gamma"):
-        krls_fit(np.eye(3), np.zeros((3, 2)), -1.0)
+        fit_method("krls", np.eye(3), np.zeros((3, 2)), -1.0, kernel=KernelSpec())
 
 
 # --- the flat baselines as rank-constrained holrr -------------------------
@@ -659,8 +673,7 @@ def test_klrr_predictions_equal_kholrr_at_full_output_rank():
         prob, data = small_problem(200 + seed, dims=(6, 4, 3, 2), ranks=(2, 2, 2, 2), gamma=0.05)
         y_flat = matricize(prob.y, 0)
         k = gram(prob.x, spec)
-        dual = klrr_fit(k, y_flat, 2, prob.gamma)
-        p_klrr = kernel_cross(spec, data.x_test, prob.x) @ dual
+        p_klrr = matricize(fit_method("klrr", prob.x, prob.y, prob.gamma, (2,), spec).predict(data.x_test), 0)
         model = kholrr_fit(k, y_flat, (2, y_flat.shape[1]), prob.gamma, prob.x, spec)
         p_kholrr = kholrr_predict_batch(model, data.x_test)
         assert np.linalg.norm(p_klrr - p_kholrr) <= 1e-11 * np.linalg.norm(p_klrr)
@@ -697,6 +710,33 @@ def test_kholrr_dual_values_match_the_pencil_at_40_digits(spec):
         values = mpmath.eigsy(d * z * z.T * d, eigvals_only=True)
         ref = np.array(sorted((float(v) for v in values), reverse=True)[:4])
     assert np.max(np.abs(model.dual_values - ref) / ref) <= 1e-12
+
+
+def test_holrr_thin_q_factor_spans_the_pencil_eigenspace_at_40_digits():
+    """Factor 0 of a primal fit with N > d0 (q thin, the Z route) against
+    the top-R0 eigenspace of the pencil (X^T Y_(0) Y_(0)^T X, X^T X + gamma I)
+    in mpmath at 40 digits: eigsy of X^T X = V diag(lam) V^T, whitening
+    W = V diag((lam + gamma)^-1/2), then eigsy of W^T X^T Y_(0) Y_(0)^T X W,
+    whose top eigenvectors c give the pencil directions W c.  X is rank 5
+    plus 1e-3 noise, so X^T X has cond ~1e8."""
+    gamma, r0 = 1e-6, 4
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 5)) @ rng.standard_normal((5, 12)) + 1e-3 * rng.standard_normal((40, 12))
+        y = mode_product(rng.standard_normal((12, 3, 4)), x, 0) + 0.01 * rng.standard_normal((40, 3, 4))
+        u0 = holrr_fit(RegressionProblem(x, y, (r0, 3, 4), gamma)).factors.factors[0]
+        with mpmath.workdps(40):
+            xm = mpmath.matrix(x.tolist())
+            lam, v = mpmath.eigsy(xm.T * xm)
+            w = v * mpmath.diag([1 / mpmath.sqrt(val + gamma) for val in lam])
+            b = w.T * xm.T * mpmath.matrix(matricize(y, 0).tolist())
+            values, c = mpmath.eigsy(b * b.T)
+            top = sorted(range(12), key=lambda i: -values[i])
+            gap = float((values[top[r0 - 1]] - values[top[r0]]) / values[top[r0 - 1]])
+            basis = mpmath.qr(w * mpmath.matrix([[c[i, j] for j in top[:r0]] for i in range(12)]), mode="skinny")[0]
+            ref = np.array(basis.tolist(), dtype=float)
+        assert gap >= 0.1, seed  # the eigenspace is well defined
+        assert np.linalg.norm(ref - u0 @ (u0.T @ ref), 2) <= 1e-10, seed  # sin of the largest angle
 
 
 def test_kholrr_linear_kernel_matches_holrr():
