@@ -25,8 +25,6 @@ from .regress import KernelSpec
 from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten, write_matrix_csv
 
 SEED_ENV = "TENSORREG_SEED"
-# bytes of Y per row block (`row_blocks`) of a kernel model's training error
-_BLOCK_BYTES = 1 << 24
 
 
 class CliError(Exception):
@@ -54,30 +52,19 @@ def _write_tensor_atomic(t, path) -> None:
     atomic_write(path, lambda f: write_dten(t, f))
 
 
-def row_blocks(y) -> list:
-    """Slices of consecutive rows (mode-0 indices) of `y`, each at most
-    `_BLOCK_BYTES` of it and at least one row: the blocks in which a kernel
-    model's training error forms its kernel rows."""
-    n = y.shape[0]
-    step = max(1, _BLOCK_BYTES // max(1, y[:1].nbytes))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
-
-
 def _training_rmse(model, x, y) -> float:
     """RMSE of the model's predictions for the training rows, summed over the
-    column blocks of `regress.predict_blocks` so no N x D prediction is
-    formed: each block's residual is taken in the block's memory, against
-    the same columns of Y_(0) (contiguous in a column-major Y, as `read_dten`
-    gives it).  A kernel model's kernel rows are formed per `row_blocks`."""
+    column blocks of `regress.predict_blocks`, the stream `predict` writes,
+    so no N x D prediction is formed: each block's residual is taken in the
+    block's memory, against the same columns of Y_(0) (contiguous in a
+    column-major Y, as `read_dten` gives it)."""
     y0 = y.reshape(y.shape[0], -1, order="F")
-    sq = 0.0
-    for rows in row_blocks(y) if isinstance(model, regress.KernelHolrrModel) else [slice(None)]:
-        a = 0
-        for block in regress.predict_blocks(model, x[rows])[1]():
-            block -= y0[rows, a : a + block.shape[1]]
-            a += block.shape[1]
-            r = block.ravel(order="K")
-            sq += float(r @ r)
+    sq, a = 0.0, 0
+    for block in regress.predict_blocks(model, x)[1]():
+        block -= y0[:, a : a + block.shape[1]]
+        a += block.shape[1]
+        r = block.ravel(order="K")
+        sq += float(r @ r)
     return math.sqrt(sq / y.size)
 
 
@@ -290,7 +277,7 @@ def main(argv=None) -> int:
     except CliError as e:
         _note(str(e))
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as e:
+    except OSError as e:
         _note(str(e))
         return 2
     except np.linalg.LinAlgError as e:

@@ -40,7 +40,9 @@ once, and the n x D prediction Y_(0) comes out in column blocks of about
 1 MiB, one GEMM B C_(0)[:, cols] each.  `holrr_predict_batch` writes the
 blocks into one column-major array; `predict_blocks` hands them out one at a
 time, so the CLI streams a prediction to its file and sums the training
-error with no n x D prediction formed.
+error with no n x D prediction formed.  Every array a model holds is
+column-major, as its file stores it (`_column_major`, run when a model is
+constructed), so a fitted model predicts the bits of its own file.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
 `rls_fit` (ridge) is `holrr_fit` at full rank (d0, D), and the kernel
@@ -59,7 +61,7 @@ import io
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +129,8 @@ class KernelSpec:
         self.sigma = float(self.sigma)
         self.degree = int(self.degree)
         self.offset = float(self.offset)
-        if self.kind == "rbf" and not self.sigma > 0:
-            raise ValueError("rbf bandwidth must be positive")
+        if self.kind == "rbf" and not (self.sigma > 0 and 2.0 * self.sigma**2 > 0):  # else k(x, x) = exp(-0/0)
+            raise ValueError(f"rbf bandwidth must be positive, with 2 sigma^2 > 0 in floating point: got {self.sigma!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "polynomial" and not 0 <= self.offset < np.inf:
@@ -280,6 +282,15 @@ def _all_finite(a: np.ndarray) -> bool:
     return all(np.isfinite(block).all() for block in blocks)
 
 
+def _column_major(model) -> None:
+    """Make the model's core, factors and kernel training rows column-major, as
+    `load_model` gives them, so fitted and loaded models predict the same bits."""
+    tf = model.factors
+    model.factors = replace(tf, core=np.asfortranarray(tf.core), factors=[u if u is None else np.asfortranarray(u) for u in tf.factors])
+    if isinstance(model, KernelHolrrModel):
+        model.train_inputs = np.asfortranarray(model.train_inputs)
+
+
 @dataclass
 class HolrrModel:
     """Fitted coefficient tensor in Tucker form; factors[0] is the input side
@@ -289,6 +300,7 @@ class HolrrModel:
     ranks: tuple
     gamma: float
     warnings: tuple = ()
+    __post_init__ = _column_major
 
     def coefficients(self) -> np.ndarray:
         """Materialize the full coefficient tensor W."""
@@ -312,6 +324,7 @@ class KernelHolrrModel:
     dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     warnings: tuple = ()
     _train_terms: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    __post_init__ = _column_major
 
     @property
     def dual_vectors(self) -> np.ndarray:
@@ -395,12 +408,11 @@ def _orthonormalize(a: np.ndarray):
 
 
 def _unit_columns(a: np.ndarray):
-    """(u, t) with u t = a: u a's columns at unit norm and sign-fixed, stored
-    column-major like a loaded model's blocks, so both predict bitwise alike."""
+    """(u, t) with u t = a: u a's columns at unit norm and sign-fixed."""
     norms = np.linalg.norm(a, axis=0)
     scale = np.where(norms > 1e-300, norms, 1.0)
     f = _sign_flips(a / scale)
-    return np.asfortranarray(a / scale * f), np.diag(scale * f)
+    return a / scale * f, np.diag(scale * f)
 
 
 def _tucker_path(y, side, gammas, rank_tuples):
@@ -432,7 +444,7 @@ def _tucker_path(y, side, gammas, rank_tuples):
     wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
     g0, *grams = _mode_grams(y, [via_g0 and wide, *cuts])
-    out = [None if g is None else linalg.sym_eig_top((g + g.T) / 2.0, c).vectors for g, c in zip(grams, cuts)]
+    out = [None if g is None else linalg.sym_eig_top(g, c).vectors for g, c in zip(grams, cuts)]
     del grams
     z = None if via_g0 else _times_rows(q.T, y0)
     pencil = None

@@ -312,10 +312,8 @@ def test_exit_code_2_non_canonical_dten_header(tmp_path, capsys):
 
 def test_fit_training_rmse_is_the_rmse_of_the_training_predictions(tmp_path, capsys, monkeypatch):
     data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=5)
-    # blocks of 4 columns (the last one short) of 20 rows, and for the kernel
-    # model blocks of 3 training rows: 7 blocks, the last one short
+    # blocks of 4 columns (the last one short) of 20 rows
     monkeypatch.setattr(regress, "_PREDICT_BYTES", 4 * 8 * 20)
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 3 * 8 * 6)
     for kernel in ([], ["--kernel", "rbf:2.0"]):
         model_path = tmp_path / "model.bin"
         code, events, _ = run_cli(
@@ -326,6 +324,29 @@ def test_fit_training_rmse_is_the_rmse_of_the_training_predictions(tmp_path, cap
         assert code == 0
         ref = harness.rmse(data.y_train, load_model(model_path).predict(data.x_train))
         assert events[0]["training_rmse"] == pytest.approx(ref, rel=1e-12, abs=0)
+        # the fitted model and the one its file loads as give the same stream
+        loaded = cli._training_rmse(load_model(model_path), cli._read_matrix(x_csv), read_dten(y_dten))
+        assert events[0]["training_rmse"] == loaded
+
+
+def test_exit_code_2_out_dir_is_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["experiment", "synth-linear", "--quick", "--out-dir", str(taken)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("tensorreg: ") and "File exists" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+
+def test_exit_code_2_model_written_over_a_directory(tmp_path, capsys, monkeypatch):
+    _, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=9)
+    monkeypatch.chdir(tmp_path)
+    code = main(["fit", "--x", str(x_csv), "--y", str(y_dten), "--ranks", "2,2,2", "--out", "."])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("tensorreg: "), err
+    assert not list(tmp_path.glob(".tmp-*"))  # the temp file is removed
 
 
 def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):

@@ -13,8 +13,16 @@ The contraction property: on random Tucker models of order 2-5 (factors kept
 or None, C- or F-ordered cores, flat p = 1 presets), a single-row prediction
 equals the batch row and the dense coefficient contraction, and one
 `multi_mode_product` call is bitwise the chain of single mode products.
+
+The invariance suite, for all six methods of `harness.fit_method` on random
+data: permuting the training rows leaves the predictions unchanged, and
+rotating one output mode of Y by an orthogonal Q rotates them by the same Q,
+within 1e-10 relative.  And a fitted model predicts the bits of its own file:
+`predict`, `predict_blocks` and single-row predictions of the model equal
+those of `load_model(save_model(model))`, for C- and F-ordered Y.
 """
 
+import io
 import warnings
 
 import numpy as np
@@ -22,8 +30,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorreg.datagen import random_lowrank_tensor
+from tensorreg.harness import METHODS, fit_method
 from tensorreg.regress import (
     HolrrModel,
+    KernelHolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,
@@ -31,6 +41,10 @@ from tensorreg.regress import (
     holrr_predict,
     holrr_predict_batch,
     kholrr_fit,
+    kholrr_predict,
+    load_model,
+    predict_blocks,
+    save_model,
 )
 from tensorreg.tensor import TuckerFactors, dematricize, matricize, mode_product, multi_mode_product
 
@@ -187,3 +201,57 @@ def test_predictions_do_not_depend_on_the_row_layout(case):
     strided[::2, ::3] = rows
     preds = {model.predict(r).tobytes() for r in (rows, np.asfortranarray(rows), strided[::2, ::3])}
     assert len(preds) == 1
+
+
+def _random_problem(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((25, 6)), rng.standard_normal((25, 4, 5, 3)), rng.standard_normal((7, 6)), rng
+
+
+def _fit_every_method(x, y):
+    """{method: model} of every `fit_method` method; lrr and klrr keep rank 3."""
+    spec = KernelSpec(kind="rbf", sigma=3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {m: fit_method(m, x, y, 1e-2, (3, 2, 3, 2), spec) for m in METHODS}
+
+
+def _assert_close(got, want):
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1))
+def test_every_method_is_invariant_to_training_row_order(seed):
+    x, y, x_test, rng = _random_problem(seed)
+    perm = rng.permutation(len(x))
+    permuted = _fit_every_method(x[perm], y[perm])
+    for method, model in _fit_every_method(x, y).items():
+        _assert_close(permuted[method].predict(x_test), model.predict(x_test))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1), st.integers(1, 3))
+def test_every_method_is_equivariant_to_output_mode_rotation(seed, mode):
+    x, y, x_test, rng = _random_problem(seed)
+    q = np.linalg.qr(rng.standard_normal((y.shape[mode],) * 2))[0]
+    rotated = _fit_every_method(x, mode_product(y, q, mode))
+    for method, model in _fit_every_method(x, y).items():
+        _assert_close(rotated[method].predict(x_test), mode_product(model.predict(x_test), q, mode))
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1))
+def test_a_fitted_model_predicts_the_bits_of_its_file(seed):
+    x, y, x_test, _ = _random_problem(seed)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        for method, model in _fit_every_method(x, layout(y)).items():
+            f = io.BytesIO()
+            save_model(model, f)
+            loaded = load_model(io.BytesIO(f.getvalue()))
+            assert model.predict(x_test).tobytes() == loaded.predict(x_test).tobytes(), method
+            streams = [b"".join(b.tobytes() for b in predict_blocks(m, x_test)[1]()) for m in (model, loaded)]
+            assert streams[0] == streams[1], method
+            row = kholrr_predict if isinstance(model, KernelHolrrModel) else holrr_predict
+            for r in x_test:
+                assert row(model, r).tobytes() == row(loaded, r).tobytes(), method

@@ -597,6 +597,9 @@ def test_kernel_spec_validation():
         KernelSpec(kind="sigmoid")
     with pytest.raises(ValueError, match="bandwidth"):
         KernelSpec(kind="rbf", sigma=0.0)
+    # 2 sigma^2 underflows to 0: the Gram's diagonal would be 0/0
+    with pytest.raises(ValueError, match=r"bandwidth must be positive, with 2 sigma\^2 > 0 .*got 1e-300"):
+        KernelSpec.from_string("rbf:1e-300")
     with pytest.raises(ValueError, match="degree"):
         KernelSpec(kind="polynomial", degree=0)
     with pytest.raises(ValueError, match="offset"):

@@ -6,9 +6,8 @@ and -0.0 included) whatever the memory layout of the tensor written, the read
 path (`readinto` into the array, or into a growing one from a stream that
 cannot seek) and the chunk size; and the mode Grams of C-ordered,
 column-major and strided Y equal the products of the unfoldings.  The I/O
-chunk, the first pipe capacity, the row block and the slab-Gram batch are
-patched down to a few entries, so every loop runs many times and row
-blocks come out odd-sized.
+chunk, the first pipe capacity and the slab-Gram batch are patched down to
+a few entries, so every loop runs many times.
 
 Memory tests (tracemalloc, which sees numpy's allocations): reading a file
 or a pipe holds one copy of the data, writing one holds none, the fits, the
@@ -112,18 +111,12 @@ def test_dten_round_trip_is_bitwise(a, layout, chunk):
     st.sampled_from(("C", "F", "strided")),
     st.integers(1, 3),
 )
-def test_blocked_mode_grams_match_the_unfoldings(seed, shape, layout, rows_per_block):
+def test_blocked_mode_grams_match_the_unfoldings(seed, shape, layout, batch):
     y = _laid_out(np.random.default_rng(seed).standard_normal(shape), layout)
-    row_bytes = 8 * y[:1].size
     with pytest.MonkeyPatch.context() as mp:
-        # rows_per_block rows and a few bytes: blocks of 1-3 rows, the last one short
-        mp.setattr(cli, "_BLOCK_BYTES", rows_per_block * row_bytes + row_bytes // 2)
         # a middle mode's slab Grams in batches of one to a few
-        mp.setattr(regress, "_BATCH_BYTES", 32 * rows_per_block)
-        blocks = cli.row_blocks(y)
+        mp.setattr(regress, "_BATCH_BYTES", 32 * batch)
         grams = regress._mode_grams(y, [True] * y.ndim)
-    assert [r.start for r in blocks] == list(range(0, y.shape[0], rows_per_block))
-    assert blocks[-1].stop == y.shape[0]
     for i, g in enumerate(grams):
         yi = matricize(y, i)
         ref = yi @ yi.T
@@ -312,10 +305,8 @@ def test_cli_predict_and_training_error_stream_column_blocks(seed, kernel, layou
     width = y[0].size
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
         # blocks of `cols` columns of the n-row prediction, the last one
-        # short unless cols divides D; a kernel model's training error in
-        # blocks of 2 rows (the last one short)
+        # short unless cols divides D
         mp.setattr(regress, "_PREDICT_BYTES", 8 * n * cols)
-        mp.setattr(cli, "_BLOCK_BYTES", 2 * y[:1].nbytes + 8)
         d = Path(tmp)
         for name, a in (("x", x), ("y", y), ("x_new", x_new)):
             write_dten(a, d / f"{name}.dten")
