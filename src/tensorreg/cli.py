@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         # LinAlgError subclasses ValueError, so it must be caught first
         _note(f"numerical failure: {e}")
         return 3
-    except (ValueError, json.JSONDecodeError) as e:
+    except (ValueError, OverflowError) as e:  # OverflowError: a number past float or int range
         _note(str(e))
         return 2
 

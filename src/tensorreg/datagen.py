@@ -8,6 +8,7 @@ of them can be regenerated bit-identically from the seed alone.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,21 +256,11 @@ def synthetic_image(kind: str, height: int = 50, width: int = 50) -> np.ndarray:
 
 
 def _ppm_tokens(data: bytes):
-    i = 0
-    n = len(data)
-    while i < n:
-        c = data[i : i + 1]
-        if c == b"#":
-            while i < n and data[i : i + 1] != b"\n":
-                i += 1
-        elif c.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not data[j : j + 1].isspace() and data[j : j + 1] != b"#":
-                j += 1
-            yield data[i:j], j
-            i = j
+    """(field, its end offset) for each whitespace-separated field; a '#'
+    comment runs to the end of its line."""
+    for m in re.finditer(rb"#[^\n]*|[^\s#]+", data):
+        if not m[0].startswith(b"#"):
+            yield m[0], m.end()
 
 
 def read_ppm(path) -> np.ndarray:

@@ -683,6 +683,13 @@ def run_experiment(name: str, config: dict = None, out_dir=None, jobs: int = 1, 
             cfg["runs"] = min(3, int(cfg["runs"]))
             cfg["gammas"] = list(cfg["gammas"])[::3] or list(cfg["gammas"])
 
+    methods = cfg.get("methods", [])  # the image experiment names its own
+    if not isinstance(methods, list):
+        raise ValueError(f"methods must be a list of method entries, got {methods!r}")
+    for entry in methods:
+        if not (isinstance(entry, dict) and entry.get("method") in METHODS):
+            raise ValueError(f"methods entry {entry!r} is not a JSON object with a \"method\" from {METHODS}")
+
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 

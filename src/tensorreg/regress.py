@@ -57,12 +57,10 @@ the decomposition, the Grams and their eigenvectors.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -129,8 +127,9 @@ class KernelSpec:
         self.sigma = float(self.sigma)
         self.degree = int(self.degree)
         self.offset = float(self.offset)
-        if self.kind == "rbf" and not (self.sigma > 0 and 2.0 * self.sigma**2 > 0):  # else k(x, x) = exp(-0/0)
-            raise ValueError(f"rbf bandwidth must be positive, with 2 sigma^2 > 0 in floating point: got {self.sigma!r}")
+        # else k(x, x) = exp(-0/0), or sigma**2 overflows
+        if self.kind == "rbf" and not (self.sigma > 0 and 0 < 2.0 * (self.sigma * self.sigma) < np.inf):
+            raise ValueError(f"rbf bandwidth must be positive, with 2 sigma^2 > 0 and finite in floating point: got {self.sigma!r}")
         if self.kind == "polynomial" and self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
         if self.kind == "polynomial" and not 0 <= self.offset < np.inf:
@@ -695,9 +694,10 @@ def _json_line(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
-def _encode(model, f) -> None:
-    """Write the header line and DTEN blocks of a model file (all but its
-    magic line) into `f`, each block from the model's own memory."""
+def _layout(model) -> tuple:
+    """(header line, blocks) of a model file, all but its magic line: the one
+    description of the layout, which `save_model` writes and `load_model`
+    checks.  Each block is the model's own memory."""
     blocks = {"core": model.factors.core}
     blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors) if u is not None)
     kernel = None
@@ -709,9 +709,7 @@ def _encode(model, f) -> None:
     kind = "holrr" if kernel is None else "kholrr"
     header = dict(kind=kind, ranks=list(model.ranks), gamma=model.gamma, kernel=kernel,
                   warnings=list(model.warnings), blocks=list(blocks))
-    f.write(_json_line(header))
-    for block in blocks.values():
-        write_dten(block, f)
+    return _json_line(header), blocks
 
 
 def save_model(model, path_or_file) -> None:
@@ -720,10 +718,12 @@ def save_model(model, path_or_file) -> None:
     and, for a kernel model, train_inputs and (when non-empty) dual_values."""
     if not isinstance(model, (HolrrModel, KernelHolrrModel)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    line, blocks = _layout(model)
     f, close = _open_maybe(path_or_file, "wb")
     try:
-        f.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii"))
-        _encode(model, f)
+        f.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii") + line)
+        for block in blocks.values():
+            write_dten(block, f)
     finally:
         if close:
             f.close()
@@ -759,33 +759,35 @@ def load_model(path_or_file):
 
     Every block must be finite and agree with the header and the other
     blocks, and the file must be exactly what `save_model` writes for the
-    model it loads as.  HOLRR 1 and 2 files read too: they store every
-    factor, an identity one as an explicit block, and a HOLRR 1 kernel
-    file's dense dual tensor loads as the core with identity (None) factors
-    (its dual eigenpairs are dropped).
+    model it loads as.  Blocks are read straight from the file, one copy; a
+    block that parsed is what `write_dten` writes back, so only the header
+    line is compared with `_layout`'s, and nothing may follow the last block.
+    HOLRR 1 and 2 files read too: they store every factor, an identity one as
+    an explicit block, and a HOLRR 1 kernel file's dense dual tensor loads as
+    the core with identity (None) factors (its dual eigenpairs are dropped).
     """
-    data = path_or_file.read() if hasattr(path_or_file, "read") else Path(path_or_file).read_bytes()
-    f = io.BytesIO(data)
-    head, _, version = f.readline().decode("ascii", errors="replace").rstrip("\n").partition(" ")
-    if head != MODEL_MAGIC:
-        raise ValueError("not a model file")
-    if version not in ("1", "2", str(MODEL_VERSION)):
-        raise ValueError(f"unsupported model version {version}")
-    start = f.tell()
-    header = json.loads(f.readline().decode("ascii"))
+    f, close = _open_maybe(path_or_file, "rb")
     try:
-        blocks = {name: read_dten(f) for name in header["blocks"]}
-        for name, block in blocks.items():
-            if not np.isfinite(block).all():
-                raise ValueError(f"model block {name} is not finite")
-        model = _model_from_header(header, blocks, version)
-    except (KeyError, TypeError) as e:
-        # the header is outside input: a missing key or a wrong JSON type
-        raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
-    if "coeff" in blocks:
+        # bounded: a file that is not a model is not read whole
+        head, _, version = f.readline(64).decode("ascii", errors="replace").rstrip("\n").partition(" ")
+        if head != MODEL_MAGIC:
+            raise ValueError("not a model file")
+        if version not in ("1", "2", str(MODEL_VERSION)):
+            raise ValueError(f"unsupported model version {version}")
+        line = f.readline()
+        header = json.loads(line.decode("ascii"))
+        try:
+            blocks = {name: read_dten(f) for name in header["blocks"]}
+            for name, block in blocks.items():
+                if not _all_finite(block):
+                    raise ValueError(f"model block {name} is not finite")
+            model = _model_from_header(header, blocks, version)
+        except (KeyError, TypeError, OverflowError) as e:
+            # the header is outside input: a missing key, a wrong JSON type or a number past float range
+            raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
+        if "coeff" not in blocks and (_layout(model)[0] != line or f.read(1)):
+            raise ValueError("model file differs from what save_model writes: a non-canonical header or block, or trailing bytes")
         return model
-    canonical = io.BytesIO()
-    _encode(model, canonical)
-    if canonical.getvalue() != data[start:]:
-        raise ValueError("model file differs from what save_model writes: a non-canonical header or block, or trailing bytes")
-    return model
+    finally:
+        if close:
+            f.close()

@@ -290,18 +290,14 @@ def write_dten(t, path_or_file, blocks=None) -> None:
 
 
 def _read_line_bytes(f) -> bytes:
-    # read up to \n one byte at a time so the binary payload is not consumed
-    out = bytearray()
-    while True:
-        b = f.read(1)
-        if not b:
-            break
-        if b == b"\n":
-            break
-        out.extend(b)
-        if len(out) > 4096:
-            raise ValueError("DTEN header line too long")
-    return bytes(out)
+    """The header line up to its newline (not kept), at most 4096 bytes; the
+    binary payload after it is not consumed."""
+    line = f.readline(4097)
+    if line.endswith(b"\n"):
+        return line[:-1]
+    if len(line) > 4096:
+        raise ValueError("DTEN header line too long")
+    return line
 
 
 def _bytes_left(f):

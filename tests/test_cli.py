@@ -289,6 +289,35 @@ def test_exit_code_2_image_rank_zero(tmp_path, capsys):
         assert err.startswith("tensorreg: ") and f"{key} must be non-empty" in err, err
 
 
+def test_exit_code_2_numbers_past_float_range(tmp_path, capsys):
+    # an rbf sigma whose square overflows, a 400-digit gamma, an infinite
+    # trial count: each is a tensorreg: line, not an OverflowError traceback
+    _, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=10)
+    out = tmp_path / "m.bin"
+    code = main(["fit", "--x", str(x_csv), "--y", str(y_dten), "--ranks", "2,2,2", "--kernel", "rbf:1e200", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("tensorreg: ") and "bandwidth" in err, err
+    assert not out.exists()
+    huge_gamma = experiment_config(tmp_path, gammas=[10**400]).read_text()
+    inf_trials = experiment_config(tmp_path).read_text().replace('"trials": 1,', '"trials": 1e400,')
+    for text in (huge_gamma, inf_trials):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(text)
+        code = main(["experiment", "synth-linear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("tensorreg: "), (text, err)
+
+
+def test_exit_code_2_malformed_methods_entry(tmp_path, capsys):
+    # checked before any task runs or the output directory is made
+    for methods, shown in (([{"method": "rls"}, {"kernel": "rbf:2"}], "{'kernel': 'rbf:2'}"), ("rls", "'rls'")):
+        cfg = experiment_config(tmp_path, methods=methods)
+        code = main(["experiment", "synth-linear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("tensorreg: ") and shown in err, (methods, err)
+        assert not (tmp_path / "o").exists()
+
+
 def test_exit_code_2_dten_dims_beyond_the_file(tmp_path, capsys):
     for dims in ((99999999999999999999, 2), (3037000500, 3037000500, 2)):
         path = tmp_path / "huge.dten"

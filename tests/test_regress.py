@@ -600,6 +600,9 @@ def test_kernel_spec_validation():
     # 2 sigma^2 underflows to 0: the Gram's diagonal would be 0/0
     with pytest.raises(ValueError, match=r"bandwidth must be positive, with 2 sigma\^2 > 0 .*got 1e-300"):
         KernelSpec.from_string("rbf:1e-300")
+    # sigma^2 overflows: a ValueError, not Python's OverflowError from sigma**2
+    with pytest.raises(ValueError, match=r"bandwidth .*got 1e\+200"):
+        KernelSpec.from_string("rbf:1e200")
     with pytest.raises(ValueError, match="degree"):
         KernelSpec(kind="polynomial", degree=0)
     with pytest.raises(ValueError, match="offset"):
@@ -886,7 +889,8 @@ def test_model_file_errors(tmp_path):
     # headers that are not objects or lack a required key
     for header in (b"[1, 2]", b'"holrr"', b'{"ranks":[1],"gamma":0.0,"blocks":[]}',
                    b'{"kind":"holrr","ranks":[1],"gamma":0.0}', b'{"kind":"holrr","blocks":[],"gamma":0.0}',
-                   b'{"kind":"holrr","blocks":[],"ranks":[1]}'):
+                   b'{"kind":"holrr","blocks":[],"ranks":[1]}',
+                   b'{"kind":"holrr","blocks":[],"ranks":[1],"gamma":' + b"1" * 400 + b"}"):  # past float range
         with pytest.raises(ValueError, match="malformed model header"):
             load_model(io.BytesIO(b"HOLRR 1\n" + header + b"\n"))
     # blocks and header values that are non-finite or disagree with each other
@@ -918,11 +922,16 @@ def test_model_file_errors(tmp_path):
     good = buf.getvalue()
     assert load_model(io.BytesIO(good)).ranks == (2, 2, 2, 2)
     dten = good.index(b"DTEN 1 4 2 2 2 2\n")
-    for bad in (good + b"\0", good.replace(b'"gamma":0.001', b'"gamma":1e-3')):
-        with pytest.raises(ValueError, match="differs from what save_model writes"):
-            load_model(io.BytesIO(bad))
-    with pytest.raises(ValueError, match="malformed DTEN header"):
-        load_model(io.BytesIO(good[:dten] + good[dten:].replace(b"DTEN 1 4", b"DTEN 1  4", 1)))
+    path = tmp_path / "bad.bin"
+    for bad, message in (
+        (good + b"\0", "differs from what save_model writes"),
+        (good.replace(b'"gamma":0.001', b'"gamma":1e-3'), "differs from what save_model writes"),
+        (good[:dten] + good[dten:].replace(b"DTEN 1 4", b"DTEN 1  4", 1), "malformed DTEN header"),
+    ):
+        path.write_bytes(bad)
+        for source in (io.BytesIO(bad), path):
+            with pytest.raises(ValueError, match=message):
+                load_model(source)
 
 
 def test_holrr_1_kernel_file_loads_its_dense_tensor_as_an_identity_tucker():

@@ -12,7 +12,7 @@ a few entries, so every loop runs many times.
 Memory tests (tracemalloc, which sees numpy's allocations): reading a file
 or a pipe holds one copy of the data, writing one holds none, the fits, the
 CV path and the mode Grams read Y in place, a batch prediction holds little beyond its
-output, and a model is saved from its own memory.  The training data's finite
+output, and a model is saved from its own memory and loaded into one copy.  The training data's finite
 check makes no array of Y's size, and a kernel fit holds four N x N arrays
 at its peak, three when the pencil goes through G_0.  A CLI `predict`
 process (its peak RSS, `helpers.cli_peak_rss`) holds column blocks of the
@@ -278,6 +278,22 @@ def test_save_model_writes_from_the_model_memory(y_file, tmp_path):
     assert model.factors.core.shape == y.shape
     payload = model.factors.core.nbytes + x.nbytes
     assert _peak_bytes(save_model, model, tmp_path / "model.bin") <= 0.1 * payload
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+def test_load_model_holds_one_copy(y_file, tmp_path, kernel):
+    # full rank: an rls core of d0 x D, or a krls core of N x D
+    y, _ = y_file
+    x = np.random.default_rng(9).standard_normal((N, 100))
+    if kernel:
+        spec = KernelSpec(kind="rbf", sigma=3.0)
+        model = kholrr_fit(gram(x, spec), y, (N, *SHAPE), 1e-3, x, spec)
+    else:
+        model = holrr_fit(RegressionProblem(x=x, y=y, ranks=(100, *SHAPE), gamma=1e-3))
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    assert all(u is None for u in model.factors.factors)
+    assert _peak_bytes(load_model, path) <= 1.1 * path.stat().st_size
 
 
 def _cli(*argv) -> tuple:
