@@ -16,8 +16,9 @@ import os
 import re
 import tempfile
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -89,18 +90,21 @@ def atomic_write_bytes(path, data: bytes) -> None:
 
 
 def _preset(method: str, x, y, ranks) -> tuple:
-    """The (R0, R1..Rp) at which `method` is the one fit, holrr_fit (kholrr_fit
-    for the kernel methods) on stacked data: rls at (d0, d1..dp), krls at
-    (N, d1..dp), lrr/klrr at (R, d1..dp) for R = ranks[0] (full rank for
-    R >= D), holrr/kholrr at `ranks`."""
+    """(ranks, notes): the (R0, R1..Rp) at which `method` is the one fit,
+    holrr_fit (kholrr_fit for the kernel methods) on stacked data: rls at
+    (d0, d1..dp), krls at (N, d1..dp), lrr/klrr at (R, d1..dp) for
+    R = ranks[0] clamped to [1, D] (`regress._flat_rank`, whose notes these
+    are; full rank at D), holrr/kholrr at `ranks`."""
     (n, d0), dims = np.shape(x), np.shape(y)[1:]
     full = (n if method.startswith("k") else d0, *dims)
     if method in ("holrr", "kholrr"):
         if len(ranks) != len(dims) + 1:
             raise ValueError(f"{method} needs {len(dims) + 1} ranks (input mode plus output modes), got {tuple(ranks)}")
-        return tuple(ranks)
-    r = int(ranks[0]) if ranks else 1
-    return (r, *dims) if method in ("lrr", "klrr") and r < math.prod(dims) else full
+        return tuple(ranks), []
+    if method in ("rls", "krls"):
+        return full, []
+    r, notes = regress._flat_rank(int(ranks[0]) if ranks else 1, math.prod(dims))
+    return ((r, *dims) if r < math.prod(dims) else full), notes
 
 
 def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec = None):
@@ -110,7 +114,8 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     Returns a HolrrModel for the primal methods and a KernelHolrrModel for the
     kernel ones, so every result predicts through `.predict(x)`.  Every
     method but lrr is holrr_fit/kholrr_fit at its `_preset` ranks; lrr keeps
-    its own D x D algorithm, folded into a model with no factors.
+    its own D x D algorithm, folded into a model with no factors.  lrr and
+    klrr models carry their rank clamp notes, which are also warned.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -118,14 +123,18 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     y = np.asarray(y, dtype=np.float64)
     if method.startswith("k") and kernel is None:
         raise ValueError(f"{method} needs a kernel")
-    if method == "lrr":
+    preset, notes = _preset(method, x, y, ranks)
+    if method == "lrr":  # lrr_fit warns the notes
         w = regress.lrr_fit(x, matricize(y, 0), int(ranks[0]) if ranks else 1, gamma)
         core = dematricize(w, 0, (x.shape[1], *y.shape[1:]))
-        return regress.HolrrModel(TuckerFactors(core, [None] * core.ndim), core.shape, float(gamma))
-    ranks = _preset(method, x, y, ranks)
+        return regress.HolrrModel(TuckerFactors(core, [None] * core.ndim), float(gamma), tuple(notes))
+    for msg in notes:
+        warnings.warn(msg, stacklevel=2)
     if method.startswith("k"):
-        return regress.kholrr_fit(regress.gram(x, kernel), y, ranks, gamma, x, kernel)
-    return regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=ranks, gamma=gamma))
+        model = regress.kholrr_fit(regress.gram(x, kernel), y, preset, gamma, x, kernel)
+    else:
+        model = regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=preset, gamma=gamma))
+    return replace(model, warnings=(*notes, *model.warnings)) if notes else model
 
 
 def predict_method(model, x) -> np.ndarray:
@@ -172,13 +181,9 @@ def _grid_points(method: str, grid: GridSpec) -> list:
     gammas = sorted(grid.gammas)
     if method in ("rls", "krls"):
         points = [(g, None) for g in gammas]
-    elif method in ("lrr", "klrr"):
-        firsts = sorted({rc[0] for rc in grid.rank_candidates})
-        if not firsts:
-            raise ValueError("lrr needs at least one rank candidate")
-        points = [(g, (r,)) for g in gammas for r in firsts]
     else:
-        ranks = sorted(grid.rank_candidates)
+        flat = method in ("lrr", "klrr")
+        ranks = sorted({rc[:1] for rc in grid.rank_candidates}) if flat else sorted(grid.rank_candidates)
         if not ranks:
             raise ValueError(f"{method} needs at least one rank candidate")
         points = [(g, rc) for g in gammas for rc in ranks]
@@ -225,7 +230,7 @@ def _select(splits, grid: GridSpec, method: str, kernel=None):
         raise ValueError(f"{method} needs a kernel")
     errors = {point: [] for point in points}
     for x_fit, y_fit, x_val, y_val in splits:
-        ranks = {point: _preset(method, x_fit, y_fit, point[1]) for point in points}
+        ranks = {point: _preset(method, x_fit, y_fit, point[1])[0] for point in points}
         preds = regress.path_predict(
             x_fit, y_fit, x_val, sorted(set(grid.gammas)), list(dict.fromkeys(ranks.values())), kernel if dual else None
         )

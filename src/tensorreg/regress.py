@@ -60,7 +60,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -161,12 +161,7 @@ class KernelSpec:
         raise ValueError(f"bad kernel spec {text!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "sigma": self.sigma,
-            "degree": self.degree,
-            "offset": self.offset,
-        }
+        return asdict(self)
 
 
 def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
@@ -182,7 +177,11 @@ def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
     if kernel.kind == "linear":
         return dots
     if kernel.kind == "polynomial":
-        return (dots + kernel.offset) ** kernel.degree
+        with np.errstate(over="ignore"):
+            k = (dots + kernel.offset) ** kernel.degree
+        if not _all_finite(k):
+            raise ValueError(f"polynomial kernel (degree {kernel.degree}, offset {kernel.offset}) overflows on these inputs")
+        return k
     sq = (_row_norms(xa) if na is None else na)[:, None] + (_row_norms(xb) if nb is None else nb)[None, :] - 2.0 * dots
     np.clip(sq, 0.0, None, out=sq)
     return np.exp(-sq / (2.0 * kernel.sigma**2))
@@ -296,10 +295,14 @@ class HolrrModel:
     (None, the identity, at full rank)."""
 
     factors: TuckerFactors
-    ranks: tuple
     gamma: float
     warnings: tuple = ()
     __post_init__ = _column_major
+
+    @property
+    def ranks(self) -> tuple:
+        """The multilinear rank (R0..Rp): the core's shape."""
+        return self.factors.ranks
 
     def coefficients(self) -> np.ndarray:
         """Materialize the full coefficient tensor W."""
@@ -318,7 +321,6 @@ class KernelHolrrModel:
     factors: TuckerFactors
     train_inputs: np.ndarray
     kernel: KernelSpec
-    ranks: tuple
     gamma: float
     dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     warnings: tuple = ()
@@ -329,6 +331,8 @@ class KernelHolrrModel:
     def dual_vectors(self) -> np.ndarray:
         """The dual basis A: the pencil's dual eigenvectors (None at full rank)."""
         return self.factors.factors[0]
+
+    ranks = HolrrModel.ranks
 
     def predict(self, x) -> np.ndarray:
         """Stacked predictions for a matrix of input rows."""
@@ -388,14 +392,6 @@ def _pencil_via_g0(n: int, width: int) -> bool:
     return width >= n
 
 
-def _clamp_rank(requested: int, limit: int, mode: int, noted: list) -> int:
-    """`requested` capped at `limit`; a cap is recorded in `noted`."""
-    if requested > limit:
-        noted.append(f"rank {requested} clamped to {limit} at mode {mode}")
-        return limit
-    return requested
-
-
 def _orthonormalize(a: np.ndarray):
     """(u, t) with u t = a: u the Q of the QR of a's sign-fixed columns,
     flipped so that diag(t) >= 0."""
@@ -417,8 +413,8 @@ def _unit_columns(a: np.ndarray):
 def _tucker_path(y, side, gammas, rank_tuples):
     """The one fit behind every method at each point of gammas x rank_tuples,
     from `side` = `_input_side(...)`, whose m has dim rows (d0, or N).
-    Yields ((gamma, ranks), TuckerFactors, clamped ranks, pencil values,
-    notes) per point, factor 0 the un-normalized M c.
+    Yields ((gamma, ranks), TuckerFactors, pencil values, notes) per point,
+    factor 0 the un-normalized M c; the clamped ranks are the core's shape.
 
     With Z = q^T Y_(0), inv = `_ridge_inverse` and D = sqrt(lam inv), R0 >=
     dim keeps no factor 0 and the core is the ridge solution
@@ -474,9 +470,9 @@ def _tucker_path(y, side, gammas, rank_tuples):
                 res = linalg.sym_eig_top(d[:, None] * pencil * d, top)
             head = rows(res.vectors.T * d)
         for ranks in rank_tuples:
-            noted: list = []
-            r0 = _clamp_rank(ranks[0], dim if ranks[0] >= dim else kept, 0, noted)
-            out_ranks = [_clamp_rank(r, di, i, noted) for i, (r, di) in enumerate(zip(ranks[1:], dims), start=1)]
+            limits = (dim if ranks[0] >= dim else kept, *dims)
+            noted = [f"rank {r} clamped to {c} at mode {i}" for i, (r, c) in enumerate(zip(ranks, limits)) if r > c]
+            r0, *out_ranks = map(min, ranks, limits)
             if singular:
                 noted.append("input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range")
             if r0 == dim:
@@ -490,20 +486,20 @@ def _tucker_path(y, side, gammas, rank_tuples):
                 [None if u is None else u.T for u in factors],
                 range(1, y.ndim),
             )
-            yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), (r0, *out_ranks), values, noted
+            yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), values, noted
 
 
 def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
     """`_tucker_path` at one point, with (u0, t) = `normalize`(M c) and t
     applied to mode 0 of the core; each note is also warned."""
-    _, tf, ranks, values, noted = next(_tucker_path(y, side, [gamma], [ranks]))
+    _, tf, values, noted = next(_tucker_path(y, side, [gamma], [ranks]))
     u0, *factors = tf.factors
     if u0 is not None:
         u0, t = normalize(u0)
         tf = TuckerFactors(core=mode_product(tf.core, t, 0), factors=[u0, *factors])
     for msg in noted:
         warnings.warn(msg, stacklevel=3)
-    return tf, ranks, values, noted
+    return tf, values, noted
 
 
 def holrr_fit(prob: RegressionProblem) -> HolrrModel:
@@ -516,8 +512,8 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
     values (R0 >= d0 to d0, R0 < d0 to the directions kept; Ri <= di) with a
     warning recorded on the model.
     """
-    tf, ranks, _, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(prob.x))
-    return HolrrModel(factors=tf, ranks=ranks, gamma=prob.gamma, warnings=tuple(noted))
+    tf, _, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(prob.x))
+    return HolrrModel(factors=tf, gamma=prob.gamma, warnings=tuple(noted))
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
@@ -587,6 +583,16 @@ def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
     return holrr_fit(RegressionProblem(x, y_flat, (*np.shape(x)[1:2], np.shape(y_flat)[1]), gamma)).coefficients()
 
 
+def _flat_rank(rank: int, width: int) -> tuple:
+    """(rank, notes): a flat baseline's rank clamped to [1, width], the
+    vectorized output dimension, each clamp noted."""
+    if rank < 1:
+        return 1, [f"rank {rank} clamped to 1"]
+    if rank > width:
+        return width, [f"rank {rank} clamped to output dimension {width}"]
+    return rank, []
+
+
 def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
     """Rank-constrained ridge on vectorized outputs.
 
@@ -596,12 +602,10 @@ def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
     """
     w_rls = rls_fit(x, y_flat, gamma)
     width = w_rls.shape[1]
-    if rank < 1:
-        warnings.warn(f"rank {rank} clamped to 1", stacklevel=2)
-        rank = 1
-    elif rank > width:
-        warnings.warn(f"rank {rank} clamped to output dimension {width}", stacklevel=2)
-    if rank >= width:
+    rank, notes = _flat_rank(rank, width)
+    for msg in notes:
+        warnings.warn(msg, stacklevel=2)
+    if rank == width:
         return w_rls
     q, lam, _, _ = _input_side(np.asarray(x, dtype=np.float64))
     # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
@@ -625,7 +629,7 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     else:
         side, rows = _input_side(k=gram(x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
     path = _tucker_path(np.asarray(y_fit, dtype=np.float64), side, gammas, [tuple(r) for r in rank_tuples])
-    return {point: holrr_predict_batch(HolrrModel(tf, ranks, point[0]), rows) for point, tf, ranks, _, _ in path}
+    return {point: holrr_predict_batch(HolrrModel(tf, point[0]), rows) for point, tf, _, _ in path}
 
 
 def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> KernelHolrrModel:
@@ -653,8 +657,8 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
     if train_inputs.shape[0] != k.shape[0]:
         raise ValueError("train_inputs row count must match the gram matrix")
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
-    tf, ranks, values, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(k=k), _unit_columns)
-    return KernelHolrrModel(tf, train_inputs, kernel, ranks, prob.gamma, values, warnings=tuple(noted))
+    tf, values, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(k=k), _unit_columns)
+    return KernelHolrrModel(tf, train_inputs, kernel, prob.gamma, values, warnings=tuple(noted))
 
 
 def _train_norms(model: KernelHolrrModel) -> np.ndarray:
@@ -745,13 +749,13 @@ def _model_from_header(header: dict, blocks: dict, version: str):
     if ranks != factors.ranks:
         raise ValueError(f"header ranks {ranks} do not match the core's shape {factors.ranks}")
     if header["kind"] == "holrr":
-        return HolrrModel(factors, ranks, gamma, warns)
+        return HolrrModel(factors, gamma, warns)
     x, dual_values = blocks["train_inputs"], blocks.get("dual_values", np.zeros(0))
     if x.ndim != 2 or x.shape[0] != factors.shape[0]:
         raise ValueError("model blocks factor0 and train_inputs disagree on N")
     if dual_values.ndim != 1 or dual_values.size not in (0, ranks[0]):
         raise ValueError(f"model block dual_values has shape {dual_values.shape}; R0 is {ranks[0]}")
-    return KernelHolrrModel(factors, x, KernelSpec(**header["kernel"]), ranks, gamma, dual_values, warns)
+    return KernelHolrrModel(factors, x, KernelSpec(**header["kernel"]), gamma, dual_values, warns)
 
 
 def load_model(path_or_file):

@@ -308,6 +308,20 @@ def test_exit_code_2_numbers_past_float_range(tmp_path, capsys):
         assert code == 2 and err.startswith("tensorreg: "), (text, err)
 
 
+def test_exit_code_2_polynomial_kernel_overflow(tmp_path, capsys):
+    # (x.y + 1)^400 is past float range on these rows: a tensorreg: line
+    # naming the kernel, with no RuntimeWarning and no late eigh failure
+    _, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=11)
+    out = tmp_path / "m.bin"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit", "--x", str(x_csv), "--y", str(y_dten), "--ranks", "2,2,2", "--kernel", "poly:400", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "tensorreg: polynomial kernel (degree 400, offset 1.0) overflows on these inputs\n", err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 def test_exit_code_2_malformed_methods_entry(tmp_path, capsys):
     # checked before any task runs or the output directory is made
     for methods, shown in (([{"method": "rls"}, {"kernel": "rbf:2"}], "{'kernel': 'rbf:2'}"), ("rls", "'rls'")):

@@ -124,6 +124,23 @@ def test_fit_method_validation():
         grid_search_cv(data.x_train, data.y_train, GridSpec(gammas=(0.1, 1.0), rank_candidates=((2,),)), "klrr")
 
 
+@pytest.mark.parametrize("method", ["lrr", "klrr"])
+def test_lrr_and_klrr_models_carry_their_rank_clamps(method):
+    # R is clamped to [1, D] with D = 6, the vectorized output dimension
+    data = small_data(2)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert fit_method(method, data.x_train, data.y_train, 0.1, (6, 3, 2), spec).warnings == ()
+    for rank, note in ((9, "rank 9 clamped to output dimension 6"), (0, "rank 0 clamped to 1")):
+        with pytest.warns(UserWarning) as caught:
+            model = fit_method(method, data.x_train, data.y_train, 0.1, (rank, 3, 2), spec)
+        assert model.warnings == (note,)
+        assert [str(w.message) for w in caught] == [note]
+        twin = fit_method(method, data.x_train, data.y_train, 0.1, (min(max(rank, 1), 6),), spec)
+        np.testing.assert_array_equal(model.factors.core, twin.factors.core)
+
+
 def test_measure_fit_seconds():
     data = small_data(3)
     t = measure_fit_seconds("rls", data.x_train, data.y_train, 0.1, repeats=2)
@@ -189,10 +206,9 @@ def test_grid_search_tie_breaks_toward_smallest_point():
 def test_grid_search_requires_rank_candidates_for_rank_methods():
     data = small_data(6)
     grid = GridSpec(gammas=(0.1,), rank_candidates=())
-    with pytest.raises(ValueError, match="rank candidate"):
-        grid_search_cv(data.x_train, data.y_train, grid, "lrr")
-    with pytest.raises(ValueError, match="rank candidate"):
-        grid_search_cv(data.x_train, data.y_train, grid, "holrr")
+    for method in ("lrr", "klrr", "holrr", "kholrr"):
+        with pytest.raises(ValueError, match=f"^{method} needs at least one rank candidate$"):
+            grid_search_cv(data.x_train, data.y_train, grid, method, KernelSpec("rbf"))
 
 
 # (n, d0, output dims, gammas, rank candidates[, degenerate]); seed s runs

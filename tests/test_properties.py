@@ -141,7 +141,7 @@ def _tucker_model(seed, order, kept, fortran, flat):
         np.linalg.qr(rng.standard_normal((r + int(rng.integers(0, 3)), r)))[0] if keep else None
         for r, keep in zip(ranks, kept)
     ]
-    model = HolrrModel(TuckerFactors(core=core, factors=factors), ranks, 0.0)
+    model = HolrrModel(TuckerFactors(core=core, factors=factors), 0.0)
     return model, rng.standard_normal((3, model.factors.shape[0]))
 
 

@@ -287,7 +287,28 @@ def test_holrr_rank_clamping_recorded():
     with pytest.warns(UserWarning, match="clamped"):
         model = holrr_fit(RegressionProblem(x, y, (9, 5, 2), 1e-3))
     assert model.ranks == (4, 3, 2)
-    assert any("clamped" in w for w in model.warnings)
+    assert model.warnings == ("rank 9 clamped to 4 at mode 0", "rank 5 clamped to 3 at mode 1")
+
+
+@pytest.mark.parametrize("method", ["rls", "lrr", "holrr", "krls", "klrr", "kholrr"])
+def test_model_ranks_are_the_core_shape(method):
+    # a model's ranks are read from its core, fitted or loaded, and cannot be set apart from it
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal((12, 5)), rng.standard_normal((12, 4, 3))
+    spec = KernelSpec(kind="rbf", sigma=2.0) if method.startswith("k") else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # ranks (9, 9, 2) clamp
+        models = [fit_method(method, x, y, 1e-2, ranks, spec) for ranks in ((2, 2, 2), (9, 9, 2), (3, 4, 3))]
+    for model in models:
+        buf = io.BytesIO()
+        save_model(model, buf)
+        back = load_model(io.BytesIO(buf.getvalue()))
+        for m in (model, back):
+            assert m.ranks == m.factors.core.shape and all(type(r) is int for r in m.ranks)
+        assert "ranks" not in {f.name for f in dataclasses.fields(model)}
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, ranks=(9, 9, 9))
+    assert models[1].ranks[1] == 4
 
 
 def test_holrr_gamma_zero_rank_deficient_inputs():
@@ -511,7 +532,7 @@ def test_reassigned_train_inputs_predict_as_a_freshly_built_model():
     before = kholrr_predict(model, x[1])
     moved = model.train_inputs + 0.25
     model.train_inputs = moved
-    fresh = KernelHolrrModel(model.factors, moved, model.kernel, model.ranks, model.gamma, model.dual_values)
+    fresh = KernelHolrrModel(model.factors, moved, model.kernel, model.gamma, model.dual_values)
     assert np.array_equal(kholrr_predict(model, x[1]), kholrr_predict(fresh, x[1]))
     assert not np.array_equal(kholrr_predict(model, x[1]), before)
     assert np.array_equal(kholrr_predict_batch(model, x), kholrr_predict_batch(fresh, x))
@@ -521,7 +542,7 @@ def test_kernel_model_inputs_are_checked_finite():
     model, x = _kernel_model(KernelSpec(kind="rbf", sigma=2.0))
     bad = model.train_inputs.copy()
     bad[3, 1] = np.nan
-    hand = KernelHolrrModel(model.factors, bad, model.kernel, model.ranks, model.gamma)
+    hand = KernelHolrrModel(model.factors, bad, model.kernel, model.gamma)
     query = x[0].copy()
     query[2] = np.inf
     kholrr_predict(model, x[0])  # the query keeps its check once the training rows are cached
@@ -609,6 +630,19 @@ def test_kernel_spec_validation():
         KernelSpec(kind="polynomial", offset=-1.0)
 
 
+def test_polynomial_kernel_overflow_is_a_value_error():
+    # (x.y + 1)^3 past float range: named, not an inf Gram or a RuntimeWarning
+    model, x = _kernel_model(KernelSpec(kind="polynomial", degree=3))
+    message = r"polynomial kernel \(degree 3, offset 1.0\) overflows on these inputs"
+    for rows in (x * 1e120, x[:1] * 1e120):
+        with pytest.raises(ValueError, match=message):
+            kholrr_predict_batch(model, rows)
+    with pytest.raises(ValueError, match=message):
+        kholrr_predict(model, x[0] * 1e120)
+    with pytest.raises(ValueError, match=message):
+        gram(model.train_inputs * 1e120, model.kernel)
+
+
 # --- dual baselines ---------------------------------------------------------
 
 
@@ -636,8 +670,9 @@ def test_klrr_linear_kernel_matches_lrr():
     np.testing.assert_allclose(pred_dual, pred_primal, atol=1e-8)
     # klrr at R >= D is krls: the same dual coefficients, bit for bit
     krls = tucker_reconstruct(fit_method("krls", x, y, gamma, kernel=spec).factors)
-    for r in (6, 9):
-        np.testing.assert_array_equal(tucker_reconstruct(fit_method("klrr", x, y, gamma, (r,), spec).factors), krls)
+    np.testing.assert_array_equal(tucker_reconstruct(fit_method("klrr", x, y, gamma, (6,), spec).factors), krls)
+    with pytest.warns(UserWarning, match="rank 9 clamped to output dimension 6"):
+        np.testing.assert_array_equal(tucker_reconstruct(fit_method("klrr", x, y, gamma, (9,), spec).factors), krls)
 
 
 def test_krls_matches_the_explicit_feature_ridge_oracle():
@@ -899,7 +934,6 @@ def test_model_file_errors(tmp_path):
     nan_core = holrr_fit(prob)
     nan_core.factors.core[0, 0, 0, 0] = np.nan
     nan_gamma = dataclasses.replace(holrr_fit(prob), gamma=float("nan"))
-    big_ranks = dataclasses.replace(holrr_fit(prob), ranks=(9, 9, 9, 9))
     kmodel = kholrr_fit(k, kprob.y, kprob.ranks, kprob.gamma, kprob.x, spec)
     long_duals = dataclasses.replace(kmodel, dual_values=np.arange(7.0))
     nan_offset = dataclasses.replace(kmodel, kernel=KernelSpec(kind="polynomial"))
@@ -907,7 +941,6 @@ def test_model_file_errors(tmp_path):
     cases = [
         (nan_core, "model block core is not finite"),
         (nan_gamma, "gamma must be finite"),
-        (big_ranks, r"header ranks \(9, 9, 9, 9\) do not match the core's shape \(2, 2, 2, 2\)"),
         (long_duals, r"dual_values has shape \(7,\); R0 is 3"),
         (nan_offset, "offset must be finite"),
     ]
@@ -924,6 +957,8 @@ def test_model_file_errors(tmp_path):
     dten = good.index(b"DTEN 1 4 2 2 2 2\n")
     path = tmp_path / "bad.bin"
     for bad, message in (
+        (good.replace(b'"ranks":[2,2,2,2]', b'"ranks":[9,9,9,9]', 1),
+         r"header ranks \(9, 9, 9, 9\) do not match the core's shape \(2, 2, 2, 2\)"),
         (good + b"\0", "differs from what save_model writes"),
         (good.replace(b'"gamma":0.001', b'"gamma":1e-3'), "differs from what save_model writes"),
         (good[:dten] + good[dten:].replace(b"DTEN 1 4", b"DTEN 1  4", 1), "malformed DTEN header"),
@@ -987,7 +1022,7 @@ def test_holrr_2_file_with_explicit_identity_factors_loads_and_reencodes_bytewis
     assert [u is None for u in model.factors.factors] == [False, True, False, True]
     # the HOLRR 2 form of the same fit: an identity block for each full mode
     eyes = [np.eye(d) if u is None else u for u, d in zip(model.factors.factors, model.factors.shape)]
-    explicit = HolrrModel(TuckerFactors(model.factors.core, eyes), model.ranks, model.gamma, model.warnings)
+    explicit = HolrrModel(TuckerFactors(model.factors.core, eyes), model.gamma, model.warnings)
     buf = io.BytesIO()
     save_model(explicit, buf)
     body = buf.getvalue()[len(b"HOLRR 3\n"):]
