@@ -138,14 +138,12 @@ def _cmd_experiment(args) -> int:
     if args.trials is not None:
         config["trials"] = args.trials
         config["runs"] = args.trials
-    report = harness.run_experiment(
-        args.name,
-        config,
-        out_dir=args.out_dir,
-        jobs=args.jobs,
-        timing=args.timing,
-        quick=args.quick,
-    )
+    try:
+        report = harness.run_experiment(
+            args.name, config, out_dir=args.out_dir, jobs=args.jobs, timing=args.timing, quick=args.quick
+        )
+    except TypeError as e:  # a config value of the wrong JSON type, such as null where a list belongs
+        raise ValueError(f"malformed config ({type(e).__name__}: {e})") from None
     _emit(
         {
             "event": "experiment",
@@ -274,17 +272,11 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except CliError as e:
-        _note(str(e))
-        return 2
-    except OSError as e:
-        _note(str(e))
-        return 2
     except np.linalg.LinAlgError as e:
         # LinAlgError subclasses ValueError, so it must be caught first
         _note(f"numerical failure: {e}")
         return 3
-    except (ValueError, OverflowError) as e:  # OverflowError: a number past float or int range
+    except (CliError, OSError, ValueError, OverflowError) as e:  # OverflowError: a number past float or int range
         _note(str(e))
         return 2
 

@@ -19,7 +19,6 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -89,12 +88,14 @@ def atomic_write_bytes(path, data: bytes) -> None:
 # method adapters
 
 
-def _preset(method: str, x, y, ranks) -> tuple:
+def _preset(method: str, x, y, ranks, kernel=None) -> tuple:
     """(ranks, notes): the (R0, R1..Rp) at which `method` is the one fit,
-    holrr_fit (kholrr_fit for the kernel methods) on stacked data: rls at
-    (d0, d1..dp), krls at (N, d1..dp), lrr/klrr at (R, d1..dp) for
-    R = ranks[0] clamped to [1, D] (`regress._flat_rank`, whose notes these
-    are; full rank at D), holrr/kholrr at `ranks`."""
+    holrr_fit (kholrr_fit for the kernel methods, which need a `kernel`) on
+    stacked data: rls at (d0, d1..dp), krls at (N, d1..dp), lrr/klrr at
+    (R, d1..dp) for R = ranks[0] clamped to [1, D] (`regress._flat_rank`,
+    whose notes these are; full rank at D), holrr/kholrr at `ranks`."""
+    if method.startswith("k") and kernel is None:
+        raise ValueError(f"{method} needs a kernel")
     (n, d0), dims = np.shape(x), np.shape(y)[1:]
     full = (n if method.startswith("k") else d0, *dims)
     if method in ("holrr", "kholrr"):
@@ -121,9 +122,7 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
         raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if method.startswith("k") and kernel is None:
-        raise ValueError(f"{method} needs a kernel")
-    preset, notes = _preset(method, x, y, ranks)
+    preset, notes = _preset(method, x, y, ranks, kernel)
     if method == "lrr":  # lrr_fit warns the notes
         w = regress.lrr_fit(x, matricize(y, 0), int(ranks[0]) if ranks else 1, gamma)
         core = dematricize(w, 0, (x.shape[1], *y.shape[1:]))
@@ -200,6 +199,14 @@ def cv_folds(n: int, folds: int, seed: int) -> list:
     return list(np.array_split(perm, folds))
 
 
+def _cv_splits(x, y, folds: int, seed: int):
+    """(x_fit, y_fit, x_val, y_val) per `cv_folds` block, copied when reached."""
+    for val_idx in cv_folds(x.shape[0], folds, seed):
+        mask = np.ones(x.shape[0], dtype=bool)
+        mask[val_idx] = False
+        yield x[mask], y[mask], x[val_idx], y[val_idx]
+
+
 def grid_search_cv(x, y, grid: GridSpec, method: str, kernel: KernelSpec = None):
     """k-fold cross validation over the grid; mean validation RMSE per point.
 
@@ -209,36 +216,38 @@ def grid_search_cv(x, y, grid: GridSpec, method: str, kernel: KernelSpec = None)
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    splits = []
-    for val_idx in cv_folds(x.shape[0], grid.folds, grid.seed):
-        mask = np.ones(x.shape[0], dtype=bool)
-        mask[val_idx] = False
-        splits.append((x[mask], y[mask], x[val_idx], y[val_idx]))
-    return _select(splits, grid, method, kernel)
+    return _select(_cv_splits(x, y, grid.folds, grid.seed), [(method, grid, kernel)])[0]
 
 
-def _select(splits, grid: GridSpec, method: str, kernel=None):
-    """Score every grid point by its mean validation RMSE over the
-    (x_fit, y_fit, x_val, y_val) splits; returns (best, table).
+def _select(splits, jobs) -> list:
+    """(best, table) per (method, grid, kernel) job: every grid point scored
+    by its mean validation RMSE over the (x_fit, y_fit, x_val, y_val) splits.
 
-    Each split's whole grid is scored from one decomposition of its fit
-    rows (`regress.path_predict`), every point at its `_preset` ranks.
+    The splits are walked once.  On each, the jobs that share an input side
+    (X, or the Gram of one kernel) are scored by one `regress.path_predict`
+    over the union of their gammas and `_preset` rank tuples, each point as
+    the path yields it.
     """
-    points = _grid_points(method, grid)
-    dual = method.startswith("k")
-    if dual and kernel is None:
-        raise ValueError(f"{method} needs a kernel")
-    errors = {point: [] for point in points}
+    points = [_grid_points(method, grid) for method, grid, _ in jobs]
+    errors = [{point: [] for point in p} for p in points]
     for x_fit, y_fit, x_val, y_val in splits:
-        ranks = {point: _preset(method, x_fit, y_fit, point[1])[0] for point in points}
-        preds = regress.path_predict(
-            x_fit, y_fit, x_val, sorted(set(grid.gammas)), list(dict.fromkeys(ranks.values())), kernel if dual else None
-        )
-        for point, r in ranks.items():
-            errors[point].append(rmse(y_val, preds[point[0], r]))
-    table = [{"gamma": g, "ranks": r, "score": float(np.mean(errors[(g, r)]))} for g, r in points]
-    best = min(table, key=lambda row: (row["score"], row["gamma"], row["ranks"] or ()))
-    return best, table
+        sides = {}  # repr(side) -> (kernel or None, {(gamma, preset ranks): the error lists it scores})
+        for (method, _, kernel), errs_j in zip(jobs, errors):
+            side = kernel if method.startswith("k") else None
+            wanted = sides.setdefault(repr(side), (side, {}))[1]
+            for (g, r), errs in errs_j.items():
+                wanted.setdefault((g, _preset(method, x_fit, y_fit, r, kernel)[0]), []).append(errs)
+        for kernel, wanted in sides.values():
+            gammas, rank_tuples = sorted({g for g, _ in wanted}), list(dict.fromkeys(r for _, r in wanted))
+            for point, pred in regress.path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel):
+                for errs in wanted.get(point, ()):
+                    errs.append(rmse(y_val, pred))
+        del x_fit, y_fit, x_val, y_val  # freed before the next split is copied
+    results = []
+    for p, errs in zip(points, errors):
+        table = [{"gamma": g, "ranks": r, "score": float(np.mean(errs[(g, r)]))} for g, r in p]
+        results.append((min(table, key=lambda row: (row["score"], row["gamma"], row["ranks"] or ())), table))
+    return results
 
 
 def _resolve_kernel(spec, x_train) -> KernelSpec:
@@ -462,28 +471,11 @@ def default_config(name: str) -> dict:
             "cv_folds": 3,
         }
     if name == "synth-nonlinear":
+        # the synth-linear protocol on a quadratic feature map, with the kernel methods added
         poly = {"kind": "polynomial", "degree": 2, "offset": 0.0}
-        return {
-            "seed": 0,
-            "trials": 20,
-            "train_sizes": [20, 40, 60, 80, 100],
-            "test_size": 100,
-            "input_dim": 5,
-            "output_dims": [10, 10, 10],
-            "w_ranks": [5, 6, 4, 2],
-            "noise_std": 0.1,
-            "methods": [
-                {"method": "rls"},
-                {"method": "lrr"},
-                {"method": "holrr"},
-                {"method": "krls", "kernel": poly},
-                {"method": "klrr", "kernel": poly},
-                {"method": "kholrr", "kernel": poly},
-            ],
-            "gammas": list(DEFAULT_GAMMAS),
-            "rank_candidates": [[5, 6, 4, 2]],
-            "cv_folds": 3,
-        }
+        linear = default_config("synth-linear")
+        return dict(linear, input_dim=5, w_ranks=[5, 6, 4, 2], rank_candidates=[[5, 6, 4, 2]],
+                    methods=linear["methods"] + [{"method": m, "kernel": poly} for m in ("krls", "klrr", "kholrr")])
     if name == "image":
         return {
             "seed": 0,
@@ -525,14 +517,13 @@ def default_config(name: str) -> dict:
     raise ValueError(f"unknown experiment {name!r}; expected one of {EXPERIMENTS}")
 
 
-def _score_methods(cfg, experiment, train, test, select, seed, ranks, **tags) -> list:
-    """A record per method of `cfg`: (gamma, ranks) from `select(grid, method,
-    kernel)` unless the grid has one point, a timed refit on `train`, the RMSE
-    on `test`.  `ranks` are the default rank candidates; `tags` fill N, k, trial."""
+def _score_methods(cfg, experiment, train, test, splits, seed, ranks, **tags) -> list:
+    """A record per method of `cfg`: (gamma, ranks) from one `_select` over
+    `splits` unless its grid has one point, a timed refit on `train`, the
+    RMSE on `test`.  `ranks` are the default rank candidates; `tags` fill N, k, trial."""
     (x, y), (x_test, y_test) = train, test
-    records, kernels = [], {}  # each distinct kernel config resolved once (a median sigma is O(N^2))
+    jobs, kernels = [], {}  # each distinct kernel config resolved once (a median sigma is O(N^2))
     for entry in cfg["methods"]:
-        method = entry["method"]
         key = repr(entry.get("kernel"))
         kernel = kernels[key] = kernels.get(key) or _resolve_kernel(entry.get("kernel"), x)
         candidates = entry.get("rank_candidates", cfg.get("rank_candidates"))
@@ -542,11 +533,13 @@ def _score_methods(cfg, experiment, train, test, select, seed, ranks, **tags) ->
             folds=int(cfg.get("cv_folds", GridSpec.folds)),
             seed=seed,
         )
-        points = _grid_points(method, grid)
-        gamma, point_ranks = points[0]
-        if len(points) > 1:
-            best, _ = select(grid, method, kernel)
-            gamma, point_ranks = best["gamma"], best["ranks"]
+        jobs.append((entry["method"], grid, kernel))
+    points = [_grid_points(method, grid) for method, grid, _ in jobs]
+    searched = _select(splits, [job for job, p in zip(jobs, points) if len(p) > 1])
+    picks = iter([(best["gamma"], best["ranks"]) for best, _ in searched])
+    records = []
+    for (method, _, kernel), p in zip(jobs, points):
+        gamma, point_ranks = next(picks) if len(p) > 1 else p[0]
         t0 = time.perf_counter()
         model = fit_method(method, x, y, gamma, point_ranks, kernel)
         seconds = time.perf_counter() - t0
@@ -584,8 +577,9 @@ def _run_synth_task(args) -> list:
         else datagen.gen_nonlinear_synthetic(spec)
     )
     train, test = (data.x_train, data.y_train), (data.x_test, data.y_test)
-    select = partial(grid_search_cv, *train)
-    return _score_methods(cfg, name, train, test, select, seed, (), N=n, k="", trial=trial)
+    # copied a fold at a time as selection walks them: none is alive during the refits
+    splits = _cv_splits(*train, int(cfg.get("cv_folds", GridSpec.folds)), seed)
+    return _score_methods(cfg, name, train, test, splits, seed, (), N=n, k="", trial=trial)
 
 
 def _run_forecast_task(args) -> list:
@@ -610,11 +604,11 @@ def _run_forecast_task(args) -> list:
     else:
         x_all, y_all = ds.x, ds.y
     train, test = (x_all[tr], y_all[tr]), (x_all[te], y_all[te])
-    select = partial(_select, [(*train, x_all[va], y_all[va])])
+    splits = [(*train, x_all[va], y_all[va])]
     # the rank candidates where neither the method entry nor the config names any
     modes = (min(2, ds.horizon), min(8, len(ds.station_names)), min(4, len(ds.variables)))
     ranks = [[10, *modes], [20, *modes]]
-    return _score_methods(cfg, "forecast", train, test, select, seed, ranks, N=n_train, k=ds.horizon, trial=run)
+    return _score_methods(cfg, "forecast", train, test, splits, seed, ranks, N=n_train, k=ds.horizon, trial=run)
 
 
 def _load_image(cfg) -> np.ndarray:
@@ -706,6 +700,8 @@ def run_experiment(name: str, config: dict = None, out_dir=None, jobs: int = 1, 
         ]
         chunks = _map_tasks(_run_synth_task, tasks, jobs)
     elif name == "forecast":
+        if cfg["met_dir"] is None:
+            raise ValueError("forecast needs the station data directory: pass --met-dir or set met_dir in the config")
         data = load_metoffice(cfg["met_dir"], cfg.get("stations"))
         chunks = []
         for hi, horizon in enumerate(cfg["horizons"]):

@@ -86,7 +86,6 @@ class SymEigResult:
 
     values: np.ndarray
     vectors: np.ndarray
-    clamped: bool = False
 
 
 def sym_eig_top(a, r: int) -> SymEigResult:
@@ -98,11 +97,9 @@ def sym_eig_top(a, r: int) -> SymEigResult:
     a = _check_symmetric(a, "A")
     if r < 1:
         raise ValueError("r must be >= 1")
-    clamped = False
     if r > a.shape[0]:
         warnings.warn(f"eigenpair count {r} clamped to dimension {a.shape[0]}", stacklevel=2)
         r = a.shape[0]
-        clamped = True
     n = a.shape[0]
     work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
     # the top r pairs only, ascending; sym.T is sym, and column-major, so not copied
@@ -112,7 +109,7 @@ def sym_eig_top(a, r: int) -> SymEigResult:
     )
     if info != 0 or found != r:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info} ({found} of {r} pairs)")
-    return SymEigResult(values=w[r - 1 :: -1], vectors=_fix_signs(v[:, ::-1]), clamped=clamped)
+    return SymEigResult(values=w[r - 1 :: -1], vectors=_fix_signs(v[:, ::-1]))
 
 
 def gen_sym_eig_top(s, m, r: int):

@@ -49,10 +49,12 @@ The flat baselines are rank presets of the same fit on vectorized outputs:
 baselines krls and klrr are `kholrr_fit` at (N, D) and (R, D) (through
 `harness.fit_method`).  A mode at full rank keeps no factor (None in
 `TuckerFactors`: the identity, never stored or multiplied).  `lrr_fit`
-(ridge followed by a rank-R projection of the vectorized outputs) keeps its
-own D x D eigenproblem: it is the fit-time baseline.  The CV path
-(`path_predict`) is the fit itself at many (gamma, ranks) points, which share
-the decomposition, the Grams and their eigenvectors.
+(ridge followed by a rank-R projection of the vectorized outputs, both from
+one thin SVD of X) keeps its own D x D eigenproblem: it is the fit-time
+baseline.  The CV path (`path_predict`) is the fit itself at many
+(gamma, ranks) points, which share the decomposition, the Grams and their
+eigenvectors: selection streams one path per split and input side over the
+union of its methods' presets (`harness._select`).
 """
 
 from __future__ import annotations
@@ -573,14 +575,23 @@ def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
     return out
 
 
+def _ridge(x, y_flat, gamma: float) -> tuple:
+    """(W_RLS, Y, side): `holrr_fit` at full rank (d0, D) on vectorized
+    outputs, with the thin SVD of X (`_input_side`) it is fitted from."""
+    if np.ndim(y_flat) != 2:
+        raise ValueError("y_flat must be a matrix of vectorized outputs")
+    prob = RegressionProblem(x, y_flat, (*np.shape(x)[1:2], np.shape(y_flat)[1]), gamma)
+    side = _input_side(prob.x)
+    tf, _, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, side)
+    return HolrrModel(tf, prob.gamma).coefficients(), prob.y, side
+
+
 def rls_fit(x, y_flat, gamma: float) -> np.ndarray:
     """Ridge solution (X^T X + gamma I)^-1 X^T Y: the coefficients of
     `holrr_fit` at full rank (d0, D).  At gamma = 0 with X^T X singular it is
     the minimum-norm least-squares solution, with the pseudo-inverse warning.
     """
-    if np.ndim(y_flat) != 2:
-        raise ValueError("y_flat must be a matrix of vectorized outputs")
-    return holrr_fit(RegressionProblem(x, y_flat, (*np.shape(x)[1:2], np.shape(y_flat)[1]), gamma)).coefficients()
+    return _ridge(x, y_flat, gamma)[0]
 
 
 def _flat_rank(rank: int, width: int) -> tuple:
@@ -597,30 +608,31 @@ def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
     """Rank-constrained ridge on vectorized outputs.
 
     W = W_RLS V V^T with V the top-`rank` eigenvectors of Y^T P Y, P the ridge
-    hat matrix of X from its thin SVD.  `rank` is clamped to [1, D] with a
-    warning; at D it returns W_RLS, bitwise `rls_fit`'s.
+    hat matrix of X; W_RLS and P come from one thin SVD of X.  `rank` is
+    clamped to [1, D] with a warning; at D it returns W_RLS, bitwise
+    `rls_fit`'s.
     """
-    w_rls = rls_fit(x, y_flat, gamma)
+    w_rls, y, (q, lam, _, _) = _ridge(x, y_flat, gamma)
     width = w_rls.shape[1]
     rank, notes = _flat_rank(rank, width)
     for msg in notes:
         warnings.warn(msg, stacklevel=2)
     if rank == width:
         return w_rls
-    q, lam, _, _ = _input_side(np.asarray(x, dtype=np.float64))
     # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
-    e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ np.asarray(y_flat, dtype=np.float64))
+    e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ y)
     v = linalg.sym_eig_top(e.T @ e, rank).vectors
     return w_rls @ v @ v.T
 
 
-def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None) -> dict:
+def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None):
     """Validation predictions of holrr_fit (kholrr_fit when `kernel` is given)
     at every (gamma, ranks) point: `_tucker_path` over one decomposition of
     the fit rows, each point predicted on X_val (or K_val).
 
-    Returns {(gamma, ranks): prediction}, predictions (n_val, d1..dp).
-    Ranks must be >= 1.
+    The decomposition (and K_val) is made before this returns; the generator
+    returned yields ((gamma, ranks), prediction (n_val, d1..dp)) one point at
+    a time, as the path reaches it.  Ranks must be >= 1.
     """
     x_fit = np.asarray(x_fit, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
@@ -629,7 +641,7 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     else:
         side, rows = _input_side(k=gram(x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
     path = _tucker_path(np.asarray(y_fit, dtype=np.float64), side, gammas, [tuple(r) for r in rank_tuples])
-    return {point: holrr_predict_batch(HolrrModel(tf, point[0]), rows) for point, tf, _, _ in path}
+    return ((point, holrr_predict_batch(HolrrModel(tf, point[0]), rows)) for point, tf, _, _ in path)
 
 
 def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> KernelHolrrModel:

@@ -152,7 +152,6 @@ class TuckerFactors:
 
     core: np.ndarray
     factors: list = field(default_factory=list)
-    clamped: bool = False
 
     def __post_init__(self):
         self.core = _as_tensor(self.core)
@@ -216,7 +215,7 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 def hosvd_truncated(t, ranks) -> TuckerFactors:
     """Truncated higher-order SVD at the requested multilinear ranks.
 
-    Ranks above the mode dimension are clamped (warning + flag on the result).
+    Ranks above the mode dimension are clamped with a warning.
     Exact when `ranks` >= the true multilinear rank of `t`.
     """
     t = _as_tensor(t)
@@ -225,7 +224,6 @@ def hosvd_truncated(t, ranks) -> TuckerFactors:
         raise ValueError(f"{len(ranks)} ranks for an order-{t.ndim} tensor")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be >= 1")
-    clamped = False
     factors = []
     for mode, r in enumerate(ranks):
         if r > t.shape[mode]:
@@ -234,11 +232,10 @@ def hosvd_truncated(t, ranks) -> TuckerFactors:
                 stacklevel=2,
             )
             r = t.shape[mode]
-            clamped = True
         u, _, _ = np.linalg.svd(matricize(t, mode), full_matrices=False)
         factors.append(_fix_signs(u[:, :r]))
     core = multi_mode_product(t, [u.T for u in factors])
-    return TuckerFactors(core=core, factors=factors, clamped=clamped)
+    return TuckerFactors(core=core, factors=factors)
 
 
 # ---------------------------------------------------------------------------

@@ -332,6 +332,30 @@ def test_exit_code_2_malformed_methods_entry(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
+def test_exit_code_2_config_value_of_the_wrong_json_type(tmp_path, capsys):
+    # null, a number or a stray key where a list, an object or a known key
+    # belongs: a tensorreg: line with exit 2, not a TypeError traceback
+    krls = {"method": "krls", "kernel": "rbf:2"}
+    for kw in (
+        {"cv_folds": None},
+        {"gammas": None},
+        {"gammas": [None]},
+        {"rank_candidates": 5},
+        {"trials": None},
+        {"methods": [{"method": "rls", "gammas": 5}]},
+        {"methods": [dict(krls, kernel=5)]},
+        {"methods": [dict(krls, kernel={"kind": "rbf", "bogus": 1})]},
+    ):
+        cfg = experiment_config(tmp_path, **kw)
+        code = main(["experiment", "synth-linear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("tensorreg: malformed config (TypeError: ") and err.count("\n") == 1, (kw, err)
+    # forecast's default met_dir is null
+    code = main(["experiment", "forecast", "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("tensorreg: ") and "--met-dir" in err, err
+
+
 def test_exit_code_2_dten_dims_beyond_the_file(tmp_path, capsys):
     for dims in ((99999999999999999999, 2), (3037000500, 3037000500, 2)):
         path = tmp_path / "huge.dten"

@@ -310,13 +310,96 @@ def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
 
     # one synth-linear task: CV picks each method's point, then one refit
     # per method (rls, lrr, holrr): rls is holrr_fit at full rank, and lrr's
-    # runs lrr_fit once, whose ridge step is rls_fit, holrr_fit at full rank
+    # runs lrr_fit once, whose ridge step is the same full-rank fit made from
+    # the one SVD it shares with its projection (no rls_fit or holrr_fit call)
     cfg = dict(default_config("synth-linear"), trials=1, train_sizes=[20])
     _run_synth_task((cfg, "synth-linear", 0, 0))
     assert calls.count("harness.fit_method") == 3
     assert calls.count("regress.lrr_fit") == 1
-    assert calls.count("regress.rls_fit") == 1
-    assert calls.count("regress.holrr_fit") == 3
+    assert calls.count("regress.rls_fit") == 0
+    assert calls.count("regress.holrr_fit") == 2
+
+
+def test_one_selection_of_every_method_matches_selecting_each_alone():
+    # one _select scores all six methods from one path per fold and input
+    # side.  A table is bitwise the method's own unless the union asks the
+    # pencil for more eigenpairs than the method alone: lrr/klrr score a
+    # first rank in [D, dim) at full rank, where holrr/kholrr cut, and
+    # dsyevr's leading pairs round differently when more are asked for
+    for seed in range(20):
+        x, y, grid, kernel = _path_problem(seed)
+        jobs = [(m, grid, kernel if m.startswith("k") else None) for m in METHODS]
+        together = harness._select(harness._cv_splits(x, y, grid.folds, grid.seed), jobs)
+        width = int(np.prod(y.shape[1:]))
+        for (method, _, k), (best, table) in zip(jobs, together):
+            ref_best, ref_table = grid_search_cv(x, y, grid, method, k)
+            assert (best["gamma"], best["ranks"]) == (ref_best["gamma"], ref_best["ranks"]), (seed, method)
+            if method in ("lrr", "klrr") and any(rc[0] >= width for rc in grid.rank_candidates):
+                assert [(r["gamma"], r["ranks"]) for r in table] == [(r["gamma"], r["ranks"]) for r in ref_table]
+                for row, ref in zip(table, ref_table):
+                    assert abs(row["score"] - ref["score"]) <= 1e-14 * ref["score"], (seed, method)
+            else:
+                assert (best, table) == (ref_best, ref_table), (seed, method)
+
+
+def _path_spy(monkeypatch) -> list:
+    """The kernel argument of every `regress.path_predict` call."""
+    calls, path_predict = [], regress.path_predict
+
+    def spy(*args, **kw):
+        calls.append(args[5])
+        return path_predict(*args, **kw)
+
+    monkeypatch.setattr(regress, "path_predict", spy)
+    return calls
+
+
+def test_selection_makes_one_path_per_split_and_input_side(tmp_path, monkeypatch):
+    # rls, lrr and holrr share X; krls, klrr and kholrr share one kernel's Gram
+    calls = _path_spy(monkeypatch)
+    poly = KernelSpec(kind="polynomial", degree=2, offset=0.0)
+    for name, sides in (("synth-linear", [None]), ("synth-nonlinear", [None, poly])):
+        cfg = dict(default_config(name), trials=1, train_sizes=[20])
+        calls.clear()
+        _run_synth_task((cfg, name, 0, 0))
+        assert calls == sides * cfg["cv_folds"], name
+    met = tmp_path / "met"
+    cfg = {"met_dir": str(met), "stations": helpers.write_station_dir(met, n_months=240)}
+    calls.clear()
+    report = run_experiment("forecast", cfg, timing="none", quick=True)
+    tasks = len(report.records) // 6
+    assert tasks == 3 * 2 * 3 and len(calls) == 2 * tasks  # one validation split per task
+    assert all(k is None for k in calls[::2]) and all(k.kind == "rbf" for k in calls[1::2])
+
+
+def test_one_pass_selection_holds_one_fold_and_one_prediction_at_a_time():
+    # the synth-cv shape: folds are copied one at a time and each point's
+    # prediction is scored and dropped.  One fold copy is Y's size and the
+    # path's working set (a prediction, its residual, Z, the cores) about
+    # another: a second fold alive while the next is copied, a list of the
+    # folds or the union's predictions held would each add at least 0.3 Y.
+    # Selecting three methods at once holds at most one validation
+    # prediction more than the leanest of them alone (at each gamma the
+    # union keeps rls's full-rank core and the cut one of lrr/holrr)
+    spec = SynthSpec(input_dim=10, output_dims=(10, 10, 10), ranks=(6, 4, 4, 8), n_train=100, n_test=1, noise_std=0.1, seed=0)
+    data = gen_linear_synthetic(spec)
+    x, y = data.x_train, data.y_train
+    grid = GridSpec(gammas=harness.DEFAULT_GAMMAS, rank_candidates=((6, 4, 4, 8),), folds=3, seed=0)
+    jobs = [(m, grid, None) for m in ("rls", "lrr", "holrr")]
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    together = peak(lambda: harness._select(harness._cv_splits(x, y, grid.folds, grid.seed), jobs))
+    alone = [peak(lambda: grid_search_cv(x, y, grid, m)) for m, _, _ in jobs]
+    prediction = max(len(v) for v in cv_folds(len(x), grid.folds, grid.seed)) * y[0].nbytes
+    assert together <= 2.25 * y.nbytes, together / y.nbytes
+    assert together <= min(alone) + prediction, (together, alone)
 
 
 def test_median_sigma_is_bitwise_the_broadcast_median_in_quadratic_memory():

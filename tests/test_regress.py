@@ -175,6 +175,33 @@ def test_lrr_rank_bound_and_loss():
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
+def test_lrr_takes_one_thin_svd_of_x(monkeypatch):
+    # W_RLS and the ridge hat matrix P of Y^T P Y share one decomposition
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((30, 6))
+    y = rng.standard_normal((30, 8))
+    gamma = 1e-2
+    q, lam, _, _ = regress._input_side(x)
+    e = np.sqrt(lam * regress._ridge_inverse(lam, gamma))[:, None] * (q.T @ y)
+    v = linalg.sym_eig_top(e.T @ e, 3).vectors
+    expect = rls_fit(x, y, gamma) @ v @ v.T
+    calls, svd = [], np.linalg.svd
+
+    def spy(a, *args, **kw):
+        calls.append(a.shape)
+        return svd(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    np.testing.assert_array_equal(lrr_fit(x, y, 3, gamma), expect)
+    assert calls == [x.shape]
+    # the fit still checks its problem first and warns a singular input Gram
+    with pytest.raises(ValueError, match="finite"):
+        lrr_fit(np.full_like(x, np.nan), y, 3, gamma)
+    x[:, 0] = 0.0
+    with pytest.warns(UserWarning, match="pseudo-inverse"):
+        lrr_fit(x, y, 3, 0.0)
+
+
 # --- holrr ----------------------------------------------------------------
 
 

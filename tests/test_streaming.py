@@ -239,12 +239,15 @@ def test_kholrr_fit_reads_y_in_place(layout):
 @pytest.mark.parametrize("layout, kernel", [("C", True), ("F", True), ("C", False)])
 def test_path_predict_reads_y_in_place(layout, kernel):
     # the CV path is the fit at many points: no unfolding of Y is copied, and
-    # beside Y it holds Z = q^T Y_(0) (d0 x D) only for a thin primal q
+    # beside Y it holds Z = q^T Y_(0) (d0 x D) only for a thin primal q.  The
+    # path runs as its generator is consumed, so the walk is measured whole
     rng = np.random.default_rng(9)
     x, x_val = rng.standard_normal((200, 30)), rng.standard_normal((20, 30))
     y = _laid_out(rng.standard_normal((200, 20, 20, 20)), layout)
     spec = KernelSpec(kind="rbf", sigma=5.0) if kernel else None
-    peak = _peak_bytes(path_predict, x, y, x_val, [1e-3], [(5, 3, 3, 3)], spec)
+    points = []
+    peak = _peak_bytes(lambda: points.extend(p for p, _ in path_predict(x, y, x_val, [1e-3], [(5, 3, 3, 3)], spec)))
+    assert points == [(1e-3, (5, 3, 3, 3))]
     assert peak <= 0.5 * y.nbytes
 
 
