@@ -35,7 +35,6 @@ from .linalg import (
 )
 from .regress import (
     HolrrModel,
-    KernelHolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,

@@ -127,16 +127,23 @@ def _noisy_outputs(w, x, rng, noise_std) -> np.ndarray:
     return y
 
 
-def gen_linear_synthetic(spec: SynthSpec) -> SynthData:
-    """Linear task: y = W x_0 x + noise with W of multilinear rank spec.ranks."""
-    w = random_lowrank_tensor((spec.input_dim, *spec.output_dims), spec.ranks, spec.seed)
+def _synthetic(spec: SynthSpec, width: int, features) -> SynthData:
+    """y = W x_0 features(x) + noise, W of shape (width, d1..dp) at multilinear
+    rank spec.ranks: the one body of both synthetic tasks, whose draws differ
+    only in the feature map."""
+    w = random_lowrank_tensor((width, *spec.output_dims), spec.ranks, spec.seed)
     rng_x = substream(spec.seed, "inputs")
     rng_e = substream(spec.seed, "noise")
     x_train = rng_x.standard_normal((spec.n_train, spec.input_dim))
     x_test = rng_x.standard_normal((max(spec.n_test, 0), spec.input_dim))
-    y_train = _noisy_outputs(w, x_train, rng_e, spec.noise_std)
-    y_test = _noisy_outputs(w, x_test, rng_e, spec.noise_std)
+    y_train = _noisy_outputs(w, features(x_train), rng_e, spec.noise_std)
+    y_test = _noisy_outputs(w, features(x_test), rng_e, spec.noise_std)
     return SynthData(x_train, y_train, x_test, y_test, w)
+
+
+def gen_linear_synthetic(spec: SynthSpec) -> SynthData:
+    """Linear task: y = W x_0 x + noise with W of multilinear rank spec.ranks."""
+    return _synthetic(spec, spec.input_dim, lambda x: x)
 
 
 def square_features(x) -> np.ndarray:
@@ -157,15 +164,7 @@ def gen_nonlinear_synthetic(spec: SynthSpec) -> SynthData:
     raw x rows.  A degree-2 polynomial kernel with zero offset reproduces the
     feature map exactly.
     """
-    d2 = spec.input_dim**2
-    w = random_lowrank_tensor((d2, *spec.output_dims), spec.ranks, spec.seed)
-    rng_x = substream(spec.seed, "inputs")
-    rng_e = substream(spec.seed, "noise")
-    x_train = rng_x.standard_normal((spec.n_train, spec.input_dim))
-    x_test = rng_x.standard_normal((max(spec.n_test, 0), spec.input_dim))
-    y_train = _noisy_outputs(w, square_features(x_train), rng_e, spec.noise_std)
-    y_test = _noisy_outputs(w, square_features(x_test), rng_e, spec.noise_std)
-    return SynthData(x_train, y_train, x_test, y_test, w)
+    return _synthetic(spec, spec.input_dim**2, square_features)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,9 @@ def rmse(y_true, y_pred) -> float:
     b = np.asarray(y_pred, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    d = a - b
+    d *= d  # in place: no second temporary the size of the prediction
+    return float(np.sqrt(np.mean(d)))
 
 
 def atomic_write(path, write) -> None:
@@ -112,8 +114,8 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     """Fit one method on stacked data; `ranks` is the full tuple for holrr
     variants and its first element feeds lrr variants.
 
-    Returns a HolrrModel for the primal methods and a KernelHolrrModel for the
-    kernel ones, so every result predicts through `.predict(x)`.  Every
+    Returns a HolrrModel (with the kernel as its input map for the kernel
+    methods), so every result predicts input rows through `.predict(x)`.  Every
     method but lrr is holrr_fit/kholrr_fit at its `_preset` ranks; lrr keeps
     its own D x D algorithm, folded into a model with no factors.  lrr and
     klrr models carry their rank clamp notes, which are also warned.
@@ -530,8 +532,6 @@ def _score_methods(cfg, experiment, train, test, splits, seed, ranks, **tags) ->
         grid = GridSpec(
             gammas=tuple(entry.get("gammas", cfg["gammas"])),
             rank_candidates=tuple(tuple(rc) for rc in (ranks if candidates is None else candidates)),
-            folds=int(cfg.get("cv_folds", GridSpec.folds)),
-            seed=seed,
         )
         jobs.append((entry["method"], grid, kernel))
     points = [_grid_points(method, grid) for method, grid, _ in jobs]

@@ -15,12 +15,13 @@ The fit costs one small eigenproblem per mode and carries a (p+1)-factor
 approximation guarantee relative to the exact rank-constrained minimizer.
 
 The kernel variant replaces X by the Gram matrix and learns a dual coefficient
-tensor C (N x d1 x ... x dp), never materialized: the kernel model keeps it in
-the same Tucker form as the primal one, C = G x_0 A x_1 U_1 ... x_p U_p with
-the dual basis A (N x R0) as factor 0.  A prediction is the contraction
-G x_0 (A^T k) x_1 U_1 ... x_p U_p of the kernel vector k of x against the
-training rows, whose norms and finite check the model computes once: a row
-costs N kernel terms and one `multi_mode_product`.
+tensor C (N x d1 x ... x dp), never materialized: a kernel model is the same
+`HolrrModel`, its kernel and training rows its input map, with C in the same
+Tucker form, C = G x_0 A x_1 U_1 ... x_p U_p, the dual basis A (N x R0) as
+factor 0.  Every predict entry point takes input rows, and a kernel model
+first maps each to its kernel vector k against the training rows, whose
+norms and finite check the model computes once: a row costs N kernel terms
+and one `multi_mode_product`, G x_0 (A^T k) x_1 U_1 ... x_p U_p.
 
 Every fit takes its input side from one decomposition of the fit rows' Gram,
 X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
@@ -34,15 +35,15 @@ the outputs are at least as wide as N, the pencil runs through the mode-0
 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the N x D product Q^T Y_(0) is never
 formed.
 
-A batch prediction is one loop (`_column_blocks`): B = X U_0 (K_x A for a
+A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
 kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
 once, and the n x D prediction Y_(0) comes out in column blocks of about
 1 MiB, one GEMM B C_(0)[:, cols] each.  `holrr_predict_batch` writes the
-blocks into one column-major array; `predict_blocks` hands them out one at a
-time, so the CLI streams a prediction to its file and sums the training
-error with no n x D prediction formed.  Every array a model holds is
-column-major, as its file stores it (`_column_major`, run when a model is
-constructed), so a fitted model predicts the bits of its own file.
+blocks into one column-major array; the CLI streams them to its file and
+sums the training error with no n x D prediction formed.  Every array a
+model holds is column-major, as its file stores it (`_column_major`, run
+when a model is constructed), so a fitted model predicts the bits of its
+own file.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
 `rls_fit` (ridge) is `holrr_fit` at full rank (d0, D), and the kernel
@@ -83,7 +84,6 @@ __all__ = [
     "KernelSpec",
     "RegressionProblem",
     "HolrrModel",
-    "KernelHolrrModel",
     "rls_fit",
     "lrr_fit",
     "holrr_fit",
@@ -108,7 +108,7 @@ _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
 # bytes of a batch of slab Grams (`_axis_gram`) and of a block `_all_finite` checks
 _BATCH_BYTES = 1 << 18
-# bytes of a column block of a prediction (`_column_blocks`)
+# bytes of a column block of a prediction (`predict_blocks`)
 _PREDICT_BYTES = 1 << 20
 
 @dataclass
@@ -287,18 +287,25 @@ def _column_major(model) -> None:
     `load_model` gives them, so fitted and loaded models predict the same bits."""
     tf = model.factors
     model.factors = replace(tf, core=np.asfortranarray(tf.core), factors=[u if u is None else np.asfortranarray(u) for u in tf.factors])
-    if isinstance(model, KernelHolrrModel):
+    if model.kernel is not None:
         model.train_inputs = np.asfortranarray(model.train_inputs)
 
 
 @dataclass
 class HolrrModel:
     """Fitted coefficient tensor in Tucker form; factors[0] is the input side
-    (None, the identity, at full rank)."""
+    (None, the identity, at full rank).  A kernel model (`kernel` set) maps
+    each input row to its kernel vector against `train_inputs` first: its
+    factors hold the dual coefficient tensor C, factors[0] the dual basis A
+    (N x R0), and `dual_values` the pencil values of A's columns."""
 
     factors: TuckerFactors
     gamma: float
     warnings: tuple = ()
+    kernel: KernelSpec = None
+    train_inputs: np.ndarray = None
+    dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    _train_terms: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     __post_init__ = _column_major
 
     @property
@@ -306,39 +313,18 @@ class HolrrModel:
         """The multilinear rank (R0..Rp): the core's shape."""
         return self.factors.ranks
 
+    @property
+    def dual_vectors(self) -> np.ndarray:
+        """A kernel model's dual basis A: the pencil's dual eigenvectors (None at full rank)."""
+        return self.factors.factors[0]
+
     def coefficients(self) -> np.ndarray:
-        """Materialize the full coefficient tensor W."""
+        """Materialize the full coefficient tensor W (C for a kernel model)."""
         return tucker_reconstruct(self.factors)
 
     def predict(self, x) -> np.ndarray:
         """Stacked predictions for a matrix of input rows."""
         return holrr_predict_batch(self, x)
-
-
-@dataclass
-class KernelHolrrModel:
-    """Dual fit: the dual coefficient tensor C in Tucker form, factors[0] the
-    dual basis A (N x R0, None at R0 = N), contracted against kernel vectors."""
-
-    factors: TuckerFactors
-    train_inputs: np.ndarray
-    kernel: KernelSpec
-    gamma: float
-    dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    warnings: tuple = ()
-    _train_terms: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    __post_init__ = _column_major
-
-    @property
-    def dual_vectors(self) -> np.ndarray:
-        """The dual basis A: the pencil's dual eigenvectors (None at full rank)."""
-        return self.factors.factors[0]
-
-    ranks = HolrrModel.ranks
-
-    def predict(self, x) -> np.ndarray:
-        """Stacked predictions for a matrix of input rows."""
-        return kholrr_predict_batch(self, x)
 
 
 def _contiguous(y: np.ndarray) -> np.ndarray:
@@ -519,25 +505,30 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
-    """Predict the output tensor for a single input (a kernel model's kernel vector)."""
+    """Predict the output tensor for a single input row."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("holrr_predict expects a single input vector")
+    if model.kernel is not None:
+        x = _cross(model.kernel, model.train_inputs, x[None, :], _train_norms(model))[:, 0]
     u0, *rest = model.factors.factors
     if x.shape[0] != model.factors.shape[0]:
         raise ValueError(f"input has length {x.shape[0]}, model expects {model.factors.shape[0]}")
     return multi_mode_product(model.factors.core, [(x if u0 is None else u0.T @ x)[None, :], *rest])[0]
 
 
-def _column_blocks(model, rows) -> tuple:
-    """(shape, blocks): the one block loop behind every batch prediction, on
-    design rows (kernel rows for a kernel model).  The rows are checked, and
-    B = rows U_0 and C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0) formed,
-    before this returns.  blocks(out) yields the n x D prediction Y_(0) in
-    column blocks of about `_PREDICT_BYTES`, each one GEMM B C_(0)[:, cols]
-    into a column-major block: `out[:, cols]` of a column-major n x D `out`,
-    or without `out` one reused buffer, each block valid until the next."""
-    rows = np.ascontiguousarray(rows, dtype=np.float64)  # C-ordered: the GEMMs round alike for every layout
+def predict_blocks(model: HolrrModel, x) -> tuple:
+    """(shape, blocks): the one block loop behind every batch prediction of
+    input rows x.  The rows are checked, and the kernel rows (for a kernel
+    model), B = rows U_0 and C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0)
+    formed, before this returns, so a bad x fails before the first block.
+    blocks(out) yields the n x D prediction Y_(0) in column blocks of about
+    `_PREDICT_BYTES`, each one GEMM B C_(0)[:, cols] into a column-major
+    block: `out[:, cols]` of a column-major n x D `out`, or without `out` one
+    reused buffer, each block valid until the next."""
+    rows = np.ascontiguousarray(x, dtype=np.float64)  # C-ordered: the GEMMs round alike for every layout
+    if model.kernel is not None:
+        rows = _cross(model.kernel, rows, model.train_inputs, nb=_train_norms(model))
     if rows.ndim != 2:
         raise ValueError("expected a matrix of input rows")
     if rows.shape[1] != model.factors.shape[0]:
@@ -558,17 +549,10 @@ def _column_blocks(model, rows) -> tuple:
     return (n, *c.shape[1:]), blocks
 
 
-def predict_blocks(model, x) -> tuple:
-    """(shape, blocks) of `model`'s prediction for input rows x, streamed in
-    column blocks (`_column_blocks`): x is checked, and kernel rows formed,
-    before this returns, so a bad x fails before the first block."""
-    return _column_blocks(model, _kernel_rows(model, x) if isinstance(model, KernelHolrrModel) else x)
-
-
 def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
-    """Stacked predictions for a matrix of input rows (kernel rows for a
-    kernel model), written block by block into one column-major array."""
-    shape, blocks = _column_blocks(model, x)
+    """Stacked predictions for a matrix of input rows, written block by block
+    into one column-major array."""
+    shape, blocks = predict_blocks(model, x)
     out = np.empty(shape, order="F")
     for _ in blocks(out.reshape(shape[0], -1, order="F")):
         pass
@@ -644,7 +628,7 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     return ((point, holrr_predict_batch(HolrrModel(tf, point[0]), rows)) for point, tf, _, _ in path)
 
 
-def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> KernelHolrrModel:
+def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> HolrrModel:
     """Dual multilinear-rank-constrained ridge fit from a Gram matrix.
 
     The same fit (`_tucker_fit`) as holrr_fit with eigh(K) = Q diag(lam) Q^T
@@ -670,11 +654,11 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> K
         raise ValueError("train_inputs row count must match the gram matrix")
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
     tf, values, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(k=k), _unit_columns)
-    return KernelHolrrModel(tf, train_inputs, kernel, prob.gamma, values, warnings=tuple(noted))
+    return HolrrModel(tf, prob.gamma, tuple(noted), kernel, train_inputs, values)
 
 
-def _train_norms(model: KernelHolrrModel) -> np.ndarray:
-    """Squared row norms of the model's training rows, which are checked
+def _train_norms(model: HolrrModel) -> np.ndarray:
+    """Squared row norms of a kernel model's training rows, which are checked
     finite: computed once per `train_inputs` object (reassigning recomputes)."""
     if model._train_terms[0] is not model.train_inputs:
         x = np.asarray(model.train_inputs, dtype=np.float64)
@@ -684,22 +668,16 @@ def _train_norms(model: KernelHolrrModel) -> np.ndarray:
     return model._train_terms[1]
 
 
-def kholrr_predict(model: KernelHolrrModel, x) -> np.ndarray:
-    """Predict the output tensor for a single input vector (`kernel_vec`, then `holrr_predict`)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
+def kholrr_predict(model: HolrrModel, x) -> np.ndarray:
+    """`holrr_predict` of a single input vector, under its kernel name."""
+    if np.ndim(x) != 1:
         raise ValueError("kholrr_predict expects a single input vector")
-    return holrr_predict(model, _cross(model.kernel, model.train_inputs, x[None, :], _train_norms(model))[:, 0])
+    return holrr_predict(model, x)
 
 
-def _kernel_rows(model: KernelHolrrModel, x) -> np.ndarray:
-    """The kernel rows k(x_i, x_train_n) of input rows x, taken C-ordered."""
-    return _cross(model.kernel, np.ascontiguousarray(x, dtype=np.float64), model.train_inputs, nb=_train_norms(model))
-
-
-def kholrr_predict_batch(model: KernelHolrrModel, x) -> np.ndarray:
-    """Stacked predictions for a matrix of input rows."""
-    return holrr_predict_batch(model, _kernel_rows(model, x))
+def kholrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
+    """`holrr_predict_batch` of a matrix of input rows, under its kernel name."""
+    return holrr_predict_batch(model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -717,7 +695,7 @@ def _layout(model) -> tuple:
     blocks = {"core": model.factors.core}
     blocks.update((f"factor{i}", u) for i, u in enumerate(model.factors.factors) if u is not None)
     kernel = None
-    if isinstance(model, KernelHolrrModel):
+    if model.kernel is not None:
         kernel = model.kernel.to_dict()
         blocks["train_inputs"] = model.train_inputs
         if model.dual_values.size:  # krls/klrr models have no dual eigenpairs
@@ -732,7 +710,7 @@ def save_model(model, path_or_file) -> None:
     """Write a fitted model: magic line, one JSON header line, then the DTEN
     blocks core, factor0..factorp (none for a factor that is the identity)
     and, for a kernel model, train_inputs and (when non-empty) dual_values."""
-    if not isinstance(model, (HolrrModel, KernelHolrrModel)):
+    if not isinstance(model, HolrrModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     line, blocks = _layout(model)
     f, close = _open_maybe(path_or_file, "wb")
@@ -767,11 +745,11 @@ def _model_from_header(header: dict, blocks: dict, version: str):
         raise ValueError("model blocks factor0 and train_inputs disagree on N")
     if dual_values.ndim != 1 or dual_values.size not in (0, ranks[0]):
         raise ValueError(f"model block dual_values has shape {dual_values.shape}; R0 is {ranks[0]}")
-    return KernelHolrrModel(factors, x, KernelSpec(**header["kernel"]), gamma, dual_values, warns)
+    return HolrrModel(factors, gamma, warns, KernelSpec(**header["kernel"]), x, dual_values)
 
 
 def load_model(path_or_file):
-    """Read a model file back; returns HolrrModel or KernelHolrrModel.
+    """Read a model file back as a HolrrModel (with its kernel, for a kernel fit).
 
     Every block must be finite and agree with the header and the other
     blocks, and the file must be exactly what `save_model` writes for the

@@ -278,6 +278,16 @@ def test_exit_code_2_rank_candidate_arity(tmp_path, capsys):
         assert err == f"tensorreg: holrr needs 4 ranks (input mode plus output modes), got {tuple(candidate)}\n", err
 
 
+def test_exit_code_2_fewer_than_two_cv_folds(tmp_path, capsys):
+    # synth selection's folds come from cv_folds alone: fewer than 2 is a
+    # tensorreg: line, even when every grid has one point
+    for folds in (1, 0):
+        cfg = experiment_config(tmp_path, cv_folds=folds)
+        code = main(["experiment", "synth-linear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("tensorreg: ") and "folds" in err and err.count("\n") == 1, (folds, err)
+
+
 def test_exit_code_2_image_rank_zero(tmp_path, capsys):
     base = {"image": "fields", "height": 8, "width": 8, "n_train": 20, "trials": 1}
     for key, value in (("lrr_ranks", [0]), ("holrr_ranks", [[3, 0, 4]])):

@@ -140,6 +140,23 @@ def test_gen_nonlinear_consistency():
     assert data.x_train.shape == (40, 5)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 7, 123, 2**31 - 1])
+def test_both_synthetic_tasks_are_the_seeded_draws_bit_for_bit(seed):
+    # one body: W from the coefficient stream, train then test rows from the
+    # inputs stream, train then test noise from the noise stream; the tasks
+    # differ only in the feature map applied to the rows
+    spec = small_spec(seed=seed)
+    for gen, width, features in ((gen_linear_synthetic, 5, lambda x: x), (gen_nonlinear_synthetic, 25, square_features)):
+        data = gen(spec)
+        w = random_lowrank_tensor((width, 4, 3), spec.ranks, seed)
+        rng_x, rng_e = substream(seed, "inputs"), substream(seed, "noise")
+        x_train, x_test = rng_x.standard_normal((40, 5)), rng_x.standard_normal((10, 5))
+        y_train = mode_product(w, features(x_train), 0) + rng_e.normal(0.0, 0.1, size=(40, 4, 3))
+        y_test = mode_product(w, features(x_test), 0) + rng_e.normal(0.0, 0.1, size=(10, 4, 3))
+        for got, want in zip((data.w_true, data.x_train, data.x_test, data.y_train, data.y_test), (w, x_train, x_test, y_train, y_test)):
+            assert got.tobytes() == want.tobytes(), gen.__name__
+
+
 def test_image_coefficient_round_trips():
     img = synthetic_image("fields", 12, 10)
     for task, shape in (("channels", (3, 12, 10)), ("height", (12, 10, 3))):

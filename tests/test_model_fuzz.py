@@ -36,7 +36,7 @@ def saved(method: str) -> bytes:
 
 def _blocks(model):
     out = [model.factors.core, *(u for u in model.factors.factors if u is not None)]
-    if hasattr(model, "train_inputs"):
+    if model.kernel is not None:
         out += [model.train_inputs, model.dual_values]
     return out
 

@@ -19,7 +19,10 @@ data: permuting the training rows leaves the predictions unchanged, and
 rotating one output mode of Y by an orthogonal Q rotates them by the same Q,
 within 1e-10 relative.  And a fitted model predicts the bits of its own file:
 `predict`, `predict_blocks` and single-row predictions of the model equal
-those of `load_model(save_model(model))`, for C- and F-ordered Y.
+those of `load_model(save_model(model))`, for C- and F-ordered Y.  Every
+predict entry point takes input rows, for every model: the single-row
+functions give the same bits, and so do the batch ones and the joined
+blocks, each single row within 1e-12 of its batch row.
 """
 
 import io
@@ -33,7 +36,6 @@ from tensorreg.datagen import random_lowrank_tensor
 from tensorreg.harness import METHODS, fit_method
 from tensorreg.regress import (
     HolrrModel,
-    KernelHolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,
@@ -42,6 +44,7 @@ from tensorreg.regress import (
     holrr_predict_batch,
     kholrr_fit,
     kholrr_predict,
+    kholrr_predict_batch,
     load_model,
     predict_blocks,
     save_model,
@@ -252,6 +255,26 @@ def test_a_fitted_model_predicts_the_bits_of_its_file(seed):
             assert model.predict(x_test).tobytes() == loaded.predict(x_test).tobytes(), method
             streams = [b"".join(b.tobytes() for b in predict_blocks(m, x_test)[1]()) for m in (model, loaded)]
             assert streams[0] == streams[1], method
-            row = kholrr_predict if isinstance(model, KernelHolrrModel) else holrr_predict
+            row = kholrr_predict if model.kernel is not None else holrr_predict
             for r in x_test:
                 assert row(model, r).tobytes() == row(loaded, r).tobytes(), method
+
+
+@settings(max_examples=5, deadline=None, derandomize=True)
+@given(st.integers(0, 2**31 - 1))
+def test_every_predict_entry_point_takes_input_rows(seed):
+    x, y, x_test, _ = _random_problem(seed)
+    for method, fitted in _fit_every_method(x, y).items():
+        f = io.BytesIO()
+        save_model(fitted, f)
+        for model in (fitted, load_model(io.BytesIO(f.getvalue()))):
+            assert (model.kernel is not None) == method.startswith("k"), method
+            batch = model.predict(x_test)
+            shape, blocks = predict_blocks(model, x_test)
+            joined = np.concatenate([b.copy() for b in blocks()], axis=1).reshape(shape, order="F")
+            for other in (holrr_predict_batch(model, x_test), kholrr_predict_batch(model, x_test), joined):
+                assert other.tobytes() == batch.tobytes(), method
+            for i, r in enumerate(x_test):
+                row = holrr_predict(model, r)
+                assert row.tobytes() == kholrr_predict(model, r).tobytes(), method
+                assert np.max(np.abs(row - batch[i])) <= 1e-12, method

@@ -20,7 +20,6 @@ from tensorreg.harness import fit_method
 from tensorreg.linalg import gen_sym_eig_top
 from tensorreg.regress import (
     HolrrModel,
-    KernelHolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,
@@ -530,10 +529,13 @@ def _kernel_model(spec, seed=31):
 def test_kholrr_rows_are_the_uncached_kernel_vector_and_the_batch_rows(spec):
     model, x = _kernel_model(spec)
     batch = kholrr_predict_batch(model, x)
-    assert np.array_equal(batch, holrr_predict_batch(model, kernel_cross(spec, x, model.train_inputs)))
+    # the kernel-free model of the same factors, applied to kernel rows
+    dual = HolrrModel(model.factors, model.gamma)
+    assert model.kernel is not None and dual.kernel is None
+    assert np.array_equal(batch, holrr_predict_batch(dual, kernel_cross(spec, x, model.train_inputs)))
     for i in range(len(x)):
         row = kholrr_predict(model, x[i])
-        assert np.array_equal(row, holrr_predict(model, kernel_vec(spec, model.train_inputs, x[i])))
+        assert np.array_equal(row, holrr_predict(dual, kernel_vec(spec, model.train_inputs, x[i])))
         assert np.max(np.abs(row - batch[i])) <= 1e-12
 
 
@@ -559,7 +561,7 @@ def test_reassigned_train_inputs_predict_as_a_freshly_built_model():
     before = kholrr_predict(model, x[1])
     moved = model.train_inputs + 0.25
     model.train_inputs = moved
-    fresh = KernelHolrrModel(model.factors, moved, model.kernel, model.gamma, model.dual_values)
+    fresh = HolrrModel(model.factors, model.gamma, kernel=model.kernel, train_inputs=moved, dual_values=model.dual_values)
     assert np.array_equal(kholrr_predict(model, x[1]), kholrr_predict(fresh, x[1]))
     assert not np.array_equal(kholrr_predict(model, x[1]), before)
     assert np.array_equal(kholrr_predict_batch(model, x), kholrr_predict_batch(fresh, x))
@@ -569,7 +571,8 @@ def test_kernel_model_inputs_are_checked_finite():
     model, x = _kernel_model(KernelSpec(kind="rbf", sigma=2.0))
     bad = model.train_inputs.copy()
     bad[3, 1] = np.nan
-    hand = KernelHolrrModel(model.factors, bad, model.kernel, model.gamma)
+    hand = HolrrModel(model.factors, model.gamma, kernel=model.kernel, train_inputs=bad)
+    assert hand.kernel is not None
     query = x[0].copy()
     query[2] = np.inf
     kholrr_predict(model, x[0])  # the query keeps its check once the training rows are cached

@@ -41,6 +41,7 @@ from hypothesis.extra import numpy as hnp
 import helpers
 from tensorreg import cli, harness, regress, tensor
 from tensorreg.regress import (
+    HolrrModel,
     KernelSpec,
     RegressionProblem,
     gram,
@@ -264,8 +265,9 @@ def test_predict_batch_holds_about_its_output(y_file, kernel):
     x, x_new = rng.standard_normal((N, 10)), rng.standard_normal((N, 10))
     if kernel:
         spec = KernelSpec(kind="rbf", sigma=3.0)
-        model = kholrr_fit(gram(x, spec), y, (3, 3, 3, 3), 1e-3, x, spec)
-        rows = kernel_cross(spec, x_new, x)
+        # the block loop alone: the fitted factors, kernel-free, on kernel rows
+        fitted = kholrr_fit(gram(x, spec), y, (3, 3, 3, 3), 1e-3, x, spec)
+        model, rows = HolrrModel(fitted.factors, fitted.gamma), kernel_cross(spec, x_new, x)
     else:
         model, rows = holrr_fit(RegressionProblem(x=x, y=y, ranks=(3, 3, 3, 3), gamma=1e-3)), x_new
     assert _peak_bytes(holrr_predict_batch, model, rows) <= 1.1 * y.nbytes
