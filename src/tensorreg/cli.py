@@ -121,7 +121,10 @@ def _cmd_experiment(args) -> int:
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as f:
-            config = json.load(f)
+            try:
+                config = json.load(f)
+            except RecursionError as e:  # nesting past the recursion limit
+                raise CliError(f"{args.config}: malformed config ({type(e).__name__}: {e})") from None
         if not isinstance(config, dict):
             raise CliError(f"{args.config}: config must be a JSON object")
     if args.seed is not None:
@@ -142,7 +145,7 @@ def _cmd_experiment(args) -> int:
         report = harness.run_experiment(
             args.name, config, out_dir=args.out_dir, jobs=args.jobs, timing=args.timing, quick=args.quick
         )
-    except TypeError as e:  # a config value of the wrong JSON type, such as null where a list belongs
+    except (TypeError, RecursionError) as e:  # a config value of the wrong JSON type, or nested too deeply to walk
         raise ValueError(f"malformed config ({type(e).__name__}: {e})") from None
     _emit(
         {

@@ -202,11 +202,11 @@ def cv_folds(n: int, folds: int, seed: int) -> list:
 
 
 def _cv_splits(x, y, folds: int, seed: int):
-    """(x_fit, y_fit, x_val, y_val) per `cv_folds` block, copied when reached."""
-    for val_idx in cv_folds(x.shape[0], folds, seed):
-        mask = np.ones(x.shape[0], dtype=bool)
-        mask[val_idx] = False
-        yield x[mask], y[mask], x[val_idx], y[val_idx]
+    """(x_fit, y_fit, x_val, y_val) per `cv_folds` block: the blocks are drawn
+    (and a bad fold count raised) at once, each split copied when reached."""
+    blocks = cv_folds(x.shape[0], folds, seed)
+    fit_masks = [np.isin(np.arange(x.shape[0]), val, invert=True) for val in blocks]
+    return ((x[fit], y[fit], x[val], y[val]) for val, fit in zip(blocks, fit_masks))
 
 
 def grid_search_cv(x, y, grid: GridSpec, method: str, kernel: KernelSpec = None):
@@ -228,8 +228,10 @@ def _select(splits, jobs) -> list:
     The splits are walked once.  On each, the jobs that share an input side
     (X, or the Gram of one kernel) are scored by one `regress.path_predict`
     over the union of their gammas and `_preset` rank tuples, each point as
-    the path yields it.
+    the path yields it.  With no jobs no split is reached.
     """
+    if not jobs:
+        return []
     points = [_grid_points(method, grid) for method, grid, _ in jobs]
     errors = [{point: [] for point in p} for p in points]
     for x_fit, y_fit, x_val, y_val in splits:

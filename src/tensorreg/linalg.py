@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh, lapack, solve_triangular
+from scipy.linalg import cho_solve, eigh, lapack, solve_triangular
 
 from .tensor import _fix_signs
 
@@ -63,14 +63,9 @@ def spd_solve(a, b) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A via Cholesky."""
     a = _check_symmetric(a, "A")
     b = np.asarray(b, dtype=np.float64)
-    vec = b.ndim == 1
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"b has leading dimension {b.shape[0]}, A is {a.shape[0]} square")
-    c = _cholesky_lower(a)
-    x, info = lapack.dpotrs(c, b if not vec else b[:, None], lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrs failed with info {info}")
-    return x[:, 0] if vec else x
+    return cho_solve((_cholesky_lower(a), True), b, check_finite=False)
 
 
 def pinv(a, tol: float = 1e-12) -> np.ndarray:

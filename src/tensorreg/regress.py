@@ -70,7 +70,8 @@ import numpy as np
 from . import linalg
 from .tensor import (
     TuckerFactors,
-    _open_maybe,
+    _opened,
+    _read_line_bytes,
     _sign_flips,
     matricize,
     mode_product,
@@ -103,6 +104,10 @@ __all__ = [
 
 MODEL_MAGIC = "HOLRR"
 MODEL_VERSION = 3
+# longest JSON header line of a model file, without its newline; far above
+# what `save_model` writes: 529 bytes for 9 output modes, every rank clamped
+# and the singular-Gram note
+_MODEL_LINE = 1 << 16
 
 _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 
@@ -713,14 +718,10 @@ def save_model(model, path_or_file) -> None:
     if not isinstance(model, HolrrModel):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     line, blocks = _layout(model)
-    f, close = _open_maybe(path_or_file, "wb")
-    try:
+    with _opened(path_or_file, "wb") as f:
         f.write(f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii") + line)
         for block in blocks.values():
             write_dten(block, f)
-    finally:
-        if close:
-            f.close()
 
 
 def _model_from_header(header: dict, blocks: dict, version: str):
@@ -760,28 +761,25 @@ def load_model(path_or_file):
     an explicit block, and a HOLRR 1 kernel file's dense dual tensor loads as
     the core with identity (None) factors (its dual eigenpairs are dropped).
     """
-    f, close = _open_maybe(path_or_file, "rb")
-    try:
+    with _opened(path_or_file, "rb") as f:
         # bounded: a file that is not a model is not read whole
         head, _, version = f.readline(64).decode("ascii", errors="replace").rstrip("\n").partition(" ")
         if head != MODEL_MAGIC:
             raise ValueError("not a model file")
         if version not in ("1", "2", str(MODEL_VERSION)):
             raise ValueError(f"unsupported model version {version}")
-        line = f.readline()
-        header = json.loads(line.decode("ascii"))
+        line = _read_line_bytes(f, _MODEL_LINE, "model")
         try:
+            header = json.loads(line.decode("ascii"))
             blocks = {name: read_dten(f) for name in header["blocks"]}
             for name, block in blocks.items():
                 if not _all_finite(block):
                     raise ValueError(f"model block {name} is not finite")
             model = _model_from_header(header, blocks, version)
-        except (KeyError, TypeError, OverflowError) as e:
-            # the header is outside input: a missing key, a wrong JSON type or a number past float range
+        except (KeyError, TypeError, OverflowError, RecursionError) as e:
+            # the header is outside input: a missing key, a wrong JSON type, a
+            # number past float range or nesting past the recursion limit
             raise ValueError(f"malformed model header ({type(e).__name__}: {e})") from None
-        if "coeff" not in blocks and (_layout(model)[0] != line or f.read(1)):
+        if "coeff" not in blocks and (_layout(model)[0] != line + b"\n" or f.read(1)):
             raise ValueError("model file differs from what save_model writes: a non-canonical header or block, or trailing bytes")
         return model
-    finally:
-        if close:
-            f.close()

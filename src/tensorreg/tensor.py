@@ -13,6 +13,7 @@ Modes are 0-based, matching numpy axes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -48,6 +49,8 @@ _DTEN_HEADER = re.compile(rf"{DTEN_MAGIC} {DTEN_VERSION}(?: (?:0|[1-9][0-9]*))+"
 _IO_CHUNK = 1 << 24
 # first capacity of a DTEN payload read from a stream that cannot seek
 _PIPE_START = 1 << 16
+# longest DTEN header line read, without its newline
+_DTEN_LINE = 4096
 
 
 def _as_tensor(t) -> np.ndarray:
@@ -242,10 +245,12 @@ def hosvd_truncated(t, ranks) -> TuckerFactors:
 # file formats
 
 
-def _open_maybe(path_or_file, mode):
+def _opened(path_or_file, mode):
+    """A context manager giving a file: a file the caller opened is left open
+    on exit, a path is opened in `mode` and closed on exit."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
+        return contextlib.nullcontext(path_or_file)
+    return open(path_or_file, mode)
 
 
 def write_dten(t, path_or_file, blocks=None) -> None:
@@ -268,8 +273,7 @@ def write_dten(t, path_or_file, blocks=None) -> None:
         blocks = (flat[a : a + step] for a in range(0, flat.size, step))
     else:
         shape = tuple(int(d) for d in t)
-    f, close = _open_maybe(path_or_file, "wb")
-    try:
+    with _opened(path_or_file, "wb") as f:
         dims = " ".join(str(d) for d in shape)
         f.write(f"{DTEN_MAGIC} {DTEN_VERSION} {len(shape)} {dims}\n".encode("ascii"))
         left = math.prod(shape)
@@ -281,19 +285,17 @@ def write_dten(t, path_or_file, blocks=None) -> None:
             f.write(memoryview(entries).cast("B"))
         if left:
             raise ValueError(f"DTEN blocks do not fill the shape {shape}")
-    finally:
-        if close:
-            f.close()
 
 
-def _read_line_bytes(f) -> bytes:
-    """The header line up to its newline (not kept), at most 4096 bytes; the
-    binary payload after it is not consumed."""
-    line = f.readline(4097)
+def _read_line_bytes(f, limit: int, name: str) -> bytes:
+    """A `name` header line up to its newline (not kept), at most `limit`
+    bytes, so no more than that is read from a file without one; what follows
+    the line is not consumed."""
+    line = f.readline(limit + 1)
     if line.endswith(b"\n"):
         return line[:-1]
-    if len(line) > 4096:
-        raise ValueError("DTEN header line too long")
+    if len(line) > limit:
+        raise ValueError(f"{name} header line too long")
     return line
 
 
@@ -338,9 +340,8 @@ def read_dten(path_or_file) -> np.ndarray:
     that grows (by `resize`, at most doubling) as the bytes arrive, so a bogus
     huge header allocates nothing up front.
     """
-    f, close = _open_maybe(path_or_file, "rb")
-    try:
-        shape = _parse_dten_header(_read_line_bytes(f))
+    with _opened(path_or_file, "rb") as f:
+        shape = _parse_dten_header(_read_line_bytes(f, _DTEN_LINE, "DTEN"))
         # exact Python ints: an int64 product wraps for huge dims
         nbytes = 8 * math.prod(shape)
         left = _bytes_left(f)
@@ -358,9 +359,6 @@ def read_dten(path_or_file) -> np.ndarray:
                 raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {got}")
             got += n
         return data.astype(np.float64, copy=False).reshape(shape, order="F")
-    finally:
-        if close:
-            f.close()
 
 
 def write_matrix_csv(m, path_or_file) -> None:
@@ -369,13 +367,9 @@ def write_matrix_csv(m, path_or_file) -> None:
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"CSV export is for matrices, got order {m.ndim}")
-    f, close = _open_maybe(path_or_file, "wb")
-    try:
+    with _opened(path_or_file, "wb") as f:
         for row in m:
             f.write((",".join(repr(float(v)) for v in row) + "\n").encode("ascii"))
-    finally:
-        if close:
-            f.close()
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -1,12 +1,18 @@
-"""Shared fixtures: synthetic Met-Office-format station files, and the
-memory peak of a CLI command run in a process of its own."""
+"""Shared fixtures: synthetic Met-Office-format station files, saved model
+files, and the memory peak of a CLI command run in a process of its own."""
 
+import functools
+import io
 import math
 import os
 import subprocess
 import sys
 
 import numpy as np
+
+from tensorreg.datagen import SynthSpec, gen_linear_synthetic
+from tensorreg.harness import fit_method
+from tensorreg.regress import KernelSpec, save_model
 
 HEADER = """{title}
 Location: 224100E 252100N, Lat 52.139 Lon -4.570, 133 metres amsl
@@ -72,6 +78,19 @@ def write_hand_fixture(dirpath, n_stations=16):
 
 def hand_value(si, var, month):
     return 100.0 * si + 10.0 * var + month
+
+
+@functools.cache
+def saved_model(method: str) -> bytes:
+    """The file `save_model` writes for a `method` fit of 6 rows of 3 inputs
+    and 2x2 outputs (an rbf kernel for the kernel methods)."""
+    data = gen_linear_synthetic(
+        SynthSpec(input_dim=3, output_dims=(2, 2), ranks=(2, 2, 2), n_train=6, n_test=1, noise_std=0.1, seed=71)
+    )
+    model = fit_method(method, data.x_train, data.y_train, 1e-2, (2, 2, 2), KernelSpec(kind="rbf", sigma=2.0))
+    buf = io.BytesIO()
+    save_model(model, buf)
+    return buf.getvalue()
 
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")

@@ -1,18 +1,21 @@
 """Malformed input files through the CLI: PPM images (`experiment image`),
-CSV matrices (`tensor from-csv`, and `fit --x`) and Met Office station
-files (`ingest-met`).
+CSV matrices (`tensor from-csv`, and `fit --x`), Met Office station files
+(`ingest-met`), model files (`predict --model`) and experiment configs
+(`experiment --config`).
 
-Every input must end in exit 0, or in exit 2 with a `tensorreg:` line on
+Every input must end in exit 0, or in exit 2 with one `tensorreg:` line on
 stderr.  An exception escaping `main` (a traceback and exit 1 from the
 command line) fails the test.  The files are built from their grammar with
 bad tokens mixed in (a sample "1e3", dims "100000", a month "13", ...) and
-from byte edits of valid files.
+from byte edits and truncations of valid files.
 """
 
 import contextlib
 import io
 import os
+import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from hypothesis import strategies as st
 
 import helpers
 from tensorreg.cli import main
+from tensorreg.harness import METHODS
+from tensorreg.regress import _MODEL_LINE, MODEL_MAGIC, MODEL_VERSION, load_model
 from tensorreg.tensor import write_dten
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
@@ -34,7 +39,7 @@ def _run(argv) -> int:
     err = err.getvalue()
     assert code in (0, 2), (code, err)
     if code == 2:
-        assert any(line.startswith("tensorreg: ") for line in err.splitlines()), err
+        assert err.startswith("tensorreg: ") and err.count("\n") == 1, err
     return code
 
 
@@ -163,3 +168,118 @@ def test_station_files_through_ingest_met(data):
             f.write(data)
         argv = ["ingest-met", "--dir", d, "--out-dir", os.path.join(d, "out"), "--stations", "fuzz"]
         _run(argv + ["--window", "1", "--horizon", "1"])
+
+
+# --- model files -------------------------------------------------------------
+
+_MAGIC = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii")
+# a header line that never ends: 64 MB without a newline
+_ENDLESS = _MAGIC + b"x" * (64 << 20)
+
+
+def _predict_with_model(data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        model, x = os.path.join(d, "m.bin"), os.path.join(d, "x.csv")
+        with open(model, "wb") as f:
+            f.write(data)
+        with open(x, "wb") as f:
+            f.write(b"0.5,1.0,-2.0\n1.5,0.0,3.25\n")  # two rows of the models' three inputs
+        return _run(["predict", "--model", model, "--x", x, "--out", os.path.join(d, "p.dten")])
+
+
+@SETTINGS
+@given(st.builds(_edited, st.sampled_from(METHODS).map(helpers.saved_model), _edits, st.integers(0, 1 << 12)))
+@example(_MAGIC + b"[" * 200_000)  # nested past the recursion limit, and past the header bound
+@example(_MAGIC + b"[" * 50_000 + b"\n")  # nested past the recursion limit, within the bound
+@example(helpers.saved_model("kholrr"))
+def test_model_files_through_predict(data):
+    _predict_with_model(data)
+
+
+def test_an_endless_model_header_is_rejected_in_about_twice_its_bound():
+    # the bounded readline's chunks and the line they join into
+    assert _predict_with_model(_ENDLESS) == 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="model header line too long"):
+            load_model(io.BytesIO(_ENDLESS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * _MODEL_LINE, peak
+
+
+# --- config files ------------------------------------------------------------
+
+# a small synth experiment, each value raw JSON text
+_CONFIG = {
+    "trials": "1",
+    "train_sizes": "[12]",
+    "test_size": "4",
+    "input_dim": "3",
+    "output_dims": "[2, 2]",
+    "w_ranks": "[2, 2, 2]",
+    "noise_std": "0.1",
+    "gammas": "[0.01, 1.0]",
+    "rank_candidates": "[[2, 2, 2]]",
+    "cv_folds": "2",
+    "methods": '[{"method": "rls"}, {"method": "holrr"}, {"method": "kholrr", "kernel": {"kind": "rbf", "sigma": "median"}}]',
+}
+
+
+def _config_text(cfg: dict) -> bytes:
+    return ("{" + ", ".join(f'"{k}": {v}' for k, v in cfg.items()) + "}").encode("ascii")
+
+
+_VALID_CONFIG = _config_text(_CONFIG)
+
+_bad_values = st.sampled_from(
+    ["null", "true", "0", "-1", "2.5", "1e400", "-1e400", "1" + "0" * 30, '"x"', '"median"', "[]", "{}", "[[]]",
+     "[0]", "[-1]", '["a"]', "[1e400]", "[[0, 2, 2]]", "[[2, 2]]", "[null]", "[{}]", '[{"method": "nope"}]',
+     '[{"method": "lrr", "rank_candidates": [[0]]}]', '[{"method": "holrr", "gammas": []}]',
+     '[{"method": "krls", "kernel": {"kind": "polynomial", "degree": -2}}]',
+     '[{"method": "klrr", "kernel": {"kind": "rbf", "sigma": "x"}}]', '[{"method": "kholrr", "kernel": null}]',
+     '[{"method": "kholrr", "kernel": "rbf"}]', '[{"method": "krls", "kernel": {"kind": "rbf"}}]']
+)
+
+
+@st.composite
+def config_files(draw) -> bytes:
+    """The small config with up to two values spoiled or one key added."""
+    cfg = dict(_CONFIG)
+    keys = st.sampled_from([*_CONFIG, "seed", "image", "task", "stations", "horizons"])
+    for key, value in draw(st.lists(st.tuples(keys, _bad_values), max_size=2)):
+        cfg[key] = value
+    return _config_text(cfg)
+
+
+@SETTINGS
+@given(
+    st.sampled_from(["synth-linear", "synth-nonlinear"]),
+    st.one_of(config_files(), st.builds(_edited, st.just(_VALID_CONFIG), _edits, st.integers(0, 60))),
+)
+@example("synth-linear", b"[" * 200_000)  # nested past the recursion limit
+@example("synth-linear", _VALID_CONFIG)
+def test_config_files_through_experiment(name, data):
+    _experiment_with_config(name, data)
+
+
+def _experiment_with_config(name, data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "config.json")
+        with open(path, "wb") as f:
+            f.write(data)
+        return _run(["experiment", name, "--config", path, "--out-dir", os.path.join(d, "out"), "--timing", "none"])
+
+
+def test_nesting_near_the_recursion_limit_in_a_model_header_or_config():
+    # JSON is parsed in C and the values walked in Python frames, so a value
+    # nested a little less deeply than the limit parses and then overflows
+    # the stack: in a model header's kind or warnings, or (through the
+    # report's writer) in a config.  Not a hypothesis test: hypothesis raises
+    # the recursion limit while it runs one
+    for depth in (sys.getrecursionlimit() - 50, sys.getrecursionlimit() - 200):
+        deep = b"[" * depth + b"]" * depth
+        for header in (b'{"blocks":[],"kind":%s}' % deep, b'{"blocks":[],"gamma":1,"kind":"holrr","ranks":[],"warnings":%s}' % deep):
+            assert _predict_with_model(_MAGIC + header + b"\n") == 2
+        assert _experiment_with_config("synth-linear", _VALID_CONFIG[:-1] + b', "note": ' + deep + b"}") == 2

@@ -372,6 +372,23 @@ def test_selection_makes_one_path_per_split_and_input_side(tmp_path, monkeypatch
     assert all(k is None for k in calls[::2]) and all(k.kind == "rbf" for k in calls[1::2])
 
 
+def test_a_task_whose_grids_have_one_point_copies_no_fold(monkeypatch):
+    # nothing is searched, so no split is copied; two gammas make a search
+    reached, cv_splits = [], harness._cv_splits
+
+    def spy(*args):
+        for split in cv_splits(*args):
+            reached.append(split[2].shape[0])
+            yield split
+
+    monkeypatch.setattr(harness, "_cv_splits", spy)
+    cfg = dict(default_config("synth-linear"), trials=1, train_sizes=[20], gammas=[1e-2])
+    assert len(_run_synth_task((cfg, "synth-linear", 0, 0))) == 3 and reached == []
+    cfg["gammas"] = [1e-2, 1e-1]
+    _run_synth_task((cfg, "synth-linear", 0, 0))
+    assert reached == [7, 7, 6]
+
+
 def test_one_pass_selection_holds_one_fold_and_one_prediction_at_a_time():
     # the synth-cv shape: folds are copied one at a time and each point's
     # prediction is scored and dropped.  One fold copy is Y's size and the

@@ -8,7 +8,6 @@ an older readable version is normalized to the current magic line).  Nothing
 here predicts: a corrupt model must be stopped at load.
 """
 
-import functools
 import io
 
 import numpy as np
@@ -16,22 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorreg.datagen import SynthSpec, gen_linear_synthetic
-from tensorreg.harness import METHODS, fit_method
-from tensorreg.regress import MODEL_MAGIC, MODEL_VERSION, KernelSpec, load_model, save_model
+from helpers import saved_model
+from tensorreg.harness import METHODS
+from tensorreg.regress import MODEL_MAGIC, MODEL_VERSION, load_model, save_model
 
 MAGIC = f"{MODEL_MAGIC} {MODEL_VERSION}\n".encode("ascii")
-
-
-@functools.cache
-def saved(method: str) -> bytes:
-    data = gen_linear_synthetic(
-        SynthSpec(input_dim=3, output_dims=(2, 2), ranks=(2, 2, 2), n_train=6, n_test=1, noise_std=0.1, seed=71)
-    )
-    model = fit_method(method, data.x_train, data.y_train, 1e-2, (2, 2, 2), KernelSpec(kind="rbf", sigma=2.0))
-    buf = io.BytesIO()
-    save_model(model, buf)
-    return buf.getvalue()
 
 
 def _blocks(model):
@@ -43,7 +31,7 @@ def _blocks(model):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_every_truncation_of_a_model_file_is_rejected(method):
-    data = saved(method)
+    data = saved_model(method)
     for size in range(len(data)):
         with pytest.raises(ValueError):
             load_model(io.BytesIO(data[:size]))
@@ -52,7 +40,7 @@ def test_every_truncation_of_a_model_file_is_rejected(method):
 # the top byte of train_inputs[2, 0] = 1.03 (6 x 3, column-major after its
 # DTEN header line); flipping 0x40 in it makes the entry NaN
 _X20_HEAD = b"DTEN 1 2 6 3\n"
-_X20_TOP = saved("kholrr").index(_X20_HEAD) + len(_X20_HEAD) + 2 * 8 + 7
+_X20_TOP = saved_model("kholrr").index(_X20_HEAD) + len(_X20_HEAD) + 2 * 8 + 7
 
 
 def _rejected_or_round_trips(data: bytes) -> None:
@@ -70,7 +58,7 @@ def _rejected_or_round_trips(data: bytes) -> None:
 @given(st.sampled_from(METHODS), st.integers(0, 2**16), st.integers(1, 255))
 @example("kholrr", _X20_TOP, 0x40)
 def test_a_flipped_byte_is_rejected_or_round_trips(method, pos, mask):
-    data = bytearray(saved(method))
+    data = bytearray(saved_model(method))
     pos %= len(data)
     data[pos] ^= mask
     _rejected_or_round_trips(bytes(data))
@@ -80,7 +68,7 @@ def test_a_flipped_byte_is_rejected_or_round_trips(method, pos, mask):
 def test_every_byte_flipped_in_its_low_or_high_bit_is_rejected_or_round_trips(method):
     # the round trip is the whole file re-encoded, so a file passes only if
     # its blocks as well as its header line are what save_model writes
-    data = saved(method)
+    data = saved_model(method)
     for pos in range(len(data)):
         for mask in (0x01, 0x80):
             flipped = bytearray(data)
