@@ -27,7 +27,6 @@ from .harness import (
 )
 from .linalg import (
     NotPositiveDefiniteError,
-    SymEigResult,
     gen_sym_eig_top,
     pinv,
     spd_solve,
@@ -41,7 +40,6 @@ from .regress import (
     holrr_fit,
     holrr_predict,
     holrr_predict_batch,
-    kernel_vec,
     kholrr_fit,
     kholrr_predict,
     kholrr_predict_batch,
@@ -58,9 +56,7 @@ from .tensor import (
     matricize,
     dematricize,
     mode_product,
-    mode_vector_product,
     multi_mode_product,
-    multilinear_rank,
     read_dten,
     tucker_reconstruct,
     vectorize,

@@ -769,22 +769,21 @@ _CSV_COLUMNS = ("experiment", "method", "kernel", "N", "k", "trial", "seed", "rm
 
 def write_report(report: ExperimentReport, out_dir) -> None:
     """report.csv (fixed columns), report.json (config + aggregates), and one
-    plot CSV per (experiment, horizon) with mean RMSE per method against N."""
-    os.makedirs(out_dir, exist_ok=True)
+    plot CSV per (experiment, horizon) with mean RMSE per method against N.
+    Every file's bytes are formed before the first is written, so a report
+    that cannot be formed leaves no file behind."""
     lines = [",".join(_CSV_COLUMNS)]
     for r in report.records:
         lines.append(",".join(str(r[c]) for c in _CSV_COLUMNS))
-    atomic_write_bytes(os.path.join(out_dir, "report.csv"), ("\n".join(lines) + "\n").encode("ascii"))
-
     payload = {
         "experiment": report.name,
         "config": _jsonable(report.config),
         "aggregates": report.aggregates,
     }
-    atomic_write_bytes(
-        os.path.join(out_dir, "report.json"),
-        (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii"),
-    )
+    files = {
+        "report.csv": ("\n".join(lines) + "\n").encode("ascii"),
+        "report.json": (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii"),
+    }
 
     if len({a["N"] for a in report.aggregates}) > 1:
         # per horizon, {(method, kernel): {N: mean RMSE}} in record order
@@ -799,10 +798,11 @@ def write_report(report: ExperimentReport, out_dir) -> None:
             for n in sorted({n for by_n in means.values() for n in by_n}):
                 out.append(",".join([str(n)] + [repr(by_n[n]) if n in by_n else "" for by_n in means.values()]))
             suffix = f"_k{k}" if k != "" else ""
-            atomic_write_bytes(
-                os.path.join(out_dir, f"plot_rmse_vs_n{suffix}.csv"),
-                ("\n".join(out) + "\n").encode("ascii"),
-            )
+            files[f"plot_rmse_vs_n{suffix}.csv"] = ("\n".join(out) + "\n").encode("ascii")
+
+    os.makedirs(out_dir, exist_ok=True)
+    for name, data in files.items():
+        atomic_write_bytes(os.path.join(out_dir, name), data)
 
 
 def _jsonable(obj):

@@ -11,7 +11,6 @@ fits serialize identically.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, eigh, lapack, solve_triangular
@@ -20,7 +19,6 @@ from .tensor import _fix_signs
 
 __all__ = [
     "NotPositiveDefiniteError",
-    "SymEigResult",
     "spd_solve",
     "sym_eig_top",
     "gen_sym_eig_top",
@@ -75,16 +73,9 @@ def pinv(a, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.pinv(np.asarray(a, dtype=np.float64), rcond=tol)
 
 
-@dataclass
-class SymEigResult:
-    """Top eigenpairs of a symmetric matrix, eigenvalues descending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def sym_eig_top(a, r: int) -> SymEigResult:
-    """Top-r eigenpairs of symmetric `a`, descending, sign-fixed columns.
+def sym_eig_top(a, r: int):
+    """Top-r eigenpairs (values, vectors) of symmetric `a`: values
+    descending, vectors (dim, r) with sign-fixed columns.
 
     r larger than the dimension clamps with a warning.  One dsyevr call, as
     scipy's eigh(subset_by_index=...) makes, without its per-call overhead.
@@ -104,7 +95,7 @@ def sym_eig_top(a, r: int) -> SymEigResult:
     )
     if info != 0 or found != r:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info} ({found} of {r} pairs)")
-    return SymEigResult(values=w[r - 1 :: -1], vectors=_fix_signs(v[:, ::-1]))
+    return w[r - 1 :: -1], _fix_signs(v[:, ::-1])
 
 
 def gen_sym_eig_top(s, m, r: int):

@@ -28,12 +28,14 @@ X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
 which the pencil is a symmetric eigenproblem and the ridge inverse is
 1 / (lam + gamma), set to 0 where lam + gamma <= 1e-12 max(lam): the one
 pseudo-inverse rule, relative to scale, behind the "pseudo-inverse pencil,
-restricting to its range" warning of a singular input Gram.  Y is read only
-by GEMMs on its own memory: the mode Grams Y_(i) Y_(i)^T come from strided
-views of it, and when Q is square (every kernel fit, and X with d0 >= N) and
-the outputs are at least as wide as N, the pencil runs through the mode-0
-Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the N x D product Q^T Y_(0) is never
-formed.
+restricting to its range" warning of a singular input Gram.  One function,
+`_statistics`, reads Y, and the path of fits runs on what it forms: the
+output-mode Grams, the input pencil and the products a Q^T Y_(0) for the
+core.  It reads Y only by GEMMs on its own memory: the mode Grams
+Y_(i) Y_(i)^T come from strided views of it, and when Q is square (every
+kernel fit, and X with d0 >= N) and the outputs are at least as wide as N,
+the pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
+N x D product Q^T Y_(0) is never formed.
 
 A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
 kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
@@ -93,7 +95,6 @@ __all__ = [
     "predict_blocks",
     "gram",
     "kernel_cross",
-    "kernel_vec",
     "path_predict",
     "kholrr_fit",
     "kholrr_predict",
@@ -211,14 +212,6 @@ def gram(x, kernel: KernelSpec) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     g = kernel_cross(kernel, x, x)
     return (g + g.T) / 2.0
-
-
-def kernel_vec(kernel: KernelSpec, x_train, x) -> np.ndarray:
-    """Vector of k(x_train_n, x) for a single input x."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("kernel_vec expects a single input vector")
-    return kernel_cross(kernel, x_train, x[None, :])[:, 0]
 
 
 def _check_gamma(gamma) -> float:
@@ -403,37 +396,20 @@ def _unit_columns(a: np.ndarray):
     return a / scale * f, np.diag(scale * f)
 
 
-def _tucker_path(y, side, gammas, rank_tuples):
-    """The one fit behind every method at each point of gammas x rank_tuples,
-    from `side` = `_input_side(...)`, whose m has dim rows (d0, or N).
-    Yields ((gamma, ranks), TuckerFactors, pencil values, notes) per point,
-    factor 0 the un-normalized M c; the clamped ranks are the core's shape.
-
-    With Z = q^T Y_(0), inv = `_ridge_inverse` and D = sqrt(lam inv), R0 >=
-    dim keeps no factor 0 and the core is the ridge solution
-    M diag(sqrt(lam) inv) Z.  A smaller R0 (clamped to the directions inv
-    keeps) takes the top-R0 eigenvectors w of D Z Z^T D: c = sqrt(inv) w has
-    c^T diag(lam + gamma) c = I, so the projected ridge solve is the identity
-    and the core is w^T D Z.  When q is square (every kernel fit, and X with
-    d0 >= N) and D >= N (`_pencil_via_g0`) the pencil is D (q^T G_0 q) D
-    with G_0 the mode-0 Gram, and the core (w^T D q^T) Y_(0), so Z is never
-    formed.  Ri < di projects the core on the top-Ri eigenvectors of the
-    mode Gram.  Rank clamps and a singular input Gram are noted, not warned.
-    Every point takes prefixes of shared eigenvectors: each mode Gram's up to
-    the largest Ri cut, and per gamma the pencil's up to the largest R0; the
-    last gamma scales the pencil in place.
-    """
-    q, lam, m, s = side
-    dims, dim = y.shape[1:], m.shape[0]
+def _statistics(y, q, cuts, wide):
+    """(rows, pencil, grams): the statistics of Y that the path of fits runs
+    on, and the one reader of Y.  grams holds the output-mode Grams
+    Y_(i) Y_(i)^T, i = 1..p, None where cuts[i - 1] is 0; pencil is
+    q^T Y_(0) Y_(0)^T q, or None unless `wide` (some point keeps a factor 0);
+    rows(a) is a q^T Y_(0) folded to (len(a), d1..dp).  Y_(0) is a view of Y,
+    its columns in Y's memory order.  When q is square and `_pencil_via_g0`,
+    the pencil is q^T G_0 q from the mode-0 Gram and rows(a) is
+    (a q^T) Y_(0), so Z = q^T Y_(0) is never formed; else Z is formed once."""
     y = _contiguous(y)
     order = "F" if y.flags.f_contiguous else "C"
-    y0 = y.reshape(y.shape[0], -1, order=order)  # Y_(0), its columns in Y's memory order
+    y0 = y.reshape(y.shape[0], -1, order=order)
     via_g0 = q.shape[1] == y.shape[0] and _pencil_via_g0(*y0.shape)
-    wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
-    cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
     g0, *grams = _mode_grams(y, [via_g0 and wide, *cuts])
-    out = [None if g is None else linalg.sym_eig_top(g, c).vectors for g, c in zip(grams, cuts)]
-    del grams
     z = None if via_g0 else _times_rows(q.T, y0)
     pencil = None
     if wide and via_g0:
@@ -443,8 +419,39 @@ def _tucker_path(y, side, gammas, rank_tuples):
     elif wide:
         pencil = z @ z.T
 
-    def rows(a):  # a q^T Y_(0)
-        return _times_rows(a @ q.T, y0) if via_g0 else _times_rows(a, z)
+    def rows(a):
+        r = _times_rows(a @ q.T, y0) if via_g0 else _times_rows(a, z)
+        return r.reshape((len(a), *y.shape[1:]), order=order)
+
+    return rows, pencil, grams
+
+
+def _tucker_path(y, side, gammas, rank_tuples, normalize=None):
+    """The one fit behind every method at each point of gammas x rank_tuples,
+    from `side` = `_input_side(...)`, whose m has dim rows (d0, or N), and
+    the statistics of Y (`_statistics`), its only reader of Y.  Yields
+    ((gamma, ranks), TuckerFactors, pencil values, notes) per point; factor 0
+    is M c, or with `normalize` u0 of (u0, t) = normalize(M c), t applied to
+    mode 0 of the core.  The clamped ranks are the core's shape.
+
+    With Z = q^T Y_(0), inv = `_ridge_inverse` and D = sqrt(lam inv), R0 >=
+    dim keeps no factor 0 and the core is the ridge solution
+    M diag(sqrt(lam) inv) Z.  A smaller R0 (clamped to the directions inv
+    keeps) takes the top-R0 eigenvectors w of D Z Z^T D: c = sqrt(inv) w has
+    c^T diag(lam + gamma) c = I, so the projected ridge solve is the identity
+    and the core is w^T D Z.  Ri < di projects the core on the top-Ri
+    eigenvectors of the mode Gram.  Rank clamps and a singular input Gram are
+    noted, not warned.  Every point takes prefixes of shared eigenvectors:
+    each mode Gram's up to the largest Ri cut, and per gamma the pencil's up
+    to the largest R0; the last gamma scales the pencil in place.
+    """
+    q, lam, m, s = side
+    dims, dim = y.shape[1:], m.shape[0]
+    wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
+    cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
+    rows, pencil, grams = _statistics(y, q, cuts, wide)
+    out = [None if g is None else linalg.sym_eig_top(g, c)[1] for g, c in zip(grams, cuts)]
+    del grams
 
     for i, gamma in enumerate(gammas):
         inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
@@ -458,10 +465,10 @@ def _tucker_path(y, side, gammas, rank_tuples):
             if i == len(gammas) - 1:  # the last gamma scales the pencil in place
                 pencil *= d[:, None]
                 pencil *= d
-                res = linalg.sym_eig_top(pencil, top)
+                vals, vecs = linalg.sym_eig_top(pencil, top)
             else:
-                res = linalg.sym_eig_top(d[:, None] * pencil * d, top)
-            head = rows(res.vectors.T * d)
+                vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top)
+            head = rows(vecs.T * d)
         for ranks in rank_tuples:
             limits = (dim if ranks[0] >= dim else kept, *dims)
             noted = [f"rank {r} clamped to {c} at mode {i}" for i, (r, c) in enumerate(zip(ranks, limits)) if r > c]
@@ -471,25 +478,20 @@ def _tucker_path(y, side, gammas, rank_tuples):
             if r0 == dim:
                 u0, values, core = None, np.zeros(0), full
             else:
-                w = res.vectors[:, :r0]
-                u0, values, core = m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)), res.values[:r0], head[:r0]
+                w = vecs[:, :r0]
+                u0, values, core = m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)), vals[:r0], head[:r0]
             factors = [None if r == di else u[:, :r] for u, r, di in zip(out, out_ranks, dims)]
-            core = multi_mode_product(
-                core.reshape((r0, *dims), order=order),
-                [None if u is None else u.T for u in factors],
-                range(1, y.ndim),
-            )
+            core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
+            if normalize is not None and u0 is not None:
+                u0, t = normalize(u0)
+                core = mode_product(core, t, 0)
             yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), values, noted
 
 
 def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
-    """`_tucker_path` at one point, with (u0, t) = `normalize`(M c) and t
-    applied to mode 0 of the core; each note is also warned."""
-    _, tf, values, noted = next(_tucker_path(y, side, [gamma], [ranks]))
-    u0, *factors = tf.factors
-    if u0 is not None:
-        u0, t = normalize(u0)
-        tf = TuckerFactors(core=mode_product(tf.core, t, 0), factors=[u0, *factors])
+    """`_tucker_path` at one point, factor 0 made by `normalize`; each note is
+    also warned."""
+    _, tf, values, noted = next(_tucker_path(y, side, [gamma], [ranks], normalize))
     for msg in noted:
         warnings.warn(msg, stacklevel=3)
     return tf, values, noted
@@ -519,14 +521,17 @@ def holrr_predict(model: HolrrModel, x) -> np.ndarray:
     u0, *rest = model.factors.factors
     if x.shape[0] != model.factors.shape[0]:
         raise ValueError(f"input has length {x.shape[0]}, model expects {model.factors.shape[0]}")
+    if model.kernel is None and not np.isfinite(x).all():
+        raise ValueError("input rows must be finite")
     return multi_mode_product(model.factors.core, [(x if u0 is None else u0.T @ x)[None, :], *rest])[0]
 
 
 def predict_blocks(model: HolrrModel, x) -> tuple:
     """(shape, blocks): the one block loop behind every batch prediction of
-    input rows x.  The rows are checked, and the kernel rows (for a kernel
-    model), B = rows U_0 and C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0)
-    formed, before this returns, so a bad x fails before the first block.
+    input rows x.  The rows are checked (shape, and finite for every model),
+    and the kernel rows (for a kernel model), B = rows U_0 and
+    C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0) formed, before this
+    returns, so a bad x fails before the first block.
     blocks(out) yields the n x D prediction Y_(0) in column blocks of about
     `_PREDICT_BYTES`, each one GEMM B C_(0)[:, cols] into a column-major
     block: `out[:, cols]` of a column-major n x D `out`, or without `out` one
@@ -538,6 +543,8 @@ def predict_blocks(model: HolrrModel, x) -> tuple:
         raise ValueError("expected a matrix of input rows")
     if rows.shape[1] != model.factors.shape[0]:
         raise ValueError(f"input has {rows.shape[1]} columns, model expects {model.factors.shape[0]}")
+    if model.kernel is None and not _all_finite(rows):
+        raise ValueError("input rows must be finite")
     u0, *rest = model.factors.factors
     b = rows if u0 is None else rows @ u0
     c = multi_mode_product(model.factors.core, rest, range(1, len(rest) + 1))
@@ -610,7 +617,7 @@ def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
         return w_rls
     # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
     e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ y)
-    v = linalg.sym_eig_top(e.T @ e, rank).vectors
+    v = linalg.sym_eig_top(e.T @ e, rank)[1]
     return w_rls @ v @ v.T
 
 

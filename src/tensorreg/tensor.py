@@ -28,12 +28,10 @@ __all__ = [
     "dematricize",
     "vectorize",
     "mode_product",
-    "mode_vector_product",
     "multi_mode_product",
     "inner",
     "frobenius_norm",
     "tucker_reconstruct",
-    "multilinear_rank",
     "hosvd_truncated",
     "read_dten",
     "write_dten",
@@ -97,17 +95,6 @@ def vectorize(t) -> np.ndarray:
 def mode_product(t, m, mode: int) -> np.ndarray:
     """Mode-`mode` product with a matrix: result_(mode) = m @ t_(mode)."""
     return multi_mode_product(t, [m], [mode])
-
-
-def mode_vector_product(t, v, mode: int) -> np.ndarray:
-    """Contract mode `mode` with a vector; the result drops that mode."""
-    t = _as_tensor(t)
-    v = np.asarray(v, dtype=np.float64)
-    _check_mode(t, mode)
-    if v.ndim != 1 or v.shape[0] != t.shape[mode]:
-        raise ValueError(f"vector of length {v.shape} does not match mode {mode} of {t.shape}")
-    out = np.squeeze(multi_mode_product(t, [v[None, :]], [mode]), axis=mode)
-    return float(out) if out.ndim == 0 else out
 
 
 def multi_mode_product(t, mats, modes=None) -> np.ndarray:
@@ -188,19 +175,6 @@ class TuckerFactors:
 def tucker_reconstruct(f: TuckerFactors) -> np.ndarray:
     """Materialize core x_0 U_0 ... x_p U_p without forming Kronecker products."""
     return multi_mode_product(f.core, f.factors)
-
-
-def multilinear_rank(t, tol: float = 1e-9) -> tuple:
-    """Per-mode ranks: singular values above tol * largest, each matricization."""
-    t = _as_tensor(t)
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ranks = []
-    for mode in range(t.ndim):
-        sv = np.linalg.svd(matricize(t, mode), compute_uv=False)
-        top = sv[0] if sv.size else 0.0
-        ranks.append(int(np.sum(sv > tol * top)) if top > 0 else 0)
-    return tuple(ranks)
 
 
 def _sign_flips(u: np.ndarray) -> np.ndarray:

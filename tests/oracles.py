@@ -1,7 +1,11 @@
 """Loop-based reference implementations, kept independent of the library's
-reshape/BLAS code paths so tests compare two routes to the same value."""
+reshape/BLAS code paths so tests compare two routes to the same value, and
+small helpers that only tests use, built on the library's public functions."""
 
 import numpy as np
+
+from tensorreg.regress import kernel_cross
+from tensorreg.tensor import matricize, multi_mode_product
 
 
 def matricize_loops(t, mode):
@@ -82,3 +86,34 @@ def ridge_loss(w, x, y, gamma):
     flat_y = y.reshape(y.shape[0], -1, order="F")
     resid = x @ flat_w - flat_y
     return float(np.sum(resid**2) + gamma * np.sum(flat_w**2))
+
+
+def mode_vector_product(t, v, mode):
+    """Contract mode `mode` with a vector; the result drops that mode."""
+    t = np.asarray(t, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or v.shape[0] != t.shape[mode]:
+        raise ValueError(f"vector of length {v.shape} does not match mode {mode} of {t.shape}")
+    out = np.squeeze(multi_mode_product(t, [v[None, :]], [mode]), axis=mode)
+    return float(out) if out.ndim == 0 else out
+
+
+def multilinear_rank(t, tol=1e-9):
+    """Per-mode ranks: singular values above tol * largest, each matricization."""
+    t = np.asarray(t, dtype=float)
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    ranks = []
+    for mode in range(t.ndim):
+        sv = np.linalg.svd(matricize(t, mode), compute_uv=False)
+        top = sv[0] if sv.size else 0.0
+        ranks.append(int(np.sum(sv > tol * top)) if top > 0 else 0)
+    return tuple(ranks)
+
+
+def kernel_vec(kernel, x_train, x):
+    """Vector of k(x_train_n, x) for a single input x."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("kernel_vec expects a single input vector")
+    return kernel_cross(kernel, x_train, x[None, :])[:, 0]

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -364,6 +365,41 @@ def test_exit_code_2_config_value_of_the_wrong_json_type(tmp_path, capsys):
     code = main(["experiment", "forecast", "--out-dir", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("tensorreg: ") and "--met-dir" in err, err
+
+
+def test_config_nested_too_deeply_to_report_leaves_no_report_file(tmp_path, capsys):
+    # the run succeeds and the report's writer overflows on the nested value,
+    # under a key nothing reads: no report file may be left half written
+    for depth in (800, sys.getrecursionlimit() - 50):
+        cfg = json.loads(experiment_config(tmp_path).read_text())
+        text = json.dumps(cfg)[:-1] + ', "note": ' + "[" * depth + "]" * depth + "}"
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        out_dir = tmp_path / f"o{depth}"
+        code = main(["experiment", "synth-linear", "--config", str(path), "--out-dir", str(out_dir), "--timing", "none"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("tensorreg: malformed config (RecursionError: ") and err.count("\n") == 1, err
+        assert not [f for f in out_dir.iterdir() if f.name.startswith(("report", "plot_"))]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("suffix", [".csv", ".dten"])
+def test_exit_code_2_non_finite_input_rows_to_predict(tmp_path, capsys, bad, suffix):
+    # a primal model's rows are checked as a kernel model's are: one
+    # tensorreg: line, no prediction file
+    data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=8)
+    model = tmp_path / "m.bin"
+    assert main(["fit", "--x", str(x_csv), "--y", str(y_dten), "--ranks", "2,2,2", "--out", str(model)]) == 0
+    capsys.readouterr()
+    rows = data.x_test.copy()
+    rows[-1, 1] = bad
+    x_bad = tmp_path / f"bad{suffix}"
+    (write_matrix_csv if suffix == ".csv" else write_dten)(rows, x_bad)
+    out = tmp_path / "p.dten"
+    code = main(["predict", "--model", str(model), "--x", str(x_bad), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and err == "tensorreg: input rows must be finite\n", err
+    assert not out.exists()
 
 
 def test_exit_code_2_dten_dims_beyond_the_file(tmp_path, capsys):

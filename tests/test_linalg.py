@@ -54,18 +54,18 @@ def test_spd_solve_input_validation():
 
 
 def test_sym_eig_top_known_diagonal():
-    res = sym_eig_top(np.diag([1.0, 2.0, 3.0]), 2)
-    np.testing.assert_allclose(res.values, [3.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(res.vectors, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
+    values, vectors = sym_eig_top(np.diag([1.0, 2.0, 3.0]), 2)
+    np.testing.assert_allclose(values, [3.0, 2.0], atol=1e-14)
+    np.testing.assert_allclose(vectors, [[0, 0], [0, 1], [1, 0]], atol=1e-14)
 
 
 def test_sym_eig_top_sign_convention_tie():
     # eigenvector of [[0,-1],[-1,0]] at +1 has equal-magnitude entries; the
     # first one must come out positive
-    res = sym_eig_top(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
-    assert res.values[0] == pytest.approx(1.0, abs=1e-14)
-    assert res.vectors[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-14)
-    assert res.vectors[1, 0] == pytest.approx(-np.sqrt(0.5), abs=1e-14)
+    values, vectors = sym_eig_top(np.array([[0.0, -1.0], [-1.0, 0.0]]), 1)
+    assert values[0] == pytest.approx(1.0, abs=1e-14)
+    assert vectors[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-14)
+    assert vectors[1, 0] == pytest.approx(-np.sqrt(0.5), abs=1e-14)
 
 
 def test_sym_eig_top_construct_and_recover():
@@ -73,28 +73,28 @@ def test_sym_eig_top_construct_and_recover():
     q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
     w = np.array([6.0, 4.0, 2.0, 1.0, 0.5])
     a = q @ np.diag(w) @ q.T
-    res = sym_eig_top(a, 3)
-    np.testing.assert_allclose(res.values, w[:3], atol=1e-10)
+    values, vectors = sym_eig_top(a, 3)
+    np.testing.assert_allclose(values, w[:3], atol=1e-10)
     for j in range(3):
         # residual check is basis-free
-        r = a @ res.vectors[:, j] - res.values[j] * res.vectors[:, j]
+        r = a @ vectors[:, j] - values[j] * vectors[:, j]
         assert np.linalg.norm(r) <= 1e-10
-    np.testing.assert_allclose(res.vectors.T @ res.vectors, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(3), atol=1e-12)
 
 
 def test_sym_eig_top_descending_and_deterministic():
     a = rand_spd(9, 3)
-    res1 = sym_eig_top(a, 9)
-    assert np.all(np.diff(res1.values) <= 1e-12)
-    res2 = sym_eig_top(a, 9)
-    assert np.array_equal(res1.values, res2.values)
-    assert np.array_equal(res1.vectors, res2.vectors)
+    values1, vectors1 = sym_eig_top(a, 9)
+    assert np.all(np.diff(values1) <= 1e-12)
+    values2, vectors2 = sym_eig_top(a, 9)
+    assert np.array_equal(values1, values2)
+    assert np.array_equal(vectors1, vectors2)
 
 
 def test_sym_eig_top_clamp_and_validation():
     with pytest.warns(UserWarning, match="clamped"):
-        res = sym_eig_top(np.eye(3), 5)
-    assert res.values.shape == (3,)
+        values, _ = sym_eig_top(np.eye(3), 5)
+    assert values.shape == (3,)
     with pytest.raises(ValueError, match=">= 1"):
         sym_eig_top(np.eye(3), 0)
     with pytest.raises(ValueError, match="symmetric"):
@@ -112,11 +112,11 @@ def test_sym_eig_top_is_bitwise_scipy_eigh(n):
     b = np.random.default_rng(n).standard_normal((n, n))
     a = b + b.T
     for r in sorted({1, max(1, n // 3), n}):
-        res = sym_eig_top(a, r)
+        values, vectors = sym_eig_top(a, r)
         w, v = scipy.linalg.eigh(a, subset_by_index=[n - r, n - 1])
-        assert np.array_equal(res.values, w[::-1])
-        flips = np.where(res.vectors[0] * v[0, ::-1] < 0, -1.0, 1.0)
-        assert np.array_equal(res.vectors, v[:, ::-1] * flips)
+        assert np.array_equal(values, w[::-1])
+        flips = np.where(vectors[0] * v[0, ::-1] < 0, -1.0, 1.0)
+        assert np.array_equal(vectors, v[:, ::-1] * flips)
 
 
 def test_gen_sym_eig_top_identity_metric_is_ordinary():

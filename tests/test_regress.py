@@ -27,7 +27,6 @@ from tensorreg.regress import (
     holrr_predict,
     holrr_predict_batch,
     kernel_cross,
-    kernel_vec,
     kholrr_fit,
     kholrr_predict,
     kholrr_predict_batch,
@@ -40,8 +39,6 @@ from tensorreg.tensor import (
     TuckerFactors,
     matricize,
     mode_product,
-    mode_vector_product,
-    multilinear_rank,
     tucker_reconstruct,
     vectorize,
     write_dten,
@@ -182,7 +179,7 @@ def test_lrr_takes_one_thin_svd_of_x(monkeypatch):
     gamma = 1e-2
     q, lam, _, _ = regress._input_side(x)
     e = np.sqrt(lam * regress._ridge_inverse(lam, gamma))[:, None] * (q.T @ y)
-    v = linalg.sym_eig_top(e.T @ e, 3).vectors
+    _, v = linalg.sym_eig_top(e.T @ e, 3)
     expect = rls_fit(x, y, gamma) @ v @ v.T
     calls, svd = [], np.linalg.svd
 
@@ -238,7 +235,7 @@ def test_holrr_full_ranks_equals_rls():
 def test_holrr_coefficients_obey_rank_constraint():
     prob, _ = small_problem(6)
     model = holrr_fit(prob)
-    got = multilinear_rank(model.coefficients(), tol=1e-8)
+    got = oracles.multilinear_rank(model.coefficients(), tol=1e-8)
     assert all(g <= r for g, r in zip(got, prob.ranks))
     assert model.ranks == prob.ranks
     assert model.factors.max_orthonormality_defect() <= 1e-10
@@ -250,7 +247,7 @@ def test_holrr_predict_is_coefficient_contraction():
     w = model.coefficients()
     for i in range(4):
         x = data.x_test[i]
-        ref = mode_vector_product(w, x, 0)
+        ref = oracles.mode_vector_product(w, x, 0)
         np.testing.assert_allclose(holrr_predict(model, x), ref, atol=1e-10)
     batch = holrr_predict_batch(model, data.x_test[:4])
     singles = np.stack([holrr_predict(model, data.x_test[i]) for i in range(4)])
@@ -262,7 +259,7 @@ def test_holrr_prediction_rank_bound():
     prob, data = small_problem(8)
     model = holrr_fit(prob)
     pred = holrr_predict_batch(model, data.x_test)
-    got = multilinear_rank(pred, tol=1e-8)
+    got = oracles.multilinear_rank(pred, tol=1e-8)
     # output modes of the stacked predictions live in the fitted subspaces
     assert all(g <= r for g, r in zip(got[1:], prob.ranks[1:]))
 
@@ -461,6 +458,23 @@ def test_holrr_predict_validation():
         holrr_predict_batch(model, np.zeros(4))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_primal_predict_rejects_non_finite_rows(bad):
+    # every entry point, fitted and loaded: not a NaN prediction
+    prob, data = small_problem(16)
+    model = holrr_fit(prob)
+    buf = io.BytesIO()
+    save_model(model, buf)
+    buf.seek(0)
+    rows = data.x_test.copy()
+    rows[-1, 2] = bad
+    for m in (model, load_model(buf)):
+        for predict in (lambda: holrr_predict(m, rows[-1]), lambda: holrr_predict_batch(m, rows),
+                        lambda: regress.predict_blocks(m, rows), lambda: m.predict(rows)):
+            with pytest.raises(ValueError, match="^input rows must be finite$"):
+                predict()
+
+
 # --- kernels ----------------------------------------------------------------
 
 
@@ -495,9 +509,9 @@ def test_kernel_vec_is_gram_column():
     x = rng.standard_normal((9, 4))
     spec = KernelSpec(kind="rbf", sigma=1.1)
     k = gram(x, spec)
-    np.testing.assert_allclose(kernel_vec(spec, x, x[3]), k[:, 3], atol=1e-12)
+    np.testing.assert_allclose(oracles.kernel_vec(spec, x, x[3]), k[:, 3], atol=1e-12)
     with pytest.raises(ValueError, match="single input"):
-        kernel_vec(spec, x, x[:2])
+        oracles.kernel_vec(spec, x, x[:2])
 
 
 def test_kernel_cross_validation():
@@ -535,7 +549,7 @@ def test_kholrr_rows_are_the_uncached_kernel_vector_and_the_batch_rows(spec):
     assert np.array_equal(batch, holrr_predict_batch(dual, kernel_cross(spec, x, model.train_inputs)))
     for i in range(len(x)):
         row = kholrr_predict(model, x[i])
-        assert np.array_equal(row, holrr_predict(dual, kernel_vec(spec, model.train_inputs, x[i])))
+        assert np.array_equal(row, holrr_predict(dual, oracles.kernel_vec(spec, model.train_inputs, x[i])))
         assert np.max(np.abs(row - batch[i])) <= 1e-12
 
 
@@ -596,6 +610,50 @@ def _route_problem(width):
     rng = np.random.default_rng(41)
     x, y = rng.standard_normal((40, 5)), rng.standard_normal((40, 5, 2, width // 10))
     return x, y, rng.standard_normal((9, 5))
+
+
+def _bitwise_points(a, b):
+    # two path points hold the same bits: key, every factor, core, values and notes
+    (pa, tfa, va, na), (pb, tfb, vb, nb) = a, b
+    assert pa == pb and na == nb and va.tobytes() == vb.tobytes()
+    assert tfa.core.shape == tfb.core.shape and tfa.core.tobytes(order="A") == tfb.core.tobytes(order="A")
+    for ua, ub in zip(tfa.factors, tfb.factors):
+        assert (ua is None) == (ub is None)
+        assert ua is None or (ua.shape == ub.shape and ua.tobytes(order="A") == ub.tobytes(order="A"))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("route, n, d0, dims", [
+    ("thin", 30, 6, (4, 3, 5)),  # primal q, N x d0: Z = q^T Y_(0)
+    ("z", 40, 5, (3, 2, 3)),  # square (kernel) q with D < N: Z
+    ("g0", 20, 5, (4, 3, 5)),  # square q with D >= N: the mode-0 Gram
+])
+def test_the_path_reads_y_only_through_its_statistics(route, n, d0, dims, layout, monkeypatch):
+    # `_statistics` formed from the real Y gives the path the same bits on a Y
+    # of NaNs: the path reads nothing of Y but its shape and its statistics
+    rng = np.random.default_rng(61)
+    x = rng.standard_normal((n, d0))
+    y = np.asarray(rng.standard_normal((n, *dims)), order=layout)
+    side = regress._input_side(x) if route == "thin" else regress._input_side(k=gram(x, KernelSpec(kind="rbf", sigma=2.0)))
+    dim = side[2].shape[0]
+    gammas = [0.0, 1e-3, 0.1, 1.0]
+    rank_tuples = [(2, 2, 2, 3), (dim, *dims), (dim + 3, dims[0] + 2, 1, 2), (4, 1, dims[1], dims[2]), (1, 1, 1, 1)]
+    for normalize in (None, regress._orthonormalize, regress._unit_columns):
+        expect = list(regress._tucker_path(y, side, gammas, rank_tuples, normalize))
+        real, routes, calls = regress._statistics, [], []
+        via_g0 = regress._pencil_via_g0
+        with monkeypatch.context() as mp:
+            mp.setattr(regress, "_pencil_via_g0", lambda n, w: routes.append(via_g0(n, w)) or routes[-1])
+            mp.setattr(regress, "_statistics", lambda y_nan, *args: calls.append(y_nan) or real(y, *args))
+            got = list(regress._tucker_path(np.full(y.shape, np.nan, order=layout), side, gammas, rank_tuples, normalize))
+        assert len(calls) == 1 and np.isnan(calls[0]).all()
+        assert routes == {"thin": [], "z": [False], "g0": [True]}[route]
+        assert len(got) == len(expect) == len(gammas) * len(rank_tuples)
+        for a, b in zip(expect, got):
+            _bitwise_points(a, b)
+        # full rank, a cut and a clamp all ran
+        assert any(tf.factors[0] is None for _, tf, _, _ in got) and any(tf.factors[0] is not None for _, tf, _, _ in got)
+        assert any(any("clamped" in note for note in notes) for *_, notes in got)
 
 
 @pytest.mark.parametrize("width", [20, 80])

@@ -357,10 +357,9 @@ def test_cli_predict_and_training_error_stream_column_blocks(seed, kernel, layou
         # failures found before the first block: nothing is written
         files = sorted(os.listdir(d))
         bad_rows = [(x_new[:, :-1], "columns" if not kernel else "incompatible input shapes")]
-        if kernel:
-            nan_row = x_new.copy()
-            nan_row[int(rng.integers(n))] = np.nan
-            bad_rows.append((nan_row, "kernel inputs must be finite"))
+        nan_row = x_new.copy()
+        nan_row[int(rng.integers(n))] = np.nan
+        bad_rows.append((nan_row, "kernel inputs must be finite" if kernel else "input rows must be finite"))
         for bad, message in bad_rows:
             write_dten(bad, d / "x_new.dten")
             code, _, err = _cli("predict", "--model", d / "model.bin", "--x", d / "x_new.dten", "--out", d / "bad.dten")
