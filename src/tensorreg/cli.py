@@ -1,8 +1,9 @@
 """Command line interface.
 
-Machine-readable results go to stdout as JSON lines; human diagnostics go to
-stderr.  Exit codes: 0 success, 2 argument or file errors, 3 numerical
-failures.  Output files are written atomically (temp file + rename).
+Machine-readable results go to stdout as JSON lines, a non-finite number as
+null; human diagnostics go to stderr.  Exit codes: 0 success, 2 argument or
+file errors, 3 numerical failures.  Output files are written atomically
+(temp file + rename).
 Precedence for settings: command-line flag, then config file, then the
 TENSORREG_SEED environment variable (seeds only), then built-in defaults.
 """
@@ -10,6 +11,7 @@ TENSORREG_SEED environment variable (seeds only), then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -31,8 +33,20 @@ class CliError(Exception):
     pass
 
 
+def _finite(obj):
+    """obj with every non-finite float in it, its lists and its dicts made
+    None, which JSON writes as null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(_finite(obj), sort_keys=True, allow_nan=False) + "\n")
 
 
 def _note(msg: str) -> None:
@@ -219,6 +233,7 @@ def _cmd_ingest_met(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of the `tensorreg` command line."""
     p = argparse.ArgumentParser(prog="tensorreg", description="tensor-output regression toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -267,10 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -37,6 +37,19 @@ kernel fit, and X with d0 >= N) and the outputs are at least as wide as N,
 the pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
 N x D product Q^T Y_(0) is never formed.
 
+A fit with a square Q runs on two threads, which split its work and not
+its BLAS calls: the Grams of Y need no Q, so one helper thread (`_helper`,
+opened and joined inside each fit) forms the output-mode Grams, and G_0
+when the pencil goes through it, while the calling thread decomposes the
+inputs (eigh(K), or the SVD of X with d0 >= N).  The calling thread then
+joins the helper and forms everything that needs Q (the pencil,
+Z = Q^T Y_(0) and the rows of the core) and runs every eigenproblem of the
+path.  A thin SVD of X (d0 < N) is too short to overlap, so those fits
+form the Grams on the calling thread after it, with no thread started.
+The helper runs private functions and numpy only; each statistic is the
+same calls on the same operands on either thread, so the bits do not
+depend on the helper.
+
 A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
 kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
 once, and the n x D prediction Y_(0) comes out in column blocks of about
@@ -65,6 +78,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -225,11 +239,13 @@ def _input_side(x=None, k=None):
     """(q, lam, m, s) with the fit rows' Gram X X^T (or K) = q diag(lam) q^T,
     from the thin SVD X = q diag(sqrt(lam)) m^T (s = 1) or eigh(K) clipped at
     0 (m = q, s = lam^-1/2 taken as 0 where lam <= 1e-12 max(lam)).  The
-    factor-0 map M = m diag(s) takes coefficients on q to input space."""
+    factor-0 map M = m diag(s) takes coefficients on q to input space.  K is
+    decomposed as it is when exactly symmetric (as `gram` makes it), else
+    as (K + K^T) / 2."""
     if k is None:
         q, sv, vt = np.linalg.svd(x, full_matrices=False)
         return q, sv * sv, vt.T, np.ones(sv.size)
-    lam, q = np.linalg.eigh((k + k.T) / 2.0)
+    lam, q = np.linalg.eigh(k if np.array_equal(k, k.T) else (k + k.T) / 2.0)
     lam = np.clip(lam, 0.0, None)
     return q, lam, q, np.sqrt(_ridge_inverse(lam, 0.0))
 
@@ -396,20 +412,43 @@ def _unit_columns(a: np.ndarray):
     return a / scale * f, np.diag(scale * f)
 
 
-def _statistics(y, q, cuts, wide):
-    """(rows, pencil, grams): the statistics of Y that the path of fits runs
+def _helper() -> ThreadPoolExecutor:
+    """The one helper thread of a fit, for a `with` block around the work it
+    runs beside the calling thread."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tensorreg-statistics")
+
+
+def _statistics(y, inputs, cuts, wide):
+    """(side, rows, pencil, grams): the decomposition side =
+    `_input_side(*inputs)` and the statistics of Y that the path of fits runs
     on, and the one reader of Y.  grams holds the output-mode Grams
     Y_(i) Y_(i)^T, i = 1..p, None where cuts[i - 1] is 0; pencil is
     q^T Y_(0) Y_(0)^T q, or None unless `wide` (some point keeps a factor 0);
     rows(a) is a q^T Y_(0) folded to (len(a), d1..dp).  Y_(0) is a view of Y,
-    its columns in Y's memory order.  When q is square and `_pencil_via_g0`,
-    the pencil is q^T G_0 q from the mode-0 Gram and rows(a) is
-    (a q^T) Y_(0), so Z = q^T Y_(0) is never formed; else Z is formed once."""
+    its columns in Y's memory order.  When q is square (a Gram K, or X with
+    d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the mode-0
+    Gram and rows(a) is (a q^T) Y_(0), so Z = q^T Y_(0) is never formed;
+    else Z is formed once.  The Grams need no q: when q is square, the
+    helper thread (`_helper`) forms them while this thread decomposes the
+    inputs, and is joined before the first product with q; a thin SVD is
+    too short to hide them behind, so this thread forms them after it."""
     y = _contiguous(y)
     order = "F" if y.flags.f_contiguous else "C"
     y0 = y.reshape(y.shape[0], -1, order=order)
-    via_g0 = q.shape[1] == y.shape[0] and _pencil_via_g0(*y0.shape)
-    g0, *grams = _mode_grams(y, [via_g0 and wide, *cuts])
+    x, k = inputs
+    square = k is not None or x.shape[1] >= x.shape[0]
+    via_g0 = square and _pencil_via_g0(*y0.shape)
+    cut = [via_g0 and wide, *cuts]
+    if square and any(cut):
+        with _helper() as pool:
+            formed = pool.submit(_mode_grams, y, cut)
+            side = _input_side(x, k)
+            g0, *grams = formed.result()
+        del formed  # its result holds G_0, which the pencil replaces below
+    else:
+        side = _input_side(x, k)
+        g0, *grams = _mode_grams(y, cut)
+    q = side[0]
     z = None if via_g0 else _times_rows(q.T, y0)
     pencil = None
     if wide and via_g0:
@@ -423,13 +462,14 @@ def _statistics(y, q, cuts, wide):
         r = _times_rows(a @ q.T, y0) if via_g0 else _times_rows(a, z)
         return r.reshape((len(a), *y.shape[1:]), order=order)
 
-    return rows, pencil, grams
+    return side, rows, pencil, grams
 
 
-def _tucker_path(y, side, gammas, rank_tuples, normalize=None):
-    """The one fit behind every method at each point of gammas x rank_tuples,
-    from `side` = `_input_side(...)`, whose m has dim rows (d0, or N), and
-    the statistics of Y (`_statistics`), its only reader of Y.  Yields
+def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
+    """(side, points): the one fit behind every method at each point of
+    gammas x rank_tuples, from side = `_input_side(*inputs)`, whose m has
+    dim rows (d0, or N), and the statistics of Y (`_statistics`), its only
+    reader of Y; both are formed before this returns.  points yields
     ((gamma, ranks), TuckerFactors, pencil values, notes) per point; factor 0
     is M c, or with `normalize` u0 of (u0, t) = normalize(M c), t applied to
     mode 0 of the core.  The clamped ranks are the core's shape.
@@ -445,56 +485,61 @@ def _tucker_path(y, side, gammas, rank_tuples, normalize=None):
     each mode Gram's up to the largest Ri cut, and per gamma the pencil's up
     to the largest R0; the last gamma scales the pencil in place.
     """
-    q, lam, m, s = side
-    dims, dim = y.shape[1:], m.shape[0]
+    x, k = inputs
+    dims, dim = y.shape[1:], (x.shape[1] if k is None else k.shape[0])
     wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
-    rows, pencil, grams = _statistics(y, q, cuts, wide)
+    side, rows, pencil, grams = _statistics(y, inputs, cuts, wide)
+    q, lam, m, s = side
     out = [None if g is None else linalg.sym_eig_top(g, c)[1] for g, c in zip(grams, cuts)]
     del grams
 
-    for i, gamma in enumerate(gammas):
-        inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
-        singular = not inv.all()
-        kept = max(1, int(np.count_nonzero(inv[: lam.size])))
-        inv = inv[: lam.size]
-        d = np.sqrt(lam * inv)
-        full = rows(m * (s * np.sqrt(lam) * inv)) if any(r[0] >= dim for r in rank_tuples) else None
-        top = max((min(r[0], kept) for r in rank_tuples if r[0] < dim), default=0)
-        if top:
-            if i == len(gammas) - 1:  # the last gamma scales the pencil in place
-                pencil *= d[:, None]
-                pencil *= d
-                vals, vecs = linalg.sym_eig_top(pencil, top)
-            else:
-                vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top)
-            head = rows(vecs.T * d)
-        for ranks in rank_tuples:
-            limits = (dim if ranks[0] >= dim else kept, *dims)
-            noted = [f"rank {r} clamped to {c} at mode {i}" for i, (r, c) in enumerate(zip(ranks, limits)) if r > c]
-            r0, *out_ranks = map(min, ranks, limits)
-            if singular:
-                noted.append("input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range")
-            if r0 == dim:
-                u0, values, core = None, np.zeros(0), full
-            else:
-                w = vecs[:, :r0]
-                u0, values, core = m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)), vals[:r0], head[:r0]
-            factors = [None if r == di else u[:, :r] for u, r, di in zip(out, out_ranks, dims)]
-            core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
-            if normalize is not None and u0 is not None:
-                u0, t = normalize(u0)
-                core = mode_product(core, t, 0)
-            yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), values, noted
+    def points():
+        for i, gamma in enumerate(gammas):
+            inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
+            singular = not inv.all()
+            kept = max(1, int(np.count_nonzero(inv[: lam.size])))
+            inv = inv[: lam.size]
+            d = np.sqrt(lam * inv)
+            full = rows(m * (s * np.sqrt(lam) * inv)) if any(r[0] >= dim for r in rank_tuples) else None
+            top = max((min(r[0], kept) for r in rank_tuples if r[0] < dim), default=0)
+            if top:
+                if i == len(gammas) - 1:  # the last gamma scales the pencil in place
+                    np.multiply(pencil, d[:, None], out=pencil)
+                    np.multiply(pencil, d, out=pencil)
+                    vals, vecs = linalg.sym_eig_top(pencil, top)
+                else:
+                    vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top)
+                head = rows(vecs.T * d)
+            for ranks in rank_tuples:
+                limits = (dim if ranks[0] >= dim else kept, *dims)
+                noted = [f"rank {r} clamped to {c} at mode {i}" for i, (r, c) in enumerate(zip(ranks, limits)) if r > c]
+                r0, *out_ranks = map(min, ranks, limits)
+                if singular:
+                    noted.append("input gram singular at this gamma; using the pseudo-inverse pencil, restricting to its range")
+                if r0 == dim:
+                    u0, values, core = None, np.zeros(0), full
+                else:
+                    w = vecs[:, :r0]
+                    u0, values, core = m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)), vals[:r0], head[:r0]
+                factors = [None if r == di else u[:, :r] for u, r, di in zip(out, out_ranks, dims)]
+                core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
+                if normalize is not None and u0 is not None:
+                    u0, t = normalize(u0)
+                    core = mode_product(core, t, 0)
+                yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), values, noted
+
+    return side, points()
 
 
-def _tucker_fit(y, ranks, gamma: float, side, normalize=_orthonormalize):
-    """`_tucker_path` at one point, factor 0 made by `normalize`; each note is
-    also warned."""
-    _, tf, values, noted = next(_tucker_path(y, side, [gamma], [ranks], normalize))
+def _tucker_fit(y, ranks, gamma: float, inputs, normalize=_orthonormalize):
+    """(factors, values, notes, side): `_tucker_path` at one point, factor 0
+    made by `normalize`; each note is also warned."""
+    side, points = _tucker_path(y, inputs, [gamma], [ranks], normalize)
+    _, tf, values, noted = next(points)
     for msg in noted:
         warnings.warn(msg, stacklevel=3)
-    return tf, values, noted
+    return tf, values, noted, side
 
 
 def holrr_fit(prob: RegressionProblem) -> HolrrModel:
@@ -507,7 +552,7 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
     values (R0 >= d0 to d0, R0 < d0 to the directions kept; Ri <= di) with a
     warning recorded on the model.
     """
-    tf, _, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(prob.x))
+    tf, _, noted, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, (prob.x, None))
     return HolrrModel(factors=tf, gamma=prob.gamma, warnings=tuple(noted))
 
 
@@ -577,8 +622,7 @@ def _ridge(x, y_flat, gamma: float) -> tuple:
     if np.ndim(y_flat) != 2:
         raise ValueError("y_flat must be a matrix of vectorized outputs")
     prob = RegressionProblem(x, y_flat, (*np.shape(x)[1:2], np.shape(y_flat)[1]), gamma)
-    side = _input_side(prob.x)
-    tf, _, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, side)
+    tf, _, _, side = _tucker_fit(prob.y, prob.ranks, prob.gamma, (prob.x, None))
     return HolrrModel(tf, prob.gamma).coefficients(), prob.y, side
 
 
@@ -633,10 +677,10 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     x_fit = np.asarray(x_fit, dtype=np.float64)
     x_val = np.asarray(x_val, dtype=np.float64)
     if kernel is None:
-        side, rows = _input_side(x_fit), x_val
+        inputs, rows = (x_fit, None), x_val
     else:
-        side, rows = _input_side(k=gram(x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
-    path = _tucker_path(np.asarray(y_fit, dtype=np.float64), side, gammas, [tuple(r) for r in rank_tuples])
+        inputs, rows = (None, gram(x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
+    _, path = _tucker_path(np.asarray(y_fit, dtype=np.float64), inputs, gammas, [tuple(r) for r in rank_tuples])
     return ((point, holrr_predict_batch(HolrrModel(tf, point[0]), rows)) for point, tf, _, _ in path)
 
 
@@ -665,7 +709,7 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> H
     if train_inputs.shape[0] != k.shape[0]:
         raise ValueError("train_inputs row count must match the gram matrix")
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
-    tf, values, noted = _tucker_fit(prob.y, prob.ranks, prob.gamma, _input_side(k=k), _unit_columns)
+    tf, values, noted, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, (None, k), _unit_columns)
     return HolrrModel(tf, prob.gamma, tuple(noted), kernel, train_inputs, values)
 
 

@@ -478,6 +478,39 @@ def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "m.bin").exists()  # nothing written on failure
 
 
+def test_tensor_info_writes_a_non_finite_number_as_null(tmp_path, capsys):
+    path = tmp_path / "bad.dten"
+    write_dten(np.array([[1.0, np.nan], [np.inf, 2.0]]), path)
+    code = main(["tensor", "info", str(path)])
+    out = capsys.readouterr().out
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    event = json.loads(out, parse_constant=reject)
+    assert code == 0 and event["frobenius_norm"] is None and event["shape"] == [2, 2]
+    assert cli._finite({"a": [1.5, -math.inf, (np.float64("nan"), 2)], "b": "NaN", "c": 3}) == {
+        "a": [1.5, None, [None, 2]], "b": "NaN", "c": 3}
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    # build_parser() gives a new parser per call; main reuses one per process
+    assert cli.build_parser() is not cli.build_parser()
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        path = tmp_path / "m.dten"
+        write_dten(np.ones((2, 2)), path)
+        for _ in range(3):
+            assert main(["tensor", "info", str(path)]) == 0
+        assert main(["fit", "--bogus"]) == 2
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+    capsys.readouterr()
+
+
 def test_tensor_info_and_convert(tmp_path, capsys):
     m = np.random.default_rng(5).standard_normal((4, 3))
     src = tmp_path / "m.dten"

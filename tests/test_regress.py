@@ -634,18 +634,18 @@ def test_the_path_reads_y_only_through_its_statistics(route, n, d0, dims, layout
     rng = np.random.default_rng(61)
     x = rng.standard_normal((n, d0))
     y = np.asarray(rng.standard_normal((n, *dims)), order=layout)
-    side = regress._input_side(x) if route == "thin" else regress._input_side(k=gram(x, KernelSpec(kind="rbf", sigma=2.0)))
-    dim = side[2].shape[0]
+    inputs = (x, None) if route == "thin" else (None, gram(x, KernelSpec(kind="rbf", sigma=2.0)))
+    dim = d0 if route == "thin" else n
     gammas = [0.0, 1e-3, 0.1, 1.0]
     rank_tuples = [(2, 2, 2, 3), (dim, *dims), (dim + 3, dims[0] + 2, 1, 2), (4, 1, dims[1], dims[2]), (1, 1, 1, 1)]
     for normalize in (None, regress._orthonormalize, regress._unit_columns):
-        expect = list(regress._tucker_path(y, side, gammas, rank_tuples, normalize))
+        expect = list(regress._tucker_path(y, inputs, gammas, rank_tuples, normalize)[1])
         real, routes, calls = regress._statistics, [], []
         via_g0 = regress._pencil_via_g0
         with monkeypatch.context() as mp:
             mp.setattr(regress, "_pencil_via_g0", lambda n, w: routes.append(via_g0(n, w)) or routes[-1])
             mp.setattr(regress, "_statistics", lambda y_nan, *args: calls.append(y_nan) or real(y, *args))
-            got = list(regress._tucker_path(np.full(y.shape, np.nan, order=layout), side, gammas, rank_tuples, normalize))
+            got = list(regress._tucker_path(np.full(y.shape, np.nan, order=layout), inputs, gammas, rank_tuples, normalize)[1])
         assert len(calls) == 1 and np.isnan(calls[0]).all()
         assert routes == {"thin": [], "z": [False], "g0": [True]}[route]
         assert len(got) == len(expect) == len(gammas) * len(rank_tuples)
