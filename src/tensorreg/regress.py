@@ -37,18 +37,22 @@ kernel fit, and X with d0 >= N) and the outputs are at least as wide as N,
 the pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
 N x D product Q^T Y_(0) is never formed.
 
-A fit with a square Q runs on two threads, which split its work and not
-its BLAS calls: the Grams of Y need no Q, so one helper thread (`_helper`,
-opened and joined inside each fit) forms the output-mode Grams, and G_0
-when the pencil goes through it, while the calling thread decomposes the
-inputs (eigh(K), or the SVD of X with d0 >= N).  The calling thread then
-joins the helper and forms everything that needs Q (the pencil,
-Z = Q^T Y_(0) and the rows of the core) and runs every eigenproblem of the
-path.  A thin SVD of X (d0 < N) is too short to overlap, so those fits
-form the Grams on the calling thread after it, with no thread started.
-The helper runs private functions and numpy only; each statistic is the
-same calls on the same operands on either thread, so the bits do not
-depend on the helper.
+A large fit with a square Q can run on two threads, which split its work
+and not its BLAS calls: the Grams of Y need no Q, so one helper thread
+(`_helper`, opened and joined inside the fit) forms the output-mode Grams,
+and G_0 when the pencil goes through it, while the calling thread
+decomposes the inputs (eigh(K), or the SVD of X with d0 >= N).  The
+calling thread then joins the helper and forms everything that needs Q
+(the pencil, Z = Q^T Y_(0) and the rows of the core) and runs every
+eigenproblem of the path.  The helper starts only where it pays
+(`_overlaps`): when numpy's OpenBLAS runs one thread, so that the two
+threads do not ask for the same cores twice, and when the Grams and the
+decomposition are each large enough to outweigh the thread's start.  Every
+other fit (a thin SVD of X, d0 < N, among them) forms the Grams on the
+calling thread after the decomposition, with no thread started.  The
+helper runs private functions and numpy only; each statistic is the same
+calls on the same operands on either thread, so the bits do not depend
+on the helper.
 
 A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
 kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
@@ -75,11 +79,14 @@ union of its methods' presets (`harness._select`).
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -130,6 +137,10 @@ _KERNEL_KINDS = ("linear", "rbf", "polynomial")
 _BATCH_BYTES = 1 << 18
 # bytes of a column block of a prediction (`predict_blocks`)
 _PREDICT_BYTES = 1 << 20
+# least work, in flops, of each side of a fit for the helper thread to pay
+# (`_overlaps`): below it, starting the thread and handing the GIL between
+# the two costs more than the overlap saves
+_OVERLAP_FLOPS = 1e7
 
 @dataclass
 class KernelSpec:
@@ -418,6 +429,39 @@ def _helper() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tensorreg-statistics")
 
 
+@functools.cache
+def _blas_threads():
+    """The thread count of the OpenBLAS that numpy bundles, read once per
+    process through its C API, or None where numpy bundles none."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def _overlaps(shape, cut, width) -> bool:
+    """Whether a fit forms the Grams of Y (of `shape`, those `cut` as in
+    `_mode_grams`) on the helper thread while this thread decomposes its
+    N x width input side (K, or X with d0 = width >= N).  Only when BLAS
+    runs one thread, so that each thread has a core to itself, and when
+    each side is worth `_OVERLAP_FLOPS`: the Grams N D d_i flops per cut
+    mode (N for G_0), the decomposition 10 N^2 width, as eigh and the SVD
+    run about 10x slower per N^2 width than the Grams' GEMMs for N of a
+    few hundred."""
+    n, size = shape[0], math.prod(shape)
+    grams = size * sum(d for d, c in zip(shape, cut) if c)
+    return min(grams, 10 * n * n * width) >= _OVERLAP_FLOPS and _blas_threads() == 1
+
+
 def _statistics(y, inputs, cuts, wide):
     """(side, rows, pencil, grams): the decomposition side =
     `_input_side(*inputs)` and the statistics of Y that the path of fits runs
@@ -428,10 +472,10 @@ def _statistics(y, inputs, cuts, wide):
     its columns in Y's memory order.  When q is square (a Gram K, or X with
     d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the mode-0
     Gram and rows(a) is (a q^T) Y_(0), so Z = q^T Y_(0) is never formed;
-    else Z is formed once.  The Grams need no q: when q is square, the
-    helper thread (`_helper`) forms them while this thread decomposes the
-    inputs, and is joined before the first product with q; a thin SVD is
-    too short to hide them behind, so this thread forms them after it."""
+    else Z is formed once.  The Grams need no q: when q is square and
+    `_overlaps`, the helper thread (`_helper`) forms them while this thread
+    decomposes the inputs, and is joined before the first product with q;
+    otherwise this thread forms them after the decomposition."""
     y = _contiguous(y)
     order = "F" if y.flags.f_contiguous else "C"
     y0 = y.reshape(y.shape[0], -1, order=order)
@@ -439,7 +483,7 @@ def _statistics(y, inputs, cuts, wide):
     square = k is not None or x.shape[1] >= x.shape[0]
     via_g0 = square and _pencil_via_g0(*y0.shape)
     cut = [via_g0 and wide, *cuts]
-    if square and any(cut):
+    if square and _overlaps(y.shape, cut, x.shape[1] if k is None else k.shape[0]):
         with _helper() as pool:
             formed = pool.submit(_mode_grams, y, cut)
             side = _input_side(x, k)

@@ -1,12 +1,17 @@
 """The helper thread of a fit.
 
-When q is square, `regress._statistics` forms the Grams of Y that need no
-decomposition (the output-mode Grams, and G_0 when the pencil goes through
-it) on one helper thread while the calling thread decomposes the inputs
-(`_input_side`), and joins it before the first product with q; after a thin
-SVD of X the calling thread forms them.  These tests pin what that may
-change and what it may not:
+When q is square and `regress._overlaps` holds (numpy's BLAS runs one
+thread, and the Grams and the decomposition are each large enough),
+`regress._statistics` forms the Grams of Y that need no decomposition (the
+output-mode Grams, and G_0 when the pencil goes through it) on one helper
+thread while the calling thread decomposes the inputs (`_input_side`), and
+joins it before the first product with q; otherwise the calling thread
+forms them after the decomposition.  These tests pin what that may change
+and what it may not:
 
+- the choice: the helper starts for a large square-q fit at one BLAS
+  thread only, not at two or an unknown count, not for a small fit, and
+  `_blas_threads` reads the count the process runs;
 - the bits: every fit and the CV path give the same core, factors and
   predictions with the helper swapped for an executor that runs each task
   inline, on every route: Z = q^T Y_(0) for a thin q (no helper) and for a
@@ -17,9 +22,15 @@ change and what it may not:
 - the lifetime: no thread outlives a fit, also a fit whose decomposition
   fails (the CLI still exits 3), so `--jobs N` forks with no thread alive
   and equals the serial run.
+
+Past the choice, the tests run small problems with the helper forced on
+(`helper_on`: one BLAS thread, no least size).
 """
 
 import inspect
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import Future
@@ -51,6 +62,13 @@ class _Inline:
         except BaseException as e:
             done.set_exception(e)
         return done
+
+
+@pytest.fixture
+def helper_on(monkeypatch):
+    """Start the helper on every square-q fit with a Gram to form."""
+    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(regress, "_OVERLAP_FLOPS", 0)
 
 
 def _problem(n, d0, dims, seed=7):
@@ -86,8 +104,58 @@ def _spy_grams(monkeypatch):
     return calls
 
 
+def _gram_threads(monkeypatch, kernel, n, d0, dims) -> set:
+    """The threads the Grams of one fit ran on: {True} the calling thread,
+    {False} the helper."""
+    x, y, _ = _problem(n, d0, dims)
+    calls = _spy_grams(monkeypatch)
+    _fit(kernel, x, y, (3, 2, 2, 2), 1e-3)
+    assert calls
+    return {ident == threading.get_ident() for ident, _ in calls}
+
+
+@pytest.mark.parametrize("threads, on_helper", [(1, True), (2, False), (None, False)])
+@pytest.mark.parametrize("kernel, d0", [(SPEC, 6), (None, 300)], ids=["kernel", "primal"])
+def test_a_large_fit_starts_the_helper_at_one_blas_thread_only(threads, on_helper, kernel, d0, monkeypatch):
+    # N = 200, D = 1000: Grams 4.6e7 flops (G_0 among them), the
+    # decomposition 8e7 or 1.2e8: both past `_OVERLAP_FLOPS`.  At two BLAS
+    # threads each thread's BLAS calls would ask for both cores, and an
+    # unknown count is taken as not one.
+    monkeypatch.setattr(regress, "_blas_threads", lambda: threads)
+    assert _gram_threads(monkeypatch, kernel, 200, d0, (10, 10, 10)) == {not on_helper}
+
+
 @pytest.mark.parametrize("route, kernel, n, d0, dims", ROUTES, ids=[r[0] for r in ROUTES])
-def test_the_helper_thread_gives_the_serial_bits(route, kernel, n, d0, dims, monkeypatch):
+def test_a_small_fit_starts_no_helper(route, kernel, n, d0, dims, monkeypatch):
+    # each route's problem is under `_OVERLAP_FLOPS` on one side (the
+    # kernel fits of synth-nonlinear and forecast are of this size), where
+    # the thread's start would cost more than the overlap saves
+    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    assert _gram_threads(monkeypatch, kernel, n, d0, dims) == {True}
+
+
+def test_the_least_size_counts_both_sides(monkeypatch):
+    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    cut = [True, True, True, True]
+    assert regress._overlaps((100, 10, 10, 10), cut, 100)  # Grams 1.3e7, eigh(K) 1e7
+    assert not regress._overlaps((100, 6, 6, 6), cut, 100)  # Grams 2.6e6
+    assert not regress._overlaps((60, 20, 20, 20), cut, 60)  # Grams 5.8e7, eigh(K) 2.2e6
+    assert not regress._overlaps((100, 10, 10, 10), [False] * 4, 100)  # nothing to form
+    assert regress._overlaps((100, 10, 10, 10), cut, 200)  # X with d0 = 200: 2e7
+
+
+def test_blas_threads_reads_the_count_the_process_runs():
+    if regress._blas_threads() is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    code = "from tensorreg import regress; print(regress._blas_threads())"
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == threads
+
+
+@pytest.mark.parametrize("route, kernel, n, d0, dims", ROUTES, ids=[r[0] for r in ROUTES])
+def test_the_helper_thread_gives_the_serial_bits(route, kernel, n, d0, dims, monkeypatch, helper_on):
     x, y, x_val = _problem(n, d0, dims)
     calls = _spy_grams(monkeypatch)
     rank_sets = [(3, 2, 2, 2), (2, 4, 3, 3)]
@@ -133,7 +201,7 @@ def _record_public_calls(monkeypatch) -> list:
     return calls
 
 
-def test_public_functions_run_on_the_calling_thread(monkeypatch):
+def test_public_functions_run_on_the_calling_thread(monkeypatch, helper_on):
     x, y, x_val = _problem(30, 40, (4, 3, 5))  # d0 >= N: the primal q is square too
     grams = _spy_grams(monkeypatch)
     calls = _record_public_calls(monkeypatch)
@@ -154,7 +222,7 @@ def _alive(calls) -> set:
     return {ident for ident, _ in calls} & {t.ident for t in threading.enumerate()} - {threading.get_ident()}
 
 
-def test_no_thread_outlives_a_fit(monkeypatch):
+def test_no_thread_outlives_a_fit(monkeypatch, helper_on):
     x, y, x_val = _problem(30, 40, (4, 3, 5))
     calls = _spy_grams(monkeypatch)
     base = threading.active_count()
@@ -166,7 +234,7 @@ def test_no_thread_outlives_a_fit(monkeypatch):
     assert not _alive(calls) and threading.active_count() == base
 
 
-def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch):
+def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch, helper_on):
     # eigh(K) fails while the helper still forms the Grams: the fit waits for
     # the helper, then raises, and leaves no thread behind
     x, y, _ = _problem(30, 6, (4, 3, 5))
@@ -197,7 +265,7 @@ def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch):
     assert threading.active_count() == base
 
 
-def test_parallel_kernel_experiment_after_a_kernel_fit_matches_serial(monkeypatch):
+def test_parallel_kernel_experiment_after_a_kernel_fit_matches_serial(monkeypatch, helper_on):
     # the in-process fit leaves no thread, so the worker processes fork clean
     x, y, _ = _problem(30, 6, (4, 3, 5))
     calls = _spy_grams(monkeypatch)
