@@ -11,10 +11,12 @@ TENSORREG_SEED environment variable (seeds only), then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
+import stat
 import sys
 import time
 import warnings
@@ -24,7 +26,7 @@ import numpy as np
 from . import harness, regress
 from .harness import atomic_write, atomic_write_bytes
 from .regress import KernelSpec
-from .tensor import frobenius_norm, read_dten, read_matrix_csv, write_dten, write_matrix_csv
+from .tensor import DtenColumns, frobenius_norm, read_dten, read_matrix_csv, write_dten, write_matrix_csv
 
 SEED_ENV = "TENSORREG_SEED"
 
@@ -66,20 +68,35 @@ def _write_tensor_atomic(t, path) -> None:
     atomic_write(path, lambda f: write_dten(t, f))
 
 
+def _outputs(path):
+    """A context manager giving the training outputs at `path`: a
+    `DtenColumns` of a regular file, which the fit reads in pieces, and
+    anything else (a pipe) read whole by `read_dten`."""
+    if stat.S_ISREG(os.stat(path).st_mode):
+        return DtenColumns(path)
+    return contextlib.nullcontext(read_dten(path))
+
+
 def _training_rmse(model, x, y) -> float:
     """RMSE of the model's predictions for the training rows, summed over the
     column blocks of `regress.predict_blocks`, the stream `predict` writes,
     so no N x D prediction is formed: each block's residual is taken in the
     block's memory, against the same columns of Y_(0) (contiguous in a
-    column-major Y, as `read_dten` gives it)."""
-    y0 = y.reshape(y.shape[0], -1, order="F")
-    sq, a = 0.0, 0
-    for block in regress.predict_blocks(model, x)[1]():
-        block -= y0[:, a : a + block.shape[1]]
-        a += block.shape[1]
+    column-major Y, as `read_dten` gives it, and in the file of a
+    `DtenColumns` Y, which reads them)."""
+    blocks = regress.predict_blocks(model, x)[1]()
+    width = regress._block_width(y.shape[0])
+    if isinstance(y, DtenColumns):
+        columns = (cols for _, cols in y.columns(width, regress._blas_threads() == 1))
+    else:
+        y0 = y.reshape(y.shape[0], -1, order="F")
+        columns = (y0[:, a : a + width] for a in range(0, y0.shape[1], width))
+    sq = 0.0
+    for block, cols in zip(blocks, columns):
+        block -= cols
         r = block.ravel(order="K")
         sq += float(r @ r)
-    return math.sqrt(sq / y.size)
+    return math.sqrt(sq / math.prod(y.shape))
 
 
 def _parse_ranks(text: str) -> tuple:
@@ -94,16 +111,17 @@ def _parse_ranks(text: str) -> tuple:
 
 def _cmd_fit(args) -> int:
     x = _read_matrix(args.x)
-    y = read_dten(args.y)
-    ranks = _parse_ranks(args.ranks)
-    gamma = float(args.gamma)
-    kernel = None if args.kernel is None else KernelSpec.from_string(args.kernel)
-    t0 = time.perf_counter()
-    with warnings.catch_warnings():  # the fit's notes print once, as `tensorreg:` lines below
-        warnings.simplefilter("ignore", UserWarning)
-        model = harness.fit_method("kholrr" if kernel else "holrr", x, y, gamma, ranks, kernel)
-    training_rmse = _training_rmse(model, x, y)
-    seconds = time.perf_counter() - t0
+    with _outputs(args.y) as y:
+        ranks = _parse_ranks(args.ranks)
+        gamma = float(args.gamma)
+        kernel = None if args.kernel is None else KernelSpec.from_string(args.kernel)
+        t0 = time.perf_counter()
+        with warnings.catch_warnings():  # the fit's notes print once, as `tensorreg:` lines below
+            warnings.simplefilter("ignore", UserWarning)
+            model = harness.fit_method("kholrr" if kernel else "holrr", x, y, gamma, ranks, kernel)
+        training_rmse = _training_rmse(model, x, y)
+        seconds = time.perf_counter() - t0
+        y_read = "streamed" if isinstance(y, DtenColumns) else "in_memory"
     atomic_write(args.out, lambda f: regress.save_model(model, f))
     for w in model.warnings:
         _note(w)
@@ -115,6 +133,7 @@ def _cmd_fit(args) -> int:
             "gamma": gamma,
             "training_rmse": training_rmse,
             "fit_seconds": seconds,
+            "y_read": y_read,
             "out": str(args.out),
             "warnings": list(model.warnings),
         }

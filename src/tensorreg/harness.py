@@ -25,7 +25,7 @@ import numpy as np
 from . import datagen, regress
 from .datagen import substream
 from .regress import KernelSpec
-from .tensor import TuckerFactors, dematricize, matricize
+from .tensor import DtenColumns, TuckerFactors, dematricize, matricize
 
 __all__ = [
     "rmse",
@@ -118,12 +118,14 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     methods), so every result predicts input rows through `.predict(x)`.  Every
     method but lrr is holrr_fit/kholrr_fit at its `_preset` ranks; lrr keeps
     its own D x D algorithm, folded into a model with no factors.  lrr and
-    klrr models carry their rank clamp notes, which are also warned.
+    klrr models carry their rank clamp notes, which are also warned.  y may
+    be a `DtenColumns` of its file for every method but lrr.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    if not isinstance(y, DtenColumns):
+        y = np.asarray(y, dtype=np.float64)
     preset, notes = _preset(method, x, y, ranks, kernel)
     if method == "lrr":  # lrr_fit warns the notes
         w = regress.lrr_fit(x, matricize(y, 0), int(ranks[0]) if ranks else 1, gamma)

@@ -73,14 +73,20 @@ def pinv(a, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.pinv(np.asarray(a, dtype=np.float64), rcond=tol)
 
 
-def sym_eig_top(a, r: int):
+def sym_eig_top(a, r: int, check: bool = True):
     """Top-r eigenpairs (values, vectors) of symmetric `a`: values
     descending, vectors (dim, r) with sign-fixed columns.
 
     r larger than the dimension clamps with a warning.  One dsyevr call, as
     scipy's eigh(subset_by_index=...) makes, without its per-call overhead.
+    `a` must be square, finite and symmetric to 1e-10 of its largest entry,
+    else ValueError; `check=False` skips that pass for a float64 `a`
+    symmetric by construction (every fit's Grams and pencils), which is
+    still symmetrized, and a non-finite entry fails in dsyevr
+    (LinAlgError).
     """
-    a = _check_symmetric(a, "A")
+    if check:
+        a = _check_symmetric(a, "A")
     if r < 1:
         raise ValueError("r must be >= 1")
     if r > a.shape[0]:

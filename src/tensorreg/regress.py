@@ -37,6 +37,19 @@ kernel fit, and X with d0 >= N) and the outputs are at least as wide as N,
 the pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
 N x D product Q^T Y_(0) is never formed.
 
+Y may also be a `tensor.DtenColumns`, the DTEN file CLI `fit` reads in
+pieces (`_streamed`): each statistic is a sum over runs of the file, read
+into two buffers of half `tensor._IO_CHUNK` each, so the fit holds those
+buffers and the statistics, never Y.  One pass reads blocks of whole
+columns of Y_(0), whole slabs of the leading modes, checks each finite and
+forms Z (after a thin SVD), G_0 and those modes' Grams from it; each other
+cut mode (the last, unless Y fits in one block) takes a strided pass over
+its slabs.  A Y that fits in one block gets the in-memory bits; a larger
+one sums in another order, and may differ in the last bits.  When BLAS
+runs one thread, a pass on the calling thread reads the file's next block
+on a reader thread while it uses the current one; the reader copies bytes
+only, and ends with its pass.
+
 A large fit with a square Q can run on two threads, which split its work
 and not its BLAS calls: the Grams of Y need no Q, so one helper thread
 (`_helper`, opened and joined inside the fit) forms the output-mode Grams,
@@ -50,9 +63,9 @@ threads do not ask for the same cores twice, and when the Grams and the
 decomposition are each large enough to outweigh the thread's start.  Every
 other fit (a thin SVD of X, d0 < N, among them) forms the Grams on the
 calling thread after the decomposition, with no thread started.  The
-helper runs private functions and numpy only; each statistic is the same
-calls on the same operands on either thread, so the bits do not depend
-on the helper.
+helper runs private functions, numpy and a `DtenColumns`' reads only;
+each statistic is the same calls on the same operands on either thread,
+so the bits do not depend on the helper.
 
 A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
 kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
@@ -81,17 +94,21 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import json
 import math
+import operator
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import blas
 
-from . import linalg
+from . import linalg, tensor
 from .tensor import (
+    DtenColumns,
     TuckerFactors,
     _opened,
     _read_line_bytes,
@@ -271,7 +288,9 @@ def _ridge_inverse(lam: np.ndarray, gamma: float) -> np.ndarray:
 
 @dataclass
 class RegressionProblem:
-    """Training data plus target multilinear rank (R0..Rp) and ridge gamma."""
+    """Training data plus target multilinear rank (R0..Rp) and ridge gamma.
+    y is an array, or a `DtenColumns` of its DTEN file, which the fit reads
+    in pieces and checks finite as it reads them."""
 
     x: np.ndarray
     y: np.ndarray
@@ -280,7 +299,9 @@ class RegressionProblem:
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.float64)
+        streamed = isinstance(self.y, DtenColumns)
+        if not streamed:
+            self.y = np.asarray(self.y, dtype=np.float64)
         self.ranks = tuple(int(r) for r in self.ranks)
         self.gamma = _check_gamma(self.gamma)
         if self.x.ndim != 2:
@@ -297,7 +318,7 @@ class RegressionProblem:
             )
         if any(r < 1 for r in self.ranks):
             raise ValueError("ranks must be >= 1")
-        if not (_all_finite(self.x) and _all_finite(self.y)):
+        if not (_all_finite(self.x) and (streamed or _all_finite(self.y))):
             raise ValueError("training data must be finite")
 
 
@@ -362,13 +383,11 @@ def _times_rows(a: np.ndarray, y0: np.ndarray) -> np.ndarray:
     return (y0.T @ a.T).T if y0.flags.f_contiguous else a @ y0
 
 
-def _axis_gram(t: np.ndarray, j: int) -> np.ndarray:
-    """Gram of axis j of a column-major t, from its (L, d_j, T) view: S S^T
-    for L = 1, s^T s for T = 1 (the last axis, one slab s = (L, d_j)), else
-    the sum of s^T s over the T slabs, taken `_BATCH_BYTES` of slab Grams at
-    a time."""
-    d = t.shape[j]
-    v = t.reshape(math.prod(t.shape[:j]), d, -1, order="F")
+def _axis_gram(v: np.ndarray) -> np.ndarray:
+    """Gram of axis 1 of a column-major (L, d, T) view v: S S^T for L = 1,
+    s^T s for T = 1 (one slab s = (L, d)), else the sum of s^T s over the T
+    slabs, taken `_BATCH_BYTES` of slab Grams at a time."""
+    d = v.shape[1]
     if v.shape[0] == 1:
         return v[0] @ v[0].T
     if v.shape[2] == 1:
@@ -382,19 +401,78 @@ def _axis_gram(t: np.ndarray, j: int) -> np.ndarray:
     return g
 
 
-def _mode_grams(y: np.ndarray, cut) -> list:
+def _mode_grams(y, cut) -> list:
     """The mode Grams G_i = Y_(i) Y_(i)^T, i = 0..p (None where `cut` is
     False), each from GEMMs on strided views of Y's own memory: no unfolding
     is copied.  A C-ordered Y is read as the column-major y.T, its modes
-    reversed; any other layout is made column-major once."""
+    reversed; any other layout is made column-major once.  A `DtenColumns`
+    Y is read from its file (`_streamed`)."""
+    if isinstance(y, DtenColumns):  # beside the decomposition, which has the other core: no reader thread
+        return _streamed(y, cut, ahead=False)[0]
     grams = [None] * y.ndim
     if any(cut):
         y = _contiguous(y)
         t, modes = (y, range(y.ndim)) if y.flags.f_contiguous else (y.T, range(y.ndim - 1, -1, -1))
         for j, i in enumerate(modes):
             if cut[i]:
-                grams[i] = _axis_gram(t, j)
+                grams[i] = _axis_gram(t.reshape(math.prod(t.shape[:j]), t.shape[j], -1, order="F"))
     return grams
+
+
+def _streamed(y: DtenColumns, cut, a=None, ahead=True) -> tuple:
+    """(grams, product): the mode Grams of `_mode_grams`' `cut` and, with
+    `a`, a @ Y_(0) (column-major), of a Y read from its file in reads of
+    half `tensor._IO_CHUNK` bytes (`DtenColumns.reads`, each read ahead on
+    a reader thread with `ahead` when BLAS runs one thread).
+
+    One pass reads Y_(0) in blocks of whole columns, checks each finite and
+    adds its part to the product and to G_0.  A block's width is a multiple
+    of the columns one (L_i, d_i) slab of mode i spans, for every leading
+    mode i whose slab fits in one read (all but the last mode when one slab
+    of the last mode fits), so those modes' Grams come from the same blocks
+    (`_axis_gram`).  Each other cut mode takes a strided pass of its own:
+    the Gram of each of its slabs sums p^T p over row ranges p of the slab,
+    each range read as d_i runs.  A Y that fits in one read is one block,
+    and gets the bits of the in-memory statistics."""
+    shape = y.shape
+    n, entries = shape[0], max(1, tensor._IO_CHUNK // 16)  # two reads in flight, half the chunk each
+    ahead = ahead and _blas_threads() == 1  # as for `_overlaps`: a multi-threaded BLAS has no core to spare
+    cols = [1, *itertools.accumulate(shape[1:], operator.mul)]  # columns of Y_(0) per slab of mode i
+    rows = [1, *(n * c for c in cols[:-1])]  # the L of mode i's (L, d_i, T) view
+    wide = max(1, entries // n)
+    last = max(i for i, c in enumerate(cols) if c <= wide)  # the modes each block holds whole slabs of
+    width = min(cols[-1], wide // cols[last] * cols[last])
+    grams = [None] * len(shape)
+    product = None if a is None else np.empty((cols[-1], len(a))).T
+    # G_0 of several blocks sums in BLAS's own accumulator (its upper
+    # triangle, mirrored at the end): no N x N product per block to add
+    summed = cut[0] and width < cols[-1]
+    if summed:
+        grams[0] = np.zeros((n, n), order="F")
+    if a is not None or any(cut):
+        for c0, block in y.columns(width, ahead):
+            if not _all_finite(block):
+                raise ValueError("training data must be finite")
+            if a is not None:
+                np.matmul(block.T, a.T, out=product.T[c0 : c0 + block.shape[1]])
+            if summed:
+                grams[0] = blas.dsyrk(1.0, block, beta=1.0, c=grams[0], overwrite_c=1)
+            for i in range(summed, last + 1):
+                if cut[i]:
+                    g = _axis_gram(block.reshape(rows[i], shape[i], -1, order="F"))
+                    grams[i] = g if grams[i] is None else np.add(grams[i], g, out=grams[i])
+    if summed:
+        for j in range(n - 1):
+            grams[0][j + 1 :, j] = grams[0][j, j + 1 :]
+    for i in range(last + 1, len(shape)):
+        if cut[i]:
+            d, length = shape[i], rows[i]
+            step = max(1, entries // d)
+            ranges = [(slab * length * d + r, min(step, length - r)) for slab in range(cols[-1] // cols[i])
+                      for r in range(0, length, step)]
+            for p in y.reads(((size, d, start, length) for start, size in ranges), ahead):
+                grams[i] = p.T @ p if grams[i] is None else np.add(grams[i], p.T @ p, out=grams[i])
+    return grams, product
 
 
 def _pencil_via_g0(n: int, width: int) -> bool:
@@ -469,20 +547,34 @@ def _statistics(y, inputs, cuts, wide):
     Y_(i) Y_(i)^T, i = 1..p, None where cuts[i - 1] is 0; pencil is
     q^T Y_(0) Y_(0)^T q, or None unless `wide` (some point keeps a factor 0);
     rows(a) is a q^T Y_(0) folded to (len(a), d1..dp).  Y_(0) is a view of Y,
-    its columns in Y's memory order.  When q is square (a Gram K, or X with
-    d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the mode-0
-    Gram and rows(a) is (a q^T) Y_(0), so Z = q^T Y_(0) is never formed;
-    else Z is formed once.  The Grams need no q: when q is square and
+    its columns in Y's memory order, or for a `DtenColumns` Y the columns of
+    its file, read in pieces (`_streamed`).  When q is square (a Gram K, or X
+    with d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the
+    mode-0 Gram and rows(a) is (a q^T) Y_(0), so Z = q^T Y_(0) is never
+    formed; else Z is formed once.  The Grams need no q: when q is square and
     `_overlaps`, the helper thread (`_helper`) forms them while this thread
     decomposes the inputs, and is joined before the first product with q;
-    otherwise this thread forms them after the decomposition."""
-    y = _contiguous(y)
-    order = "F" if y.flags.f_contiguous else "C"
-    y0 = y.reshape(y.shape[0], -1, order=order)
+    otherwise this thread forms them after the decomposition, for a thin q
+    from a file in the pass that forms Z.  A file is read once for the Grams
+    (one strided pass more for each mode whose slab exceeds a read, the
+    last mode among them), once for Z and once per rows(a) on the G_0
+    route."""
     x, k = inputs
+    n, width = y.shape[0], math.prod(y.shape[1:])
     square = k is not None or x.shape[1] >= x.shape[0]
-    via_g0 = square and _pencil_via_g0(*y0.shape)
+    via_g0 = square and _pencil_via_g0(n, width)
     cut = [via_g0 and wide, *cuts]
+    streamed = isinstance(y, DtenColumns)
+    if streamed:
+        order = "F"
+
+        def times(a):  # a @ Y_(0), column-major
+            return _streamed(y, [False] * len(cut), a)[1]
+    else:
+        y = _contiguous(y)
+        order = "F" if y.flags.f_contiguous else "C"
+        times = functools.partial(_times_rows, y0=y.reshape(n, -1, order=order))
+    z = None
     if square and _overlaps(y.shape, cut, x.shape[1] if k is None else k.shape[0]):
         with _helper() as pool:
             formed = pool.submit(_mode_grams, y, cut)
@@ -491,9 +583,13 @@ def _statistics(y, inputs, cuts, wide):
         del formed  # its result holds G_0, which the pencil replaces below
     else:
         side = _input_side(x, k)
-        g0, *grams = _mode_grams(y, cut)
+        if streamed and not square:  # Z comes in the pass over the file that forms the Grams
+            (g0, *grams), z = _streamed(y, cut, side[0].T)
+        else:
+            g0, *grams = _mode_grams(y, cut)
     q = side[0]
-    z = None if via_g0 else _times_rows(q.T, y0)
+    if z is None and not via_g0:
+        z = times(q.T)
     pencil = None
     if wide and via_g0:
         pencil = q.T @ g0
@@ -503,7 +599,7 @@ def _statistics(y, inputs, cuts, wide):
         pencil = z @ z.T
 
     def rows(a):
-        r = _times_rows(a @ q.T, y0) if via_g0 else _times_rows(a, z)
+        r = times(a @ q.T) if via_g0 else _times_rows(a, z)
         return r.reshape((len(a), *y.shape[1:]), order=order)
 
     return side, rows, pencil, grams
@@ -535,7 +631,7 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
     side, rows, pencil, grams = _statistics(y, inputs, cuts, wide)
     q, lam, m, s = side
-    out = [None if g is None else linalg.sym_eig_top(g, c)[1] for g, c in zip(grams, cuts)]
+    out = [None if g is None else linalg.sym_eig_top(g, c, check=False)[1] for g, c in zip(grams, cuts)]
     del grams
 
     def points():
@@ -551,9 +647,9 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
                 if i == len(gammas) - 1:  # the last gamma scales the pencil in place
                     np.multiply(pencil, d[:, None], out=pencil)
                     np.multiply(pencil, d, out=pencil)
-                    vals, vecs = linalg.sym_eig_top(pencil, top)
+                    vals, vecs = linalg.sym_eig_top(pencil, top, check=False)
                 else:
-                    vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top)
+                    vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top, check=False)
                 head = rows(vecs.T * d)
             for ranks in rank_tuples:
                 limits = (dim if ranks[0] >= dim else kept, *dims)
@@ -615,6 +711,11 @@ def holrr_predict(model: HolrrModel, x) -> np.ndarray:
     return multi_mode_product(model.factors.core, [(x if u0 is None else u0.T @ x)[None, :], *rest])[0]
 
 
+def _block_width(n: int) -> int:
+    """Columns of each block of an n-row prediction: about `_PREDICT_BYTES`."""
+    return max(1, _PREDICT_BYTES // (8 * max(1, n)))
+
+
 def predict_blocks(model: HolrrModel, x) -> tuple:
     """(shape, blocks): the one block loop behind every batch prediction of
     input rows x.  The rows are checked (shape, and finite for every model),
@@ -639,7 +740,7 @@ def predict_blocks(model: HolrrModel, x) -> tuple:
     c = multi_mode_product(model.factors.core, rest, range(1, len(rest) + 1))
     c0 = matricize(c, 0)
     n, width = b.shape[0], c0.shape[1]
-    step = max(1, _PREDICT_BYTES // (8 * max(1, n)))
+    step = _block_width(n)
 
     def blocks(out=None):
         buf = np.empty((n, min(step, width)), order="F") if out is None else None
@@ -705,7 +806,7 @@ def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
         return w_rls
     # Y^T P Y for the ridge hat matrix P = q diag(lam inv) q^T
     e = np.sqrt(lam * _ridge_inverse(lam, gamma))[:, None] * (q.T @ y)
-    v = linalg.sym_eig_top(e.T @ e, rank)[1]
+    v = linalg.sym_eig_top(e.T @ e, rank, check=False)[1]
     return w_rls @ v @ v.T
 
 

@@ -9,6 +9,11 @@ identities hold with factors multiplied in reverse mode order:
     vectorize(T)    = kron(U_p, ..., U_0) @ vectorize(G)
 
 Modes are 0-based, matching numpy axes.
+
+A DTEN file holds exactly its header line and its column-major payload.
+`read_dten` reads one into a single array; `DtenColumns` reads a regular
+file in pieces instead (runs of the payload, into two reused buffers), so a
+fit can form its statistics of Y without holding Y.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +40,7 @@ __all__ = [
     "tucker_reconstruct",
     "hosvd_truncated",
     "read_dten",
+    "DtenColumns",
     "write_dten",
     "read_matrix_csv",
     "write_matrix_csv",
@@ -303,6 +310,15 @@ def _parse_dten_header(line: bytes) -> tuple:
     return shape
 
 
+def _check_payload(nbytes: int, left, whole: bool = True) -> None:
+    """Raise unless `left` bytes (None: a stream that cannot seek) hold a
+    payload of `nbytes` and, in a `whole` file, end where it ends."""
+    if left is not None and nbytes > left:
+        raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {left}")
+    if whole and left is not None and nbytes < left:
+        raise ValueError(f"DTEN file continues past its payload of {nbytes} bytes")
+
+
 def read_dten(path_or_file) -> np.ndarray:
     """Read a DTEN v1 tensor (see `write_dten`) into one column-major array.
 
@@ -312,15 +328,17 @@ def read_dten(path_or_file) -> np.ndarray:
     seekable file its size is checked against the bytes left before anything
     is allocated.  A stream that cannot seek (a pipe) is read into an array
     that grows (by `resize`, at most doubling) as the bytes arrive, so a bogus
-    huge header allocates nothing up front.
+    huge header allocates nothing up front.  A path names a whole file, which
+    must end where the payload ends; an open file is read up to the end of
+    this tensor's payload only (a model file's blocks follow one another).
     """
+    whole = not hasattr(path_or_file, "read")
     with _opened(path_or_file, "rb") as f:
         shape = _parse_dten_header(_read_line_bytes(f, _DTEN_LINE, "DTEN"))
         # exact Python ints: an int64 product wraps for huge dims
         nbytes = 8 * math.prod(shape)
         left = _bytes_left(f)
-        if left is not None and nbytes > left:
-            raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {left}")
+        _check_payload(nbytes, left, whole)
         data = np.empty(min(nbytes, _PIPE_START) // 8 if left is None else nbytes // 8, dtype="<f8")
         got = 0
         while got < nbytes:
@@ -332,7 +350,97 @@ def read_dten(path_or_file) -> np.ndarray:
             if not n:
                 raise ValueError(f"DTEN payload truncated: expected {nbytes} bytes, got {got}")
             got += n
+        if whole and left is None:
+            _check_payload(nbytes, nbytes + len(f.read(1)))
         return data.astype(np.float64, copy=False).reshape(shape, order="F")
+
+
+class DtenColumns:
+    """A DTEN file read in pieces, never whole: `shape` and `ndim` of the
+    tensor Y it holds, and runs of its column-major payload (`reads`).  The
+    columns of the mode-0 unfolding Y_(0) (N x D) lie one after another in
+    the payload, so a block of them is one run (`columns`).
+
+    Opening reads the header and checks that the file is exactly the
+    payload it announces (as `read_dten` of a path does), so a truncated
+    file, or one that continues past its payload, raises ValueError before
+    any entry is read.  The file must be regular (it is read at offsets, more
+    than once).  A context manager: leaving it closes the file."""
+
+    def __init__(self, path):
+        self._file = open(path, "rb")
+        try:
+            self.shape = _parse_dten_header(_read_line_bytes(self._file, _DTEN_LINE, "DTEN"))
+            self._start = self._file.tell()
+            _check_payload(8 * math.prod(self.shape), _bytes_left(self._file))
+        except BaseException:
+            self._file.close()
+            raise
+        self._bufs = []
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+        return False
+
+    def reads(self, requests, ahead: bool = True):
+        """For each (rows, count, start, step) of `requests`, a column-major
+        (rows, count) array whose column k is entries start + k step +
+        [0, rows) of the payload, read with `os.preadv` (one read when the
+        runs are adjacent, step == rows), into a reused buffer of `_IO_CHUNK`
+        / 2 bytes (less for a smaller Y, more for a larger request), so each
+        array is valid until the next is asked for.  With `ahead`, two such
+        buffers take turns: a reader thread, joined when the generator
+        closes, reads the next request into one while the caller uses the
+        other."""
+        requests = list(requests)
+        size = max([min(_IO_CHUNK // 16, math.prod(self.shape))] + [rows * count for rows, count, _, _ in requests])
+        if not self._bufs or self._bufs[0].size < size:
+            self._bufs = [np.empty(size, dtype="<f8") for _ in range(2)]
+
+        def fill(k, slot):
+            rows, count, start, step = requests[k]
+            flat = self._bufs[slot][: rows * count]
+            run, runs = (flat.size, 1) if step == rows else (rows, count)
+            with memoryview(flat).cast("B") as view:
+                for c in range(runs):
+                    self._read(view[8 * c * run : 8 * (c + 1) * run], start + c * step)
+            return flat.reshape(rows, count, order="F")
+
+        if not ahead or len(requests) < 2:
+            for k in range(len(requests)):
+                yield fill(k, 0)
+            return
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tensorreg-read") as reader:
+            pending = reader.submit(fill, 0, 0)
+            for k in range(len(requests)):
+                out = pending.result()
+                if k + 1 < len(requests):
+                    pending = reader.submit(fill, k + 1, (k + 1) % 2)
+                yield out
+
+    def columns(self, width: int, ahead: bool = True):
+        """(a, block) for a = 0, width, 2 width, ...: block the N x w columns
+        [a, a + w) of Y_(0), w = width but at the end, from `reads`."""
+        n, total = self.shape[0], math.prod(self.shape[1:])
+        spans = [(a, min(width, total - a)) for a in range(0, total, width)]
+        blocks = self.reads(((n * w, 1, n * a, n * w) for a, w in spans), ahead)
+        for (a, w), block in zip(spans, blocks):
+            yield a, block.reshape(n, w, order="F")
+
+    def _read(self, view, entry: int) -> None:
+        got = 0
+        while got < len(view):
+            n = os.preadv(self._file.fileno(), [view[got:]], self._start + 8 * entry + got)
+            if not n:  # the file shrank since it was opened
+                raise ValueError(f"DTEN payload truncated: no bytes at offset {self._start + 8 * entry + got}")
+            got += n
 
 
 def write_matrix_csv(m, path_or_file) -> None:

@@ -1,12 +1,15 @@
 """Shared fixtures: synthetic Met-Office-format station files, saved model
 files, and the memory peak of a CLI command run in a process of its own."""
 
+import contextlib
 import functools
 import io
 import math
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 
@@ -96,16 +99,37 @@ def saved_model(method: str) -> bytes:
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 
-def cli_peak_rss(argv) -> tuple:
+# runs the CLI as `python -m tensorreg.cli` would, then writes the process's
+# VmHWM (kB) to the file named by argv[1]
+_PEAK_WRAPPER = """
+import atexit, runpy, sys
+def peak(path=sys.argv.pop(1)):
+    with open("/proc/self/status") as f, open(path, "w") as out:
+        out.write(next(line for line in f if line.startswith("VmHWM:")).split()[1])
+atexit.register(peak)
+runpy.run_module("tensorreg.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def cli_peak_rss(argv, stdin=None) -> tuple:
     """(exit code, peak RSS in bytes) of `python -m tensorreg.cli argv` in a
-    child process with one BLAS thread.  The peak is the child's own
-    `ru_maxrss`, read with `os.wait4`, so earlier children do not count."""
+    child process with one BLAS thread, its standard input the file at
+    `stdin` written into a pipe (or nothing).  The peak is the child's own
+    VmHWM, which it reports as it exits: `ru_maxrss` would also count the
+    memory this process had when it started the child (it is the high-water
+    mark of the address space the child left at `exec` too)."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "tensorreg.cli", *map(str, argv)],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    return proc.returncode, usage.ru_maxrss * 1024
+    with tempfile.TemporaryDirectory() as tmp:
+        report = os.path.join(tmp, "peak")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _PEAK_WRAPPER, report, *map(str, argv)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
+        )
+        if stdin is not None:
+            with open(stdin, "rb") as f, contextlib.suppress(BrokenPipeError), proc.stdin:
+                shutil.copyfileobj(f, proc.stdin, 1 << 20)  # a child that fails early stops reading
+        code = proc.wait()
+        with open(report) as f:
+            return code, int(f.read()) * 1024

@@ -423,6 +423,36 @@ def test_exit_code_2_non_canonical_dten_header(tmp_path, capsys):
         assert err == "tensorreg: malformed DTEN header\n", err
 
 
+@pytest.mark.parametrize("command", ["info", "fit-y", "fit-y-kernel", "predict-x"])
+def test_exit_code_2_dten_file_past_its_payload(tmp_path, capsys, command):
+    # a file that continues past the payload its header announces (for
+    # `tensor info`, a DTEN 1 2 3 2 header over a 3 x 4 payload) is rejected
+    # before any statistic is formed or any file written
+    data, x_csv, y_dten, xt_csv = make_problem_files(tmp_path, seed=3)
+    bad = tmp_path / "bad.dten"
+    bad.write_bytes(b"DTEN 1 2 3 2\n" + np.arange(12.0).astype("<f8").tobytes())
+    if command.startswith("fit"):
+        write_dten(data.y_train, bad)
+        bad.write_bytes(bad.read_bytes() + b"\0" * 8)
+        argv = ["fit", "--x", str(x_csv), "--y", str(bad), "--ranks", "2,2,2", "--out", str(tmp_path / "m.bin")]
+        argv += ["--kernel", "rbf:2"] if command.endswith("kernel") else []
+        nbytes = data.y_train.nbytes
+    elif command == "predict-x":
+        assert main(["fit", "--x", str(x_csv), "--y", str(y_dten), "--ranks", "2,2,2", "--out", str(tmp_path / "m.bin")]) == 0
+        write_dten(data.x_test, bad)
+        bad.write_bytes(bad.read_bytes() + b"\0")
+        argv = ["predict", "--model", str(tmp_path / "m.bin"), "--x", str(bad), "--out", str(tmp_path / "p.dten")]
+        nbytes = data.x_test.nbytes
+    else:
+        argv, nbytes = ["tensor", "info", str(bad)], 48
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"tensorreg: DTEN file continues past its payload of {nbytes} bytes\n", captured.err
+    assert not (tmp_path / "p.dten").exists() and (command == "predict-x") == (tmp_path / "m.bin").exists()
+
+
 def test_fit_training_rmse_is_the_rmse_of_the_training_predictions(tmp_path, capsys, monkeypatch):
     data, x_csv, y_dten, _ = make_problem_files(tmp_path, seed=5)
     # blocks of 4 columns (the last one short) of 20 rows

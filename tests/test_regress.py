@@ -350,7 +350,7 @@ def test_a_full_rank_output_mode_keeps_no_factor_and_runs_no_eigh(monkeypatch):
     prob, data = small_problem(47, dims=(6, 5, 3, 4), ranks=(2, 5, 2, 4))
     spec = KernelSpec(kind="rbf", sigma=3.0)
     real, sizes = linalg.sym_eig_top, []
-    monkeypatch.setattr(linalg, "sym_eig_top", lambda a, r: sizes.append(len(a)) or real(a, r))
+    monkeypatch.setattr(linalg, "sym_eig_top", lambda a, r, **kw: sizes.append(len(a)) or real(a, r, **kw))
     fits = [
         (lambda: holrr_fit(prob), 6),
         (lambda: kholrr_fit(gram(prob.x, spec), prob.y, prob.ranks, prob.gamma, prob.x, spec), 30),
@@ -1195,3 +1195,25 @@ def test_holrr_input_factor_is_the_top_pencil_eigenspace(case, n, d0, gamma):
     # both fits flag a singular input Gram with the one shared warning, and only then
     singular = [any("pseudo-inverse pencil, restricting" in w for w in m.warnings) for m in (model, dual)]
     assert singular == [gamma == 0] * 2, case
+
+
+def test_no_fit_or_cv_path_checks_its_eigenproblems_for_symmetry(monkeypatch):
+    # every Gram and pencil of a fit is symmetric by construction, so only
+    # the public solver's own callers pay `_check_symmetric`
+    calls, real = [], linalg._check_symmetric
+    monkeypatch.setattr(linalg, "_check_symmetric", lambda a, name: calls.append(name) or real(a, name))
+    prob, data = small_problem(31)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        for method in ("rls", "lrr", "holrr", "krls", "klrr", "kholrr"):
+            fit_method(method, prob.x, prob.y, 1e-2, (3, 2, 2, 3), spec)
+        for kernel in (None, spec):
+            list(regress.path_predict(prob.x, prob.y, data.x_test, [1e-3, 1.0], [(3, 2, 2, 3), (2, 4, 3, 4)], kernel))
+        lrr_fit(prob.x, matricize(prob.y, 0), 5, 1e-2)
+    assert calls == []
+    # the public solver keeps its check and its messages
+    linalg.sym_eig_top(np.eye(3), 1)
+    assert calls == ["A"]
+    with pytest.raises(ValueError, match="^A is not symmetric$"):
+        linalg.sym_eig_top(np.triu(np.ones((3, 3))), 1)

@@ -214,9 +214,9 @@ def test_kholrr_fit_holds_three_gram_sized_arrays(layout):
 
 
 def test_kholrr_fit_holds_four_gram_sized_arrays():
-    # Q of eigh(K), the pencil Q^T G_0 Q, its scaled copy D P D and one
-    # temporary inside sym_eig_top: the symmetry check and the symmetrized
-    # copy each take one N x N buffer, and dsyevr works in the latter
+    # Q of eigh(K), the pencil Q^T G_0 Q, its scaled copy D P D and the
+    # symmetrized copy inside sym_eig_top, which dsyevr works in (a fit
+    # skips the symmetry check, whose temporary was one more N x N buffer)
     n = 300
     rng = np.random.default_rng(10)
     x, y = rng.standard_normal((n, 6)), rng.standard_normal((n, 4, 3, 2))

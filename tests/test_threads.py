@@ -21,7 +21,10 @@ and what it may not:
   runs on it, and only private helpers run on the helper;
 - the lifetime: no thread outlives a fit, also a fit whose decomposition
   fails (the CLI still exits 3), so `--jobs N` forks with no thread alive
-  and equals the serial run.
+  and equals the serial run;
+- a fit that reads Y from its file (`tensor.DtenColumns`): its first pass
+  forms the Grams on the helper, public functions stay on the calling
+  thread, and a failed decomposition still joins the helper.
 
 Past the choice, the tests run small problems with the helper forced on
 (`helper_on`: one BLAS thread, no least size).
@@ -278,3 +281,64 @@ def test_parallel_kernel_experiment_after_a_kernel_fit_matches_serial(monkeypatc
     parallel = harness.run_experiment("synth-nonlinear", cfg, jobs=2, timing="none")
     assert {r["method"] for r in serial.records} >= {"krls", "klrr", "kholrr"}
     assert serial.records == parallel.records and serial.aggregates == parallel.aggregates
+
+
+@pytest.mark.parametrize("kernel, d0", [(SPEC, 6), (None, 40)], ids=["kernel", "primal"])
+def test_a_streamed_square_q_fit_reads_its_file_on_the_helper(tmp_path, monkeypatch, helper_on, kernel, d0):
+    # Y read from its file (`tensor.DtenColumns`): the pass that forms the
+    # Grams runs on the helper beside the decomposition, every public
+    # function on the calling thread, and a Y that fits in one chunk gives
+    # the bits of the in-memory fit
+    x, y, _ = _problem(30, d0, (4, 3, 5))
+    write_dten(y, tmp_path / "y.dten")
+    grams = _spy_grams(monkeypatch)
+    calls = _record_public_calls(monkeypatch)
+    with tensor.DtenColumns(tmp_path / "y.dten") as source:
+        streamed = _fit(kernel, x, source, (3, 2, 2, 2), 1e-3)
+    assert grams and all(ident != threading.get_ident() for ident, _ in grams)
+    assert calls and all(ident == threading.get_ident() for _, ident in calls)
+    assert not _alive(grams)
+    expect = _fit(kernel, x, y, (3, 2, 2, 2), 1e-3)
+    assert np.array_equal(streamed.factors.core, expect.factors.core)
+    assert all(np.array_equal(a, b) for a, b in zip(streamed.factors.factors, expect.factors.factors))
+
+
+def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkeypatch, helper_on):
+    # eigh(K) fails while the helper reads Y from its file: the fit waits for
+    # the helper, then raises, and leaves no thread behind
+    x, y, _ = _problem(30, 6, (4, 3, 5))
+    write_dten(y, tmp_path / "y.dten")
+    finished, real = [], regress._mode_grams
+
+    def slow(y, cut):
+        time.sleep(0.05)
+        out = real(y, cut)
+        finished.append((threading.get_ident(), type(y)))
+        return out
+
+    def broken(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(regress, "_mode_grams", slow)
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    base = threading.active_count()
+    with tensor.DtenColumns(tmp_path / "y.dten") as source, pytest.raises(np.linalg.LinAlgError):
+        _fit(SPEC, x, source, (3, 2, 2, 2), 1e-3)
+    assert finished == [(finished[0][0], tensor.DtenColumns)] and finished[0][0] != threading.get_ident()
+    assert not _alive([(finished[0][0], None)]) and threading.active_count() == base
+
+
+@pytest.mark.parametrize("threads, ahead", [(1, True), (2, False), (None, False)])
+def test_a_streamed_fit_reads_ahead_at_one_blas_thread_only(tmp_path, monkeypatch, threads, ahead):
+    # the reader thread takes a core of its own, as the helper does: at two
+    # BLAS threads, or an unknown count, every read waits for its turn
+    x, y, _ = _problem(60, 8, (4, 3, 3))
+    write_dten(y, tmp_path / "y.dten")
+    monkeypatch.setattr(regress, "_blas_threads", lambda: threads)
+    monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 60 * 4)  # reads of 4 columns
+    seen, real = [], tensor.DtenColumns.reads
+    monkeypatch.setattr(tensor.DtenColumns, "reads", lambda self, requests, ahead=True: seen.append(ahead) or real(self, requests, ahead))
+    with tensor.DtenColumns(tmp_path / "y.dten") as source:
+        _fit(None, x, source, (3, 2, 2, 2), 1e-3)
+        cli._training_rmse(regress.holrr_fit(RegressionProblem(x, y, (3, 2, 2, 2), 1e-3)), x, source)
+    assert len(seen) >= 3 and set(seen) == {ahead}
