@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 _SYM_TOL = 1e-10
+# rows and columns of each block `_symmetrize` averages with its mirror
+_SYM_BLOCK = 256
 
 
 class NotPositiveDefiniteError(np.linalg.LinAlgError):
@@ -73,20 +75,37 @@ def pinv(a, tol: float = 1e-12) -> np.ndarray:
     return np.linalg.pinv(np.asarray(a, dtype=np.float64), rcond=tol)
 
 
+def _symmetrize(a: np.ndarray) -> None:
+    """a = (a + a.T) / 2 in place, one pair of `_SYM_BLOCK`-square blocks at
+    a time: both entries of a pair get the bits of (a_ij + a_ji) / 2, as
+    addition commutes, so `a` ends exactly symmetric with a block of
+    temporary memory."""
+    n = a.shape[0]
+    for i in range(0, n, _SYM_BLOCK):
+        rows = slice(i, i + _SYM_BLOCK)
+        for j in range(i, n, _SYM_BLOCK):
+            cols = slice(j, j + _SYM_BLOCK)
+            mean = a[rows, cols] + a[cols, rows].T
+            mean /= 2.0
+            a[rows, cols] = mean
+            a[cols, rows] = mean.T
+
+
 def sym_eig_top(a, r: int, check: bool = True):
     """Top-r eigenpairs (values, vectors) of symmetric `a`: values
     descending, vectors (dim, r) with sign-fixed columns.
 
     r larger than the dimension clamps with a warning.  One dsyevr call, as
-    scipy's eigh(subset_by_index=...) makes, without its per-call overhead.
-    `a` must be square, finite and symmetric to 1e-10 of its largest entry,
-    else ValueError; `check=False` skips that pass for a float64 `a`
-    symmetric by construction (every fit's Grams and pencils), which is
-    still symmetrized, and a non-finite entry fails in dsyevr
-    (LinAlgError).
+    scipy's eigh(subset_by_index=...) makes, without its per-call overhead,
+    on (a + a.T) / 2.  `a` must be square, finite and symmetric to 1e-10 of
+    its largest entry, else ValueError, and is left untouched.
+    `check=False` skips that pass for a float64 `a` symmetric by
+    construction (every fit's Grams and pencils), which it consumes: `a` is
+    symmetrized in place (`_symmetrize`) and dsyevr works in it, so its
+    contents are undefined afterwards; a non-finite entry fails in dsyevr
+    (LinAlgError).  Either way the pairs are the same bits.
     """
-    if check:
-        a = _check_symmetric(a, "A")
+    a = _check_symmetric(a, "A").copy() if check else a
     if r < 1:
         raise ValueError("r must be >= 1")
     if r > a.shape[0]:
@@ -94,10 +113,12 @@ def sym_eig_top(a, r: int, check: bool = True):
         r = a.shape[0]
     n = a.shape[0]
     work, iwork, _ = lapack.dsyevr_lwork(n, lower=1)
-    # the top r pairs only, ascending; sym.T is sym, and column-major, so not copied
-    sym = (a + a.T) / 2.0
+    # the top r pairs only, ascending; a symmetric a equals a.T, so whichever
+    # of the two is column-major goes in without a copy
+    _symmetrize(a)
     w, v, found, _, info = lapack.dsyevr(
-        sym.T, range="I", lower=1, il=n - r + 1, iu=n, lwork=int(work), liwork=int(iwork), overwrite_a=1
+        a if a.flags.f_contiguous else a.T, range="I", lower=1, il=n - r + 1, iu=n,
+        lwork=int(work), liwork=int(iwork), overwrite_a=1,
     )
     if info != 0 or found != r:
         raise np.linalg.LinAlgError(f"dsyevr failed with info {info} ({found} of {r} pairs)")

@@ -20,8 +20,8 @@ tensor C (N x d1 x ... x dp), never materialized: a kernel model is the same
 Tucker form, C = G x_0 A x_1 U_1 ... x_p U_p, the dual basis A (N x R0) as
 factor 0.  Every predict entry point takes input rows, and a kernel model
 first maps each to its kernel vector k against the training rows, whose
-norms and finite check the model computes once: a row costs N kernel terms
-and one `multi_mode_product`, G x_0 (A^T k) x_1 U_1 ... x_p U_p.
+norms and finite check the model computes once: a row costs N kernel terms,
+v = A^T k, and then what a primal row with that v costs.
 
 Every fit takes its input side from one decomposition of the fit rows' Gram,
 X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
@@ -72,10 +72,15 @@ kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
 once, and the n x D prediction Y_(0) comes out in column blocks of about
 1 MiB, one GEMM B C_(0)[:, cols] each.  `holrr_predict_batch` writes the
 blocks into one column-major array; the CLI streams them to its file and
-sums the training error with no n x D prediction formed.  Every array a
-model holds is column-major, as its file stores it (`_column_major`, run
-when a model is constructed), so a fitted model predicts the bits of its
-own file.
+sums the training error with no n x D prediction formed.  A single row
+(`holrr_predict`) takes whichever exact contraction order costs fewer
+multiply-adds (`_row_costs`): v^T C_(0), one GEMV against a C_(0) the
+model forms with the batch's code and keeps, keyed to its `factors`
+object, or the mode-by-mode chain G x_0 v^T x_1 U_1 ... x_p U_p, which
+keeps nothing; a tie takes the chain.  The batch keeps no C_(0).  Every
+array a model holds is column-major, as its file stores it
+(`_column_major`, run when a model is constructed), so a fitted model
+predicts the bits of its own file.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
 `rls_fit` (ridge) is `holrr_fit` at full rank (d0, D), and the kernel
@@ -352,6 +357,7 @@ class HolrrModel:
     train_inputs: np.ndarray = None
     dual_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
     _train_terms: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _row_terms: tuple = field(default=(None, None), init=False, repr=False, compare=False)
     __post_init__ = _column_major
 
     @property
@@ -697,18 +703,64 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
-    """Predict the output tensor for a single input row."""
+    """Predict the output tensor for a single input row.
+
+    The row (a kernel model's row first maps to its kernel vector) gives
+    v = U_0^T x, then takes whichever exact contraction order costs fewer
+    multiply-adds (`_row_matrix`): one GEMV v^T C_(0) against the model's
+    cached C_(0), or the mode-by-mode chain G x_0 v^T x_1 U_1 ... x_p U_p,
+    one `multi_mode_product` call.  Either is within 1e-12 of the row of
+    `holrr_predict_batch`, and a fitted and a loaded model give the same bits.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("holrr_predict expects a single input vector")
     if model.kernel is not None:
         x = _cross(model.kernel, model.train_inputs, x[None, :], _train_norms(model))[:, 0]
-    u0, *rest = model.factors.factors
-    if x.shape[0] != model.factors.shape[0]:
-        raise ValueError(f"input has length {x.shape[0]}, model expects {model.factors.shape[0]}")
+    tf = model.factors
+    u0, *rest = tf.factors
+    if x.shape[0] != tf.shape[0]:
+        raise ValueError(f"input has length {x.shape[0]}, model expects {tf.shape[0]}")
     if model.kernel is None and not np.isfinite(x).all():
         raise ValueError("input rows must be finite")
-    return multi_mode_product(model.factors.core, [(x if u0 is None else u0.T @ x)[None, :], *rest])[0]
+    v = x if u0 is None else u0.T @ x
+    c0 = _row_matrix(model, tf)
+    if c0 is None:
+        return multi_mode_product(tf.core, [v[None, :], *rest])[0]
+    return (v @ c0).reshape(tf.shape[1:], order="F")
+
+
+def _row_costs(tf: TuckerFactors) -> tuple:
+    """(chain, direct): multiply-adds per row, after v = U_0^T x, of the
+    mode-by-mode chain (R0 prod(R_i) for v^T G_(0), then each mode-i product
+    at the sizes the chain has reached) and of v^T C_(0) (R0 D)."""
+    sizes = [1, *tf.core.shape[1:]]
+    chain = math.prod(tf.core.shape)
+    for i, u in enumerate(tf.factors[1:], start=1):
+        if u is not None:
+            chain += u.shape[0] * math.prod(sizes)
+            sizes[i] = u.shape[0]
+    return chain, tf.core.shape[0] * math.prod(sizes[1:])
+
+
+def _row_matrix(model: HolrrModel, tf: TuckerFactors):
+    """C_(0) of tf, the model's factors (`_core_matrix`), when v^T C_(0)
+    costs strictly fewer multiply-adds per row than the chain (`_row_costs`),
+    else None (a tie takes the chain).  Decided, and C_(0) formed, once per
+    `factors` object: reassigning `model.factors` recomputes, mutating it in
+    place does not.  The kept C_(0) holds fewer than 8 bytes per
+    multiply-add of the chain."""
+    terms = model._row_terms
+    if terms[0] is not tf:
+        chain, direct = _row_costs(tf)
+        terms = model._row_terms = (tf, _core_matrix(tf) if direct < chain else None)
+    return terms[1]
+
+
+def _core_matrix(tf: TuckerFactors) -> np.ndarray:
+    """C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0), R0 x D: the matrix the
+    batch rows B = X U_0 multiply, and the rows of `_row_matrix`'s models."""
+    return matricize(multi_mode_product(tf.core, tf.factors[1:], range(1, len(tf.factors))), 0)
 
 
 def _block_width(n: int) -> int:
@@ -735,10 +787,9 @@ def predict_blocks(model: HolrrModel, x) -> tuple:
         raise ValueError(f"input has {rows.shape[1]} columns, model expects {model.factors.shape[0]}")
     if model.kernel is None and not _all_finite(rows):
         raise ValueError("input rows must be finite")
-    u0, *rest = model.factors.factors
+    u0 = model.factors.factors[0]
     b = rows if u0 is None else rows @ u0
-    c = multi_mode_product(model.factors.core, rest, range(1, len(rest) + 1))
-    c0 = matricize(c, 0)
+    c0 = _core_matrix(model.factors)
     n, width = b.shape[0], c0.shape[1]
     step = _block_width(n)
 
@@ -748,7 +799,7 @@ def predict_blocks(model: HolrrModel, x) -> tuple:
             w = min(step, width - a)
             yield np.matmul(b, c0[:, a : a + w], out=buf[:, :w] if out is None else out[:, a : a + w])
 
-    return (n, *c.shape[1:]), blocks
+    return (n, *model.factors.shape[1:]), blocks
 
 
 def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:

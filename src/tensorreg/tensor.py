@@ -139,7 +139,8 @@ def inner(s, t) -> float:
 
 
 def frobenius_norm(t) -> float:
-    return float(np.linalg.norm(_as_tensor(t).ravel()))
+    # ravel in memory order: a view of a C- or column-major tensor, not a copy
+    return float(np.linalg.norm(_as_tensor(t).ravel(order="K")))
 
 
 @dataclass

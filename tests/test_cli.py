@@ -541,6 +541,19 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_tensor_info_process_holds_one_copy(tmp_path):
+    # a 32 MB column-major tensor against a 1-entry one, each reported by
+    # the CLI in a process of its own: the difference in peak RSS is the
+    # payload read_dten returns; a norm over a C-ordered copy would be two
+    peaks = []
+    for shape in ((1, 1, 1), (160, 160, 160)):
+        write_dten(np.ones(shape), tmp_path / "t.dten")
+        code, peak = helpers.cli_peak_rss(["tensor", "info", tmp_path / "t.dten"])
+        assert code == 0
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] <= 1.25 * 8 * 160**3, peaks
+
+
 def test_tensor_info_and_convert(tmp_path, capsys):
     m = np.random.default_rng(5).standard_normal((4, 3))
     src = tmp_path / "m.dten"

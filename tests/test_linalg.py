@@ -119,6 +119,27 @@ def test_sym_eig_top_is_bitwise_scipy_eigh(n):
         assert np.array_equal(vectors, v[:, ::-1] * flips)
 
 
+@pytest.mark.parametrize("n", [5, 256, 300, 600])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_sym_eig_top_symmetrizes_in_place_to_the_same_bits(n, order):
+    # a checked call averages a copy and leaves `a` as it was; an unchecked
+    # one averages `a` itself, a block pair at a time (sizes across the
+    # 256-row block), and must give the same pairs: eigh's of (a + a.T) / 2.
+    # `a` is asymmetric in its last bits.
+    b = np.random.default_rng(n).standard_normal((n, n))
+    a = np.array(b @ b.T, order=order)
+    a[np.triu_indices(n, 1)] = np.nextafter(a[np.triu_indices(n, 1)], np.inf)
+    before = a.copy()
+    for r in (1, min(n, 7)):
+        values, vectors = sym_eig_top(a, r)
+        assert np.array_equal(a, before)
+        w, v = scipy.linalg.eigh((a + a.T) / 2.0, subset_by_index=[n - r, n - 1])
+        assert np.array_equal(values, w[::-1])
+        assert np.array_equal(np.abs(vectors), np.abs(v[:, ::-1]))
+        unchecked = sym_eig_top(a.copy(order=order), r, check=False)
+        assert np.array_equal(unchecked[0], values) and np.array_equal(unchecked[1], vectors)
+
+
 def test_gen_sym_eig_top_identity_metric_is_ordinary():
     vals, vecs = gen_sym_eig_top(np.diag([2.0, 1.0, 0.0]), np.eye(3), 2)
     np.testing.assert_allclose(vals, [2.0, 1.0], atol=1e-14)

@@ -11,7 +11,9 @@ column-major and strided copies of the same rows, primal or kernel.
 
 The contraction property: on random Tucker models of order 2-5 (factors kept
 or None, C- or F-ordered cores, flat p = 1 presets), a single-row prediction
-equals the batch row and the dense coefficient contraction, and one
+equals the batch row and the dense coefficient contraction, whichever order
+its model takes (the examples reach both v^T C_(0) and the chain), a model
+and its `load_model` copy give the same bits for every row, and one
 `multi_mode_product` call is bitwise the chain of single mode products.
 
 The invariance suite, for all six methods of `harness.fit_method` on random
@@ -148,30 +150,41 @@ def _tucker_model(seed, order, kept, fortran, flat):
     return model, rng.standard_normal((3, model.factors.shape[0]))
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(tucker_models)
-def test_one_contraction_serves_every_predict(case):
-    model, x = _tucker_model(**case)
-    tf = model.factors
-    batch = holrr_predict_batch(model, x)
-    dense = np.tensordot(x, model.coefficients(), axes=(1, 0))
-    for i in range(len(x)):
-        row = holrr_predict(model, x[i])
-        assert row.shape == tf.shape[1:]
-        assert np.max(np.abs(row - batch[i])) <= 1e-12
-        assert np.max(np.abs(row - dense[i])) <= 1e-12
+def test_one_contraction_serves_every_predict():
+    orders = set()  # True where a model's rows take v^T C_(0)
 
-    # one call is bitwise the chain of single products, each of them the
-    # matricized definition dematricize(u @ matricize(t, i), i, shape)
-    chain = definition = tf.core
-    for i, u in enumerate(tf.factors):
-        if u is not None:
-            chain = mode_product(chain, u, i)
-            shape = list(definition.shape)
-            shape[i] = u.shape[0]
-            definition = dematricize(u @ matricize(definition, i), i, shape)
-    whole = multi_mode_product(tf.core, tf.factors)
-    assert np.array_equal(whole, chain) and np.array_equal(whole, definition)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(tucker_models)
+    def check(case):
+        model, x = _tucker_model(**case)
+        tf = model.factors
+        batch = holrr_predict_batch(model, x)
+        dense = np.tensordot(x, model.coefficients(), axes=(1, 0))
+        f = io.BytesIO()
+        save_model(model, f)
+        loaded = load_model(io.BytesIO(f.getvalue()))
+        for i in range(len(x)):
+            row = holrr_predict(model, x[i])
+            assert row.shape == tf.shape[1:]
+            assert np.max(np.abs(row - batch[i])) <= 1e-12
+            assert np.max(np.abs(row - dense[i])) <= 1e-12
+            assert row.tobytes() == holrr_predict(loaded, x[i]).tobytes()
+        orders.add(model._row_terms[1] is not None)
+
+        # one call is bitwise the chain of single products, each of them the
+        # matricized definition dematricize(u @ matricize(t, i), i, shape)
+        chain = definition = tf.core
+        for i, u in enumerate(tf.factors):
+            if u is not None:
+                chain = mode_product(chain, u, i)
+                shape = list(definition.shape)
+                shape[i] = u.shape[0]
+                definition = dematricize(u @ matricize(definition, i), i, shape)
+        whole = multi_mode_product(tf.core, tf.factors)
+        assert np.array_equal(whole, chain) and np.array_equal(whole, definition)
+
+    check()
+    assert orders == {False, True}
 
 
 layouts = st.fixed_dictionaries(

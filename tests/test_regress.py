@@ -475,6 +475,46 @@ def test_primal_predict_rejects_non_finite_rows(bad):
                 predict()
 
 
+def _orthonormal_model(d0, ranks, dims, seed=0):
+    rng = np.random.default_rng(seed)
+    factors = [np.linalg.qr(rng.standard_normal((d, r)))[0] for d, r in zip((d0, *dims), ranks)]
+    return HolrrModel(TuckerFactors(rng.standard_normal(ranks), factors), 1e-3)
+
+
+def test_each_row_takes_the_cheaper_contraction_order(monkeypatch):
+    calls = []
+    real = regress.multi_mode_product
+    monkeypatch.setattr(regress, "multi_mode_product", lambda *a: calls.append(1) or real(*a))
+
+    def rows(model, x):
+        """(rows, multi_mode_product calls) of 100 single-row predicts."""
+        calls.clear()
+        out = np.stack([holrr_predict(model, x[i % len(x)]) for i in range(100)])
+        made = len(calls)
+        assert np.max(np.abs(out[: len(x)] - holrr_predict_batch(model, x))) <= 1e-12
+        return out, made
+
+    x = np.random.default_rng(1).standard_normal((7, 10))
+    # the paper's shape: v^T C_(0) is 6,000 multiply-adds against the chain's
+    # 13,248, so C_(0) is formed once and cached
+    paper = _orthonormal_model(10, (6, 4, 4, 8), (10, 10, 10))
+    first, made = rows(paper, x)
+    assert made == 1 and paper._row_terms[1].shape == (6, 1000)
+    # fit-predict-mid's shape: the chain, 162,500 against 270,000, on every row
+    mid = _orthonormal_model(50, (10, 5, 5, 5), (30, 30, 30))
+    assert rows(mid, np.random.default_rng(2).standard_normal((7, 50)))[1] == 100
+    assert mid._row_terms[1] is None
+    # no output factor (the rls/krls presets): a tie, R0 D either way, takes the chain
+    flat = HolrrModel(TuckerFactors(paper.factors.core.reshape(6, -1), [paper.factors.factors[0], None]), 1e-3)
+    assert rows(flat, x)[1] == 100 and flat._row_terms[1] is None
+    # reassigning the factors recomputes the choice and the cached C_(0)
+    paper.factors = dataclasses.replace(paper.factors, core=2.0 * paper.factors.core)
+    doubled, made = rows(paper, x)
+    assert np.array_equal(doubled, 2.0 * first) and made == 1
+    paper.factors = flat.factors
+    assert rows(paper, x)[1] == 100 and paper._row_terms[1] is None
+
+
 # --- kernels ----------------------------------------------------------------
 
 

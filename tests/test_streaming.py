@@ -202,9 +202,9 @@ def test_finite_check_of_training_data_is_blockwise(y_file):
 @pytest.mark.parametrize("layout", ["C", "F"])
 def test_kholrr_fit_holds_three_gram_sized_arrays(layout):
     # D >= N, so the pencil goes through G_0: Q of eigh(K), then G_0 and
-    # Q^T G_0 (G_0 goes before the second product), then Q, the pencil and
-    # the symmetrized copy inside sym_eig_top (the only gamma scales the
-    # pencil in place).  The mode-0 Gram of a C-ordered Y is one product.
+    # Q^T G_0 (G_0 goes before the second product), then Q and the pencil,
+    # which the only gamma scales in place and sym_eig_top symmetrizes in
+    # place.  The mode-0 Gram of a C-ordered Y is one product.
     n = 300
     rng = np.random.default_rng(10)
     x, y = rng.standard_normal((n, 6)), _laid_out(rng.standard_normal((n, 8, 8, 5)), layout)
@@ -214,9 +214,9 @@ def test_kholrr_fit_holds_three_gram_sized_arrays(layout):
 
 
 def test_kholrr_fit_holds_four_gram_sized_arrays():
-    # Q of eigh(K), the pencil Q^T G_0 Q, its scaled copy D P D and the
-    # symmetrized copy inside sym_eig_top, which dsyevr works in (a fit
-    # skips the symmetry check, whose temporary was one more N x N buffer)
+    # Q of eigh(K), the pencil Q^T G_0 Q and its scaled copy D P D, which
+    # sym_eig_top symmetrizes in place and dsyevr works in (a fit skips the
+    # symmetry check, whose temporary was one more N x N buffer)
     n = 300
     rng = np.random.default_rng(10)
     x, y = rng.standard_normal((n, 6)), rng.standard_normal((n, 4, 3, 2))
