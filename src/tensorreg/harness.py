@@ -116,7 +116,8 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
 
     Returns a HolrrModel (with the kernel as its input map for the kernel
     methods), so every result predicts input rows through `.predict(x)`.  Every
-    method but lrr is holrr_fit/kholrr_fit at its `_preset` ranks; lrr keeps
+    method but lrr is holrr_fit/kholrr_fit (which forms its kernel Gram
+    itself) at its `_preset` ranks; lrr keeps
     its own D x D algorithm, folded into a model with no factors.  lrr and
     klrr models carry their rank clamp notes, which are also warned.  y may
     be a `DtenColumns` of its file for every method but lrr.
@@ -134,7 +135,7 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     for msg in notes:
         warnings.warn(msg, stacklevel=2)
     if method.startswith("k"):
-        model = regress.kholrr_fit(regress.gram(x, kernel), y, preset, gamma, x, kernel)
+        model = regress.kholrr_fit(None, y, preset, gamma, x, kernel)
     else:
         model = regress.holrr_fit(regress.RegressionProblem(x=x, y=y, ranks=preset, gamma=gamma))
     return replace(model, warnings=(*notes, *model.warnings)) if notes else model

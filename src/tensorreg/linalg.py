@@ -10,10 +10,12 @@ fits serialize identically.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import warnings
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh, lapack, solve_triangular
+from scipy.linalg import cho_solve, cython_lapack, eigh, lapack, solve_triangular
 
 from .tensor import _fix_signs
 
@@ -89,6 +91,46 @@ def _symmetrize(a: np.ndarray) -> None:
             mean /= 2.0
             a[rows, cols] = mean
             a[cols, rows] = mean.T
+
+
+@functools.cache
+def _dsyevd():
+    """LAPACK's dsyevd, the routine np.linalg.eigh runs, from
+    `scipy.linalg.cython_lapack`, as a ctypes function: it releases the GIL
+    while it runs, where scipy's f2py wrappers hold it."""
+    capsule = cython_lapack.__pyx_capi__["dsyevd"]
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(("PyCapsule_GetPointer", ctypes.pythonapi))
+    i, p = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info
+    return ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, p, i, p, p, i, p, i, i)(pointer(capsule, name(capsule)))
+
+
+def _eigh_in_place(a: np.ndarray):
+    """(w, q) = np.linalg.eigh(a), bitwise, for a C-ordered, exactly
+    symmetric float64 `a`, decomposed in its own memory: one dsyevd call
+    with the workspace it asks for, as numpy makes, and then `a` itself
+    becomes q, C-ordered as numpy returns it.  The workspace (2 n^2 + 6 n + 1
+    doubles) is freed before q is transposed into place.  A call that does
+    not converge raises LinAlgError, as eigh does."""
+    if a.dtype != np.float64 or not a.flags.c_contiguous or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("_eigh_in_place takes a C-ordered square float64 array")
+    n = a.shape[0]
+    w = np.empty(n)
+    size, info = ctypes.c_int(n), ctypes.c_int()
+    lwork, liwork = ctypes.c_int(-1), ctypes.c_int(-1)
+    work, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    # a's lower triangle as LAPACK reads its column-major buffer: a is symmetric
+    call = functools.partial(_dsyevd(), b"V", b"L", size, a.ctypes.data, size, w.ctypes.data)
+    call(work.ctypes.data, lwork, iwork.ctypes.data, liwork, info)  # the workspace query
+    lwork.value, liwork.value = int(work[0]), int(iwork[0])
+    work, iwork = np.empty(lwork.value), np.empty(liwork.value, dtype=np.intc)
+    call(work.ctypes.data, lwork, iwork.ctypes.data, liwork, info)
+    del work, iwork
+    if info.value != 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    a[...] = a.T  # the buffer held q column-major
+    return w, a
 
 
 def sym_eig_top(a, r: int, check: bool = True):

@@ -65,7 +65,15 @@ other fit (a thin SVD of X, d0 < N, among them) forms the Grams on the
 calling thread after the decomposition, with no thread started.  The
 helper runs private functions, numpy and a `DtenColumns`' reads only;
 each statistic is the same calls on the same operands on either thread,
-so the bits do not depend on the helper.
+so the bits do not depend on the helper.  Work beside the helper must
+release the GIL, or one thread waits for the other: numpy's matmul, eigh
+and svd do, and so does the in-place dsyevd (`linalg._eigh_in_place`,
+called through ctypes), while scipy's f2py wrappers (`blas.dsyrk`,
+`lapack.dsyevr`) hold it for the whole call.  So a kernel fit forms its K
+(`gram`, in one N x N array) on the calling thread before the helper
+starts, and decomposes it in that memory, which becomes Q: beside Y and
+the Grams the fit holds K and dsyevd's workspace of 2 N^2 doubles, then
+Q and the pencil, which it drops after its last eigenpairs.
 
 A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
 kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
@@ -221,25 +229,37 @@ class KernelSpec:
 
 def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
     """`kernel_cross`, with `na`/`nb` the squared row norms of xa/xb where a
-    caller keeps them: rows that come with their norms are known finite."""
+    caller keeps them: rows that come with their norms are known finite.
+    The kernel is built in the GEMM's output xa xb^T, an rbf one
+    `_BATCH_BYTES` of rows at a time, with the operations of the formula in
+    its order: one array of the output's size."""
     xa = np.asarray(xa, dtype=np.float64)
     xb = np.asarray(xb, dtype=np.float64)
     if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
         raise ValueError(f"incompatible input shapes {xa.shape} and {xb.shape}")
     if not ((na is not None or np.isfinite(xa).all()) and (nb is not None or np.isfinite(xb).all())):
         raise ValueError("kernel inputs must be finite")
-    dots = xa @ xb.T
-    if kernel.kind == "linear":
-        return dots
+    k = xa @ xb.T
     if kernel.kind == "polynomial":
+        k += kernel.offset
         with np.errstate(over="ignore"):
-            k = (dots + kernel.offset) ** kernel.degree
+            k **= kernel.degree
         if not _all_finite(k):
             raise ValueError(f"polynomial kernel (degree {kernel.degree}, offset {kernel.offset}) overflows on these inputs")
-        return k
-    sq = (_row_norms(xa) if na is None else na)[:, None] + (_row_norms(xb) if nb is None else nb)[None, :] - 2.0 * dots
-    np.clip(sq, 0.0, None, out=sq)
-    return np.exp(-sq / (2.0 * kernel.sigma**2))
+    elif kernel.kind == "rbf":
+        na = _row_norms(xa) if na is None else na
+        nb = _row_norms(xb) if nb is None else nb
+        scale = 2.0 * kernel.sigma**2
+        step = max(1, _BATCH_BYTES // (8 * max(1, k.shape[1])))
+        for a in range(0, k.shape[0], step):
+            block = k[a : a + step]  # exp(-max(na_i + nb_j - 2 dot_ij, 0) / (2 sigma^2))
+            block *= 2.0
+            np.subtract(np.add.outer(na[a : a + step], nb), block, out=block)
+            np.clip(block, 0.0, None, out=block)
+            np.negative(block, out=block)
+            block /= scale
+            np.exp(block, out=block)
+    return k
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
@@ -255,10 +275,21 @@ def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
 
 
 def gram(x, kernel: KernelSpec) -> np.ndarray:
-    """Training Gram matrix, symmetrized, from C-ordered rows."""
+    """Training Gram matrix from C-ordered rows, symmetrized in place:
+    bitwise (G + G^T) / 2 (`linalg._symmetrize`)."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     g = kernel_cross(kernel, x, x)
-    return (g + g.T) / 2.0
+    linalg._symmetrize(g)
+    return g
+
+
+def _own_gram(k: np.ndarray) -> np.ndarray:
+    """A fit's own C-ordered copy of a caller's Gram k, made exactly
+    symmetric as (k + k^T) / 2 unless it is already."""
+    k = np.array(k, dtype=np.float64, order="C")
+    if not np.array_equal(k, k.T):
+        linalg._symmetrize(k)
+    return k
 
 
 def _check_gamma(gamma) -> float:
@@ -272,13 +303,14 @@ def _input_side(x=None, k=None):
     """(q, lam, m, s) with the fit rows' Gram X X^T (or K) = q diag(lam) q^T,
     from the thin SVD X = q diag(sqrt(lam)) m^T (s = 1) or eigh(K) clipped at
     0 (m = q, s = lam^-1/2 taken as 0 where lam <= 1e-12 max(lam)).  The
-    factor-0 map M = m diag(s) takes coefficients on q to input space.  K is
-    decomposed as it is when exactly symmetric (as `gram` makes it), else
-    as (K + K^T) / 2."""
+    factor-0 map M = m diag(s) takes coefficients on q to input space.  K,
+    the fit's own C-ordered and exactly symmetric array (`gram`,
+    `_own_gram`), is decomposed in its own memory and becomes q
+    (`linalg._eigh_in_place`)."""
     if k is None:
         q, sv, vt = np.linalg.svd(x, full_matrices=False)
         return q, sv * sv, vt.T, np.ones(sv.size)
-    lam, q = np.linalg.eigh(k if np.array_equal(k, k.T) else (k + k.T) / 2.0)
+    lam, q = linalg._eigh_in_place(k)
     lam = np.clip(lam, 0.0, None)
     return q, lam, q, np.sqrt(_ridge_inverse(lam, 0.0))
 
@@ -547,10 +579,13 @@ def _overlaps(shape, cut, width) -> bool:
 
 
 def _statistics(y, inputs, cuts, wide):
-    """(side, rows, pencil, grams): the decomposition side =
-    `_input_side(*inputs)` and the statistics of Y that the path of fits runs
-    on, and the one reader of Y.  grams holds the output-mode Grams
-    Y_(i) Y_(i)^T, i = 1..p, None where cuts[i - 1] is 0; pencil is
+    """(side, rows, pencil, grams): the decomposition side of the fit rows
+    and the statistics of Y that the path of fits runs on, and the one
+    reader of Y.  inputs is (X, None), side = `_input_side(X)`, or for a
+    kernel fit (None, own_k), side = `_input_side(k=own_k())`: own_k forms
+    the fit's own K, on this thread before any helper starts, and K becomes
+    q.  grams holds the output-mode Grams Y_(i) Y_(i)^T, i = 1..p, None
+    where cuts[i - 1] is 0; pencil is
     q^T Y_(0) Y_(0)^T q, or None unless `wide` (some point keeps a factor 0);
     rows(a) is a q^T Y_(0) folded to (len(a), d1..dp).  Y_(0) is a view of Y,
     its columns in Y's memory order, or for a `DtenColumns` Y the columns of
@@ -565,7 +600,8 @@ def _statistics(y, inputs, cuts, wide):
     (one strided pass more for each mode whose slab exceeds a read, the
     last mode among them), once for Z and once per rows(a) on the G_0
     route."""
-    x, k = inputs
+    x, own_k = inputs
+    k = None if own_k is None else own_k()
     n, width = y.shape[0], math.prod(y.shape[1:])
     square = k is not None or x.shape[1] >= x.shape[0]
     via_g0 = square and _pencil_via_g0(n, width)
@@ -581,7 +617,7 @@ def _statistics(y, inputs, cuts, wide):
         order = "F" if y.flags.f_contiguous else "C"
         times = functools.partial(_times_rows, y0=y.reshape(n, -1, order=order))
     z = None
-    if square and _overlaps(y.shape, cut, x.shape[1] if k is None else k.shape[0]):
+    if square and _overlaps(y.shape, cut, n if x is None else x.shape[1]):
         with _helper() as pool:
             formed = pool.submit(_mode_grams, y, cut)
             side = _input_side(x, k)
@@ -613,9 +649,10 @@ def _statistics(y, inputs, cuts, wide):
 
 def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     """(side, points): the one fit behind every method at each point of
-    gammas x rank_tuples, from side = `_input_side(*inputs)`, whose m has
-    dim rows (d0, or N), and the statistics of Y (`_statistics`), its only
-    reader of Y; both are formed before this returns.  points yields
+    gammas x rank_tuples, from the decomposition side of inputs, (X, None)
+    or (None, own_k) as in `_statistics`, whose m has dim rows (d0, or N),
+    and the statistics of Y (`_statistics`), its only reader of Y; both are
+    formed before this returns.  points yields
     ((gamma, ranks), TuckerFactors, pencil values, notes) per point; factor 0
     is M c, or with `normalize` u0 of (u0, t) = normalize(M c), t applied to
     mode 0 of the core.  The clamped ranks are the core's shape.
@@ -629,10 +666,10 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     eigenvectors of the mode Gram.  Rank clamps and a singular input Gram are
     noted, not warned.  Every point takes prefixes of shared eigenvectors:
     each mode Gram's up to the largest Ri cut, and per gamma the pencil's up
-    to the largest R0; the last gamma scales the pencil in place.
+    to the largest R0; the last gamma scales the pencil in place and drops it.
     """
-    x, k = inputs
-    dims, dim = y.shape[1:], (x.shape[1] if k is None else k.shape[0])
+    x = inputs[0]
+    dims, dim = y.shape[1:], (y.shape[0] if x is None else x.shape[1])
     wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
     side, rows, pencil, grams = _statistics(y, inputs, cuts, wide)
@@ -640,7 +677,7 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     out = [None if g is None else linalg.sym_eig_top(g, c, check=False)[1] for g, c in zip(grams, cuts)]
     del grams
 
-    def points():
+    def points(pencil):
         for i, gamma in enumerate(gammas):
             inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
             singular = not inv.all()
@@ -654,6 +691,7 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
                     np.multiply(pencil, d[:, None], out=pencil)
                     np.multiply(pencil, d, out=pencil)
                     vals, vecs = linalg.sym_eig_top(pencil, top, check=False)
+                    del pencil  # consumed by its last eigenpairs
                 else:
                     vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top, check=False)
                 head = rows(vecs.T * d)
@@ -675,7 +713,7 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
                     core = mode_product(core, t, 0)
                 yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), values, noted
 
-    return side, points()
+    return side, points(pencil)
 
 
 def _tucker_fit(y, ranks, gamma: float, inputs, normalize=_orthonormalize):
@@ -875,13 +913,20 @@ def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = 
     if kernel is None:
         inputs, rows = (x_fit, None), x_val
     else:
-        inputs, rows = (None, gram(x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
+        inputs, rows = (None, functools.partial(gram, x_fit, kernel)), kernel_cross(kernel, x_val, x_fit)
     _, path = _tucker_path(np.asarray(y_fit, dtype=np.float64), inputs, gammas, [tuple(r) for r in rank_tuples])
     return ((point, holrr_predict_batch(HolrrModel(tf, point[0]), rows)) for point, tf, _, _ in path)
 
 
 def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> HolrrModel:
     """Dual multilinear-rank-constrained ridge fit from a Gram matrix.
+
+    k is the caller's Gram of train_inputs, or None: the fit then forms
+    K = gram(train_inputs, kernel) itself once its data are checked, as
+    `harness.fit_method` and the CLI have it do, and no K of the caller's
+    sits beside it.  Either way the fit decomposes its own K in place, and
+    that memory becomes Q (`_input_side`): a caller's K is copied once, as
+    it is when exactly symmetric, else as (K + K^T) / 2, and left untouched.
 
     The same fit (`_tucker_fit`) as holrr_fit with eigh(K) = Q diag(lam) Q^T
     in place of the SVD of X: the pencil coefficients c map to the dual basis
@@ -898,14 +943,20 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> H
     K + gamma I warns "pseudo-inverse pencil, restricting to its range", and
     a smaller R0 is clamped to the directions kept, like holrr_fit's.
     """
-    k = np.asarray(k, dtype=np.float64)
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
-    if k.ndim != 2 or k.shape[0] != k.shape[1]:
-        raise ValueError("gram matrix must be square")
-    if train_inputs.shape[0] != k.shape[0]:
-        raise ValueError("train_inputs row count must match the gram matrix")
+    if k is None:
+        if kernel is None:
+            raise ValueError("kholrr_fit needs a gram matrix or a kernel")
+        own_k = functools.partial(gram, train_inputs, kernel)
+    else:
+        k = np.asarray(k, dtype=np.float64)
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise ValueError("gram matrix must be square")
+        if train_inputs.shape[0] != k.shape[0]:
+            raise ValueError("train_inputs row count must match the gram matrix")
+        own_k = functools.partial(_own_gram, k)
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
-    tf, values, noted, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, (None, k), _unit_columns)
+    tf, values, noted, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, (None, own_k), _unit_columns)
     return HolrrModel(tf, prob.gamma, tuple(noted), kernel, train_inputs, values)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from tensorreg import linalg
 from tensorreg.linalg import (
     NotPositiveDefiniteError,
     gen_sym_eig_top,
@@ -9,6 +10,7 @@ from tensorreg.linalg import (
     spd_solve,
     sym_eig_top,
 )
+from tensorreg.regress import KernelSpec, gram
 
 
 def rand_spd(n, seed, shift=0.0):
@@ -138,6 +140,44 @@ def test_sym_eig_top_symmetrizes_in_place_to_the_same_bits(n, order):
         assert np.array_equal(np.abs(vectors), np.abs(v[:, ::-1]))
         unchecked = sym_eig_top(a.copy(order=order), r, check=False)
         assert np.array_equal(unchecked[0], values) and np.array_equal(unchecked[1], vectors)
+
+
+def _symmetric(kind, n, seed):
+    """An exactly symmetric n x n matrix of one kind: PSD, indefinite,
+    rank-deficient (a linear-kernel Gram of n // 3 + 1 features) or an rbf
+    Gram."""
+    rng = np.random.default_rng(seed)
+    if kind == "psd":
+        b = rng.standard_normal((n, n))
+        return gram(b, KernelSpec(kind="linear"))
+    if kind == "indefinite":
+        b = rng.standard_normal((n, n))
+        return (b + b.T) / 2.0
+    x = rng.standard_normal((n, n // 3 + 1 if kind == "rank-deficient" else 4))
+    return gram(x, KernelSpec(kind="linear") if kind == "rank-deficient" else KernelSpec(kind="rbf", sigma=2.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 24, 25, 26, 300])  # across dsyevd's switch to divide and conquer at 25
+@pytest.mark.parametrize("kind", ["psd", "indefinite", "rank-deficient", "rbf"])
+def test_eigh_in_place_is_bitwise_numpy_eigh(n, kind):
+    # values, vectors and their C layout, with the vectors in a's own memory
+    a = _symmetric(kind, n, seed=n)
+    assert np.array_equal(a, a.T)
+    w, v = np.linalg.eigh(a)
+    buf = a.copy()
+    values, vectors = linalg._eigh_in_place(buf)
+    assert vectors is buf and vectors.flags.c_contiguous and v.flags.c_contiguous
+    assert np.array_equal(values, w) and np.array_equal(vectors, v)
+
+
+def test_eigh_in_place_raises_what_eigh_raises():
+    # a NaN in an rbf Gram: dsyevd reports no convergence
+    a = _symmetric("rbf", 20, seed=0)
+    a[4, 5] = a[5, 4] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        np.linalg.eigh(a)
+    with pytest.raises(np.linalg.LinAlgError, match="^Eigenvalues did not converge$"):
+        linalg._eigh_in_place(a)
 
 
 def test_gen_sym_eig_top_identity_metric_is_ordinary():

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import warnings
@@ -564,6 +565,86 @@ def test_kernel_cross_validation():
         kernel_cross(spec, bad, np.zeros((2, 3)))
 
 
+def _kernel_formula(kernel, xa, xb):
+    """The kernel as its formula reads, each step a new array."""
+    dots = xa @ xb.T
+    if kernel.kind == "linear":
+        return dots
+    if kernel.kind == "polynomial":
+        return (dots + kernel.offset) ** kernel.degree
+    sq = regress._row_norms(xa)[:, None] + regress._row_norms(xb)[None, :] - 2.0 * dots
+    np.clip(sq, 0.0, None, out=sq)
+    return np.exp(-sq / (2.0 * kernel.sigma**2))
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(kind="linear"), KernelSpec(kind="polynomial", degree=3, offset=0.5),
+                                  KernelSpec(kind="rbf", sigma=1.3)], ids=["linear", "polynomial", "rbf"])
+@pytest.mark.parametrize("na, nb", [(1, 1), (7, 300), (300, 1000), (1000, 7), (299, 299)])
+def test_kernels_built_in_place_keep_the_bits_of_their_formula(spec, na, nb):
+    # rbf rows go in blocks of `_BATCH_BYTES`: 32 rows of 1000 columns, with
+    # a shorter last block; the Gram is symmetrized in place, bitwise
+    # (G + G^T) / 2
+    rng = np.random.default_rng(na + nb)
+    xa, xb = rng.standard_normal((na, 5)), rng.standard_normal((nb, 5))
+    expect = _kernel_formula(spec, xa, xb)
+    assert np.array_equal(kernel_cross(spec, xa, xb), expect)
+    assert np.array_equal(regress._cross(spec, xa, xb, nb=regress._row_norms(xb)), expect)
+    g = _kernel_formula(spec, xb, xb)
+    assert np.array_equal(gram(xb, spec), (g + g.T) / 2.0)
+
+
+def _same_model(a, b):
+    assert a.factors.core.tobytes() == b.factors.core.tobytes()
+    for ua, ub in zip(a.factors.factors, b.factors.factors):
+        assert (ua is None) == (ub is None) and (ua is None or ua.tobytes() == ub.tobytes())
+    assert a.dual_values.tobytes() == b.dual_values.tobytes() and a.warnings == b.warnings
+
+
+@pytest.mark.parametrize("dims", [(4, 3, 2), (4, 3, 5)], ids=["z", "g0"])  # D < N and D >= N
+@pytest.mark.parametrize("ranks", [(3, 2, 2, 2), (30, 4, 3, 2)], ids=["cut", "full"])
+def test_a_fit_that_forms_its_gram_gives_the_bits_of_a_callers_gram(dims, ranks):
+    rng = np.random.default_rng(19)
+    x, y = rng.standard_normal((30, 4)), rng.standard_normal((30, *dims))
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    expect = kholrr_fit(gram(x, spec), y, ranks, 1e-3, x, spec)
+    _same_model(kholrr_fit(None, y, ranks, 1e-3, x, spec), expect)
+    _same_model(fit_method("kholrr", x, y, 1e-3, ranks, spec), expect)
+    with pytest.raises(ValueError, match="a gram matrix or a kernel"):
+        kholrr_fit(None, y, ranks, 1e-3, x, None)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kholrr_fit_leaves_a_callers_gram_untouched(layout):
+    # the fit decomposes a copy: K exactly symmetric, and K asymmetric in its
+    # last bit, which is fitted as (K + K^T) / 2
+    rng = np.random.default_rng(23)
+    x, y = rng.standard_normal((40, 3)), rng.standard_normal((40, 3, 4))
+    spec = KernelSpec(kind="rbf", sigma=1.5)
+    k = np.array(gram(x, spec), order=layout)
+    asym = k.copy(order=layout)
+    upper = np.triu_indices(40, 1)
+    asym[upper] = np.nextafter(asym[upper], np.inf)
+    for gram_k, fitted_as in ((k, k), (asym, (asym + asym.T) / 2.0)):
+        before = gram_k.copy(order=layout)
+        model = kholrr_fit(gram_k, y, (4, 2, 3), 1e-3, x, spec)
+        assert gram_k.tobytes(order="A") == before.tobytes(order="A") and gram_k.flags.f_contiguous == (layout == "F")
+        _same_model(model, kholrr_fit(np.ascontiguousarray(fitted_as), y, (4, 2, 3), 1e-3, x, spec))
+    assert not np.array_equal(asym, asym.T)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_gram_fails_in_its_eigensolve(bad):
+    # NaN: dsyevd does not converge; an infinity comes through dsyevd and the
+    # cut pencil has no eigenpairs
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((20, 3)), rng.standard_normal((20, 3, 2))
+    k = gram(x, KernelSpec(kind="rbf", sigma=2.0))
+    k[4, 5] = k[5, 4] = bad
+    match = "Eigenvalues did not converge" if np.isnan(bad) else "dsyevr failed"
+    with pytest.raises(np.linalg.LinAlgError, match=match):
+        kholrr_fit(k, y, (3, 2, 2), 1e-3, x, KernelSpec(kind="rbf", sigma=2.0))
+
+
 # --- a kernel model computes its training-row terms once ---------------------
 
 KERNELS = (
@@ -674,7 +755,7 @@ def test_the_path_reads_y_only_through_its_statistics(route, n, d0, dims, layout
     rng = np.random.default_rng(61)
     x = rng.standard_normal((n, d0))
     y = np.asarray(rng.standard_normal((n, *dims)), order=layout)
-    inputs = (x, None) if route == "thin" else (None, gram(x, KernelSpec(kind="rbf", sigma=2.0)))
+    inputs = (x, None) if route == "thin" else (None, functools.partial(gram, x, KernelSpec(kind="rbf", sigma=2.0)))
     dim = d0 if route == "thin" else n
     gammas = [0.0, 1e-3, 0.1, 1.0]
     rank_tuples = [(2, 2, 2, 3), (dim, *dims), (dim + 3, dims[0] + 2, 1, 2), (4, 1, dims[1], dims[2]), (1, 1, 1, 1)]

@@ -13,8 +13,9 @@ Memory tests (tracemalloc, which sees numpy's allocations): reading a file
 or a pipe holds one copy of the data, writing one holds none, the fits, the
 CV path and the mode Grams read Y in place, a batch prediction holds little beyond its
 output, and a model is saved from its own memory and loaded into one copy.  The training data's finite
-check makes no array of Y's size, and a kernel fit holds four N x N arrays
-at its peak, three when the pencil goes through G_0.  A CLI `predict`
+check makes no array of Y's size, a kernel fit holds four N x N arrays
+at its peak, three when the pencil goes through G_0 or when it forms K
+itself, and a kernel matrix is built in its own output.  A CLI `predict`
 process (its peak RSS, `helpers.cli_peak_rss`) holds column blocks of the
 prediction, not the prediction.
 
@@ -223,6 +224,29 @@ def test_kholrr_fit_holds_four_gram_sized_arrays():
     spec = KernelSpec(kind="rbf", sigma=2.0)
     k = gram(x, spec)
     assert _peak_bytes(kholrr_fit, k, y, (5, 2, 2, 2), 1e-3, x, spec) <= 4.5 * k.nbytes
+
+
+def test_a_fit_that_forms_its_gram_holds_three_gram_sized_arrays():
+    # D < N, so no G_0: the fit's own K, which dsyevd decomposes in place
+    # and which becomes Q, beside dsyevd's workspace of 2 N^2 doubles; then
+    # Q and the pencil.  A fit handed K by its caller also held K's eigh
+    # output and an average or a copy of K, and forming K took four
+    n = 300
+    rng = np.random.default_rng(10)
+    x, y = rng.standard_normal((n, 6)), rng.standard_normal((n, 4, 3, 2))
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    assert _peak_bytes(harness.fit_method, "kholrr", x, y, 1e-3, (5, 2, 2, 2), spec) <= 3.5 * 8 * n * n
+
+
+@pytest.mark.parametrize("spec", [KernelSpec(kind="linear"), KernelSpec(kind="polynomial", degree=3),
+                                  KernelSpec(kind="rbf", sigma=2.0)], ids=["linear", "polynomial", "rbf"])
+def test_kernels_are_built_in_their_output(spec):
+    # the kernel in the GEMM's output, an rbf one a row block at a time; the
+    # Gram symmetrized in place, a block pair at a time
+    rng = np.random.default_rng(12)
+    x, x_val = rng.standard_normal((2000, 10)), rng.standard_normal((1000, 10))
+    assert _peak_bytes(gram, x, spec) <= 1.1 * 8 * 2000 * 2000
+    assert _peak_bytes(kernel_cross, spec, x_val, x) <= 1.1 * 8 * 1000 * 2000
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])

@@ -238,8 +238,9 @@ def test_no_thread_outlives_a_fit(monkeypatch, helper_on):
 
 
 def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch, helper_on):
-    # eigh(K) fails while the helper still forms the Grams: the fit waits for
-    # the helper, then raises, and leaves no thread behind
+    # eigh(K) in place (`linalg._eigh_in_place`) fails while the helper still
+    # forms the Grams: the fit waits for the helper, then raises, and leaves
+    # no thread behind
     x, y, _ = _problem(30, 6, (4, 3, 5))
     finished, real = [], regress._mode_grams
 
@@ -249,11 +250,11 @@ def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch, 
         finished.append(threading.get_ident())
         return out
 
-    def broken(a, *args, **kwargs):
+    def broken(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(regress, "_mode_grams", slow)
-    monkeypatch.setattr(np.linalg, "eigh", broken)
+    monkeypatch.setattr(linalg, "_eigh_in_place", broken)
     base = threading.active_count()
     with pytest.raises(np.linalg.LinAlgError):
         _fit(SPEC, x, y, (3, 2, 2, 2), 1e-3)
@@ -304,8 +305,9 @@ def test_a_streamed_square_q_fit_reads_its_file_on_the_helper(tmp_path, monkeypa
 
 
 def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkeypatch, helper_on):
-    # eigh(K) fails while the helper reads Y from its file: the fit waits for
-    # the helper, then raises, and leaves no thread behind
+    # eigh(K) in place (`linalg._eigh_in_place`) fails while the helper reads
+    # Y from its file: the fit waits for the helper, then raises, and leaves
+    # no thread behind
     x, y, _ = _problem(30, 6, (4, 3, 5))
     write_dten(y, tmp_path / "y.dten")
     finished, real = [], regress._mode_grams
@@ -316,11 +318,11 @@ def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkey
         finished.append((threading.get_ident(), type(y)))
         return out
 
-    def broken(a, *args, **kwargs):
+    def broken(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(regress, "_mode_grams", slow)
-    monkeypatch.setattr(np.linalg, "eigh", broken)
+    monkeypatch.setattr(linalg, "_eigh_in_place", broken)
     base = threading.active_count()
     with tensor.DtenColumns(tmp_path / "y.dten") as source, pytest.raises(np.linalg.LinAlgError):
         _fit(SPEC, x, source, (3, 2, 2, 2), 1e-3)
