@@ -30,25 +30,30 @@ which the pencil is a symmetric eigenproblem and the ridge inverse is
 pseudo-inverse rule, relative to scale, behind the "pseudo-inverse pencil,
 restricting to its range" warning of a singular input Gram.  One function,
 `_statistics`, reads Y, and the path of fits runs on what it forms: the
-output-mode Grams, the input pencil and the products a Q^T Y_(0) for the
-core.  It reads Y only by GEMMs on its own memory: the mode Grams
-Y_(i) Y_(i)^T come from strided views of it, and when Q is square (every
-kernel fit, and X with d0 >= N) and the outputs are at least as wide as N,
-the pencil runs through the mode-0 Gram, D Q^T (Y_(0) Y_(0)^T) Q D, so the
-N x D product Q^T Y_(0) is never formed.
+output-mode Grams, the input pencil and the rows (a Q^T) Y_(0) of the
+core, one product with Y each.  It reads Y only by GEMMs on its own
+memory: the mode Grams Y_(i) Y_(i)^T come from strided views of it, and
+when Q is square (every kernel fit, and X with d0 >= N) and the outputs
+are at least as wide as N, the pencil runs through the mode-0 Gram,
+D Q^T (Y_(0) Y_(0)^T) Q D; otherwise it is D Z Z^T D of Z = Q^T Y_(0),
+which no fit keeps past its pencil.
 
 Y may also be a `tensor.DtenColumns`, the DTEN file CLI `fit` reads in
 pieces (`_streamed`): each statistic is a sum over runs of the file, read
 into two buffers of half `tensor._IO_CHUNK` each, so the fit holds those
-buffers and the statistics, never Y.  One pass reads blocks of whole
-columns of Y_(0), whole slabs of the leading modes, checks each finite and
-forms Z (after a thin SVD), G_0 and those modes' Grams from it; each other
-cut mode (the last, unless Y fits in one block) takes a strided pass over
-its slabs.  A Y that fits in one block gets the in-memory bits; a larger
-one sums in another order, and may differ in the last bits.  When BLAS
-runs one thread, a pass on the calling thread reads the file's next block
-on a reader thread while it uses the current one; the reader copies bytes
-only, and ends with its pass.
+buffers and the statistics, never Y, and no array that grows with d0 D.
+Pass 1 reads blocks of whole columns Y_b of Y_(0), whole slabs of the
+leading modes, checks each finite and forms G_0, or after a thin SVD the
+pencil's sum of Z_b Z_b^T (Z_b = Q^T Y_b), and those modes' Grams from
+it; once the pencil's eigenvectors are known, pass 2 reads row ranges of
+the last mode's slabs, whole multiples of N rows, and forms from the same
+reads that mode's Gram and the rows of the core.  A middle mode whose slab
+exceeds a read takes a strided pass of its own.  A Y that fits in one read
+is read once and fitted as the array it holds, with the in-memory bits; a
+larger one sums in another order, and may differ in the last bits.  When
+BLAS runs one thread, a pass on the calling thread reads the file's next
+block on a reader thread while it uses the current one; the reader copies
+bytes only, and ends with its pass.
 
 A large fit with a square Q can run on two threads, which split its work
 and not its BLAS calls: the Grams of Y need no Q, so one helper thread
@@ -56,8 +61,8 @@ and not its BLAS calls: the Grams of Y need no Q, so one helper thread
 and G_0 when the pencil goes through it, while the calling thread
 decomposes the inputs (eigh(K), or the SVD of X with d0 >= N).  The
 calling thread then joins the helper and forms everything that needs Q
-(the pencil, Z = Q^T Y_(0) and the rows of the core) and runs every
-eigenproblem of the path.  The helper starts only where it pays
+(the pencil and the rows of the core, with a file's last-mode Gram) and
+runs every eigenproblem of the path.  The helper starts only where it pays
 (`_overlaps`): when numpy's OpenBLAS runs one thread, so that the two
 threads do not ask for the same cores twice, and when the Grams and the
 decomposition are each large enough to outweigh the thread's start.  Every
@@ -263,10 +268,15 @@ def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
 
 
 def _row_norms(x: np.ndarray) -> np.ndarray:
-    """Squared row norms, summed on C-ordered rows: every layout of the same
-    rows gives the same bits."""
-    x = np.ascontiguousarray(x)
-    return np.sum(x * x, axis=1)
+    """Squared row norms, summed on C-ordered rows `_BATCH_BYTES` of them at
+    a time: every layout of the same rows gives the same bits, and no array
+    of x's size is made."""
+    out = np.empty(x.shape[0])
+    step = max(1, _BATCH_BYTES // (8 * max(1, x.shape[1])))
+    for a in range(0, x.shape[0], step):
+        b = np.ascontiguousarray(x[a : a + step])
+        np.sum(b * b, axis=1, out=out[a : a + step])
+    return out
 
 
 def kernel_cross(kernel: KernelSpec, xa, xb) -> np.ndarray:
@@ -284,9 +294,11 @@ def gram(x, kernel: KernelSpec) -> np.ndarray:
 
 
 def _own_gram(k: np.ndarray) -> np.ndarray:
-    """A fit's own C-ordered copy of a caller's Gram k, made exactly
-    symmetric as (k + k^T) / 2 unless it is already."""
+    """A fit's own C-ordered copy of a caller's Gram k, checked finite and
+    made exactly symmetric as (k + k^T) / 2 unless it is already."""
     k = np.array(k, dtype=np.float64, order="C")
+    if not _all_finite(k):
+        raise ValueError("gram matrix must be finite")
     if not np.array_equal(k, k.T):
         linalg._symmetrize(k)
     return k
@@ -457,59 +469,94 @@ def _mode_grams(y, cut) -> list:
     return grams
 
 
-def _streamed(y: DtenColumns, cut, a=None, ahead=True) -> tuple:
-    """(grams, product): the mode Grams of `_mode_grams`' `cut` and, with
-    `a`, a @ Y_(0) (column-major), of a Y read from its file in reads of
-    half `tensor._IO_CHUNK` bytes (`DtenColumns.reads`, each read ahead on
-    a reader thread with `ahead` when BLAS runs one thread).
+def _read_size() -> int:
+    """Entries of one read of a streamed Y: half `tensor._IO_CHUNK`, so that
+    two reads are in flight."""
+    return max(1, tensor._IO_CHUNK // 16)
 
-    One pass reads Y_(0) in blocks of whole columns, checks each finite and
-    adds its part to the product and to G_0.  A block's width is a multiple
-    of the columns one (L_i, d_i) slab of mode i spans, for every leading
-    mode i whose slab fits in one read (all but the last mode when one slab
-    of the last mode fits), so those modes' Grams come from the same blocks
-    (`_axis_gram`).  Each other cut mode takes a strided pass of its own:
-    the Gram of each of its slabs sums p^T p over row ranges p of the slab,
-    each range read as d_i runs.  A Y that fits in one read is one block,
-    and gets the bits of the in-memory statistics."""
+
+def _read_whole(y: DtenColumns) -> np.ndarray:
+    """A Y that fits in one read, read once and checked finite: a
+    column-major array in the reader's buffer."""
+    [(_, block)] = y.columns(math.prod(y.shape[1:]), ahead=False)
+    if not _all_finite(block):
+        raise ValueError("training data must be finite")
+    return block.reshape(y.shape, order="F")
+
+
+def _streamed(y: DtenColumns, cut, a=None, q=None, ahead=True, checked=False) -> tuple:
+    """(grams, product): the mode Grams of `_mode_grams`' `cut`, G_0 that of
+    q^T Y_(0) with `q` (the pencil q^T Y_(0) Y_(0)^T q), and with `a`,
+    a @ Y_(0) (column-major), of a Y read from its file in `_read_size`
+    reads (`DtenColumns.reads`, each read ahead on a reader thread with
+    `ahead` when BLAS runs one thread).
+
+    Pass 1 reads Y_(0) in blocks Y_b of whole columns, checks each finite
+    and adds its part to G_0 (Y_b Y_b^T, or with q, Z_b Z_b^T of
+    Z_b = q^T Y_b).  A block's width is a multiple of the columns one
+    (L_i, d_i) slab of mode i spans, for every leading mode i whose slab
+    fits in one read (all but the last mode, unless Y fits in one read), so
+    those modes' Grams come from the same blocks (`_axis_gram`).  Each
+    other cut mode takes a strided pass over its slabs: the Gram sums p^T p
+    over row ranges p of a slab, each range read as d_i runs, of whole
+    multiples of N rows where N d_i entries fit in a read, else within N
+    rows.  With `a` the last mode always takes this pass (pass 2), which
+    forms a @ Y_(0) from the same reads: a range of whole multiples of N
+    rows is a block of columns of Y_(0), a shorter one adds a[:, rows] @ p
+    to d_i of them.  Without `a`, a Y that fits in one read is one block,
+    which forms every Gram with the bits of the in-memory ones."""
     shape = y.shape
-    n, entries = shape[0], max(1, tensor._IO_CHUNK // 16)  # two reads in flight, half the chunk each
+    n, entries = shape[0], _read_size()
     ahead = ahead and _blas_threads() == 1  # as for `_overlaps`: a multi-threaded BLAS has no core to spare
     cols = [1, *itertools.accumulate(shape[1:], operator.mul)]  # columns of Y_(0) per slab of mode i
     rows = [1, *(n * c for c in cols[:-1])]  # the L of mode i's (L, d_i, T) view
     wide = max(1, entries // n)
-    last = max(i for i, c in enumerate(cols) if c <= wide)  # the modes each block holds whole slabs of
+    # the modes each block holds whole slabs of; with `a`, never the last
+    last = max(i for i, c in enumerate(cols) if c <= wide and (a is None or i < len(shape) - 1))
     width = min(cols[-1], wide // cols[last] * cols[last])
     grams = [None] * len(shape)
-    product = None if a is None else np.empty((cols[-1], len(a))).T
+    product = None if a is None else np.zeros((len(a), cols[-1]), order="F")
     # G_0 of several blocks sums in BLAS's own accumulator (its upper
     # triangle, mirrored at the end): no N x N product per block to add
     summed = cut[0] and width < cols[-1]
     if summed:
-        grams[0] = np.zeros((n, n), order="F")
-    if a is not None or any(cut):
-        for c0, block in y.columns(width, ahead):
-            if not _all_finite(block):
+        grams[0] = np.zeros((n, n) if q is None else (q.shape[1],) * 2, order="F")
+    if any(cut[: last + 1]):
+        for _, block in y.columns(width, ahead):
+            if not (checked or _all_finite(block)):
                 raise ValueError("training data must be finite")
-            if a is not None:
-                np.matmul(block.T, a.T, out=product.T[c0 : c0 + block.shape[1]])
-            if summed:
-                grams[0] = blas.dsyrk(1.0, block, beta=1.0, c=grams[0], overwrite_c=1)
-            for i in range(summed, last + 1):
+            if cut[0]:
+                z = block if q is None else _times_rows(q.T, block)
+                grams[0] = blas.dsyrk(1.0, z, beta=1.0, c=grams[0], overwrite_c=1) if summed else z @ z.T
+            for i in range(1, last + 1):
                 if cut[i]:
                     g = _axis_gram(block.reshape(rows[i], shape[i], -1, order="F"))
                     grams[i] = g if grams[i] is None else np.add(grams[i], g, out=grams[i])
+        checked = True
     if summed:
-        for j in range(n - 1):
+        for j in range(len(grams[0]) - 1):
             grams[0][j + 1 :, j] = grams[0][j, j + 1 :]
     for i in range(last + 1, len(shape)):
-        if cut[i]:
+        head = None if a is None or i < len(shape) - 1 else product.reshape(len(a), -1, shape[i], order="F")
+        if cut[i] or head is not None:
             d, length = shape[i], rows[i]
             step = max(1, entries // d)
-            ranges = [(slab * length * d + r, min(step, length - r)) for slab in range(cols[-1] // cols[i])
-                      for r in range(0, length, step)]
-            for p in y.reads(((size, d, start, length) for start, size in ranges), ahead):
-                grams[i] = p.T @ p if grams[i] is None else np.add(grams[i], p.T @ p, out=grams[i])
+            span, step = (n, step) if step < n else (length, step // n * n)
+            ranges = [(slab * length * d + b + r, min(step, span - r)) for slab in range(cols[-1] // cols[i])
+                      for b in range(0, length, span) for r in range(0, span, step)]
+            parts = y.reads(((size, d, start, length) for start, size in ranges), ahead)
+            for (start, size), p in zip(ranges, parts):
+                if not (checked or _all_finite(p)):
+                    raise ValueError("training data must be finite")
+                if cut[i]:
+                    grams[i] = p.T @ p if grams[i] is None else np.add(grams[i], p.T @ p, out=grams[i])
+                if head is not None:  # the last mode's view is one slab: start is its row
+                    c, r = divmod(start, n)
+                    if size < n:
+                        head[:, c] += a[:, r : r + size] @ p
+                    else:
+                        head[:, c : c + size // n] = (a @ p.reshape(n, -1, order="F")).reshape(len(a), -1, d, order="F")
+            checked = True
     return grams, product
 
 
@@ -585,64 +632,80 @@ def _statistics(y, inputs, cuts, wide):
     kernel fit (None, own_k), side = `_input_side(k=own_k())`: own_k forms
     the fit's own K, on this thread before any helper starts, and K becomes
     q.  grams holds the output-mode Grams Y_(i) Y_(i)^T, i = 1..p, None
-    where cuts[i - 1] is 0; pencil is
-    q^T Y_(0) Y_(0)^T q, or None unless `wide` (some point keeps a factor 0);
-    rows(a) is a q^T Y_(0) folded to (len(a), d1..dp).  Y_(0) is a view of Y,
-    its columns in Y's memory order, or for a `DtenColumns` Y the columns of
-    its file, read in pieces (`_streamed`).  When q is square (a Gram K, or X
-    with d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the
-    mode-0 Gram and rows(a) is (a q^T) Y_(0), so Z = q^T Y_(0) is never
-    formed; else Z is formed once.  The Grams need no q: when q is square and
-    `_overlaps`, the helper thread (`_helper`) forms them while this thread
-    decomposes the inputs, and is joined before the first product with q;
-    otherwise this thread forms them after the decomposition, for a thin q
-    from a file in the pass that forms Z.  A file is read once for the Grams
-    (one strided pass more for each mode whose slab exceeds a read, the
-    last mode among them), once for Z and once per rows(a) on the G_0
-    route."""
+    where cuts[i - 1] is 0; pencil is q^T Y_(0) Y_(0)^T q, or None unless
+    `wide` (some point keeps a factor 0); rows(a) is (a q^T) Y_(0), one
+    product with Y, folded to (len(a), d1..dp).  Y_(0) is a view of Y, its
+    columns in Y's memory order, or for a `DtenColumns` Y the columns of its
+    file, read in pieces (`_streamed`); a file that fits in one read is read
+    once, and fitted as the array it holds.  When q is square (a Gram K, or
+    X with d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the
+    mode-0 Gram; else it is Z Z^T of Z = q^T Y_(0), formed and dropped here
+    in memory, and summed over the blocks of a file.  No Z is kept.
+
+    The Grams need no q: when q is square and `_overlaps`, the helper thread
+    (`_helper`) forms them while this thread decomposes the inputs, and is
+    joined before the first product with q; otherwise this thread forms
+    them after the decomposition.  A file's first pass (the helper's,
+    where it starts) forms G_0 or the pencil and the Grams of all but the
+    last mode; the first rows(a) reads the last mode's slabs for both
+    (a q^T) Y_(0) and that mode's Gram, which is None in grams until then.
+    So a fit reads its file twice (once more for each middle mode whose
+    slab exceeds a read), and each later rows(a) once more.  A square q
+    whose pencil needs q (D < N) takes no helper for a file: its first pass
+    sums the pencil, so it waits for q."""
     x, own_k = inputs
-    k = None if own_k is None else own_k()
     n, width = y.shape[0], math.prod(y.shape[1:])
+    if isinstance(y, DtenColumns) and n * width <= _read_size():
+        y = _read_whole(y)
+    k = None if own_k is None else own_k()
     square = k is not None or x.shape[1] >= x.shape[0]
     via_g0 = square and _pencil_via_g0(n, width)
+    via_z = wide and not via_g0  # the pencil is Z Z^T
     cut = [via_g0 and wide, *cuts]
     streamed = isinstance(y, DtenColumns)
+    # a file's first pass sums G_0 or (with q) the pencil, and forms the
+    # Grams of all but the last mode, which come with the first rows
+    first = [wide, *cuts[:-1], False] if streamed else cut
     if streamed:
         order = "F"
 
-        def times(a):  # a @ Y_(0), column-major
-            return _streamed(y, [False] * len(cut), a)[1]
+        def times(a):  # a @ Y_(0), column-major, from the last mode's pass, which first forms its Gram
+            late = cut[-1] and grams[-1] is None
+            g, product = _streamed(y, [False] * (y.ndim - 1) + [late], a, checked=any(first))
+            if late:
+                grams[-1] = g[-1]
+            return product
     else:
         y = _contiguous(y)
         order = "F" if y.flags.f_contiguous else "C"
         times = functools.partial(_times_rows, y0=y.reshape(n, -1, order=order))
-    z = None
-    if square and _overlaps(y.shape, cut, n if x is None else x.shape[1]):
+    if square and not (streamed and via_z) and _overlaps(y.shape, cut, n if x is None else x.shape[1]):
         with _helper() as pool:
-            formed = pool.submit(_mode_grams, y, cut)
+            formed = pool.submit(_mode_grams, y, first)
             side = _input_side(x, k)
             g0, *grams = formed.result()
         del formed  # its result holds G_0, which the pencil replaces below
     else:
         side = _input_side(x, k)
-        if streamed and not square:  # Z comes in the pass over the file that forms the Grams
-            (g0, *grams), z = _streamed(y, cut, side[0].T)
+        if streamed:
+            (g0, *grams), _ = _streamed(y, first, q=side[0] if via_z else None)
         else:
-            g0, *grams = _mode_grams(y, cut)
+            g0, *grams = _mode_grams(y, first)
     q = side[0]
-    if z is None and not via_g0:
-        z = times(q.T)
     pencil = None
     if wide and via_g0:
         pencil = q.T @ g0
         del g0  # q^T G_0 replaces it before the second product
         pencil = pencil @ q
+    elif wide and streamed:
+        pencil = g0  # summed over the blocks of pass 1
     elif wide:
+        z = times(q.T)
         pencil = z @ z.T
+        del z  # no Z is kept
 
     def rows(a):
-        r = times(a @ q.T) if via_g0 else _times_rows(a, z)
-        return r.reshape((len(a), *y.shape[1:]), order=order)
+        return times(a @ q.T).reshape((len(a), *y.shape[1:]), order=order)
 
     return side, rows, pencil, grams
 
@@ -652,7 +715,8 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     gammas x rank_tuples, from the decomposition side of inputs, (X, None)
     or (None, own_k) as in `_statistics`, whose m has dim rows (d0, or N),
     and the statistics of Y (`_statistics`), its only reader of Y; both are
-    formed before this returns.  points yields
+    formed before this returns, but for the Gram of a file's last mode,
+    which the first point's rows bring.  points yields
     ((gamma, ranks), TuckerFactors, pencil values, notes) per point; factor 0
     is M c, or with `normalize` u0 of (u0, t) = normalize(M c), t applied to
     mode 0 of the core.  The clamped ranks are the core's shape.
@@ -662,7 +726,8 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     M diag(sqrt(lam) inv) Z.  A smaller R0 (clamped to the directions inv
     keeps) takes the top-R0 eigenvectors w of D Z Z^T D: c = sqrt(inv) w has
     c^T diag(lam + gamma) c = I, so the projected ridge solve is the identity
-    and the core is w^T D Z.  Ri < di projects the core on the top-Ri
+    and the core is w^T D Z.  Both cores are formed as rows(a) = (a q^T) Y_(0)
+    (`_statistics`), with no Z.  Ri < di projects the core on the top-Ri
     eigenvectors of the mode Gram.  Rank clamps and a singular input Gram are
     noted, not warned.  Every point takes prefixes of shared eigenvectors:
     each mode Gram's up to the largest Ri cut, and per gamma the pencil's up
@@ -674,10 +739,9 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
     side, rows, pencil, grams = _statistics(y, inputs, cuts, wide)
     q, lam, m, s = side
-    out = [None if g is None else linalg.sym_eig_top(g, c, check=False)[1] for g, c in zip(grams, cuts)]
-    del grams
 
     def points(pencil):
+        out = None
         for i, gamma in enumerate(gammas):
             inv = _ridge_inverse(np.append(lam, np.zeros(dim - lam.size)), gamma)
             singular = not inv.all()
@@ -695,6 +759,8 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
                 else:
                     vals, vecs = linalg.sym_eig_top(d[:, None] * pencil * d, top, check=False)
                 head = rows(vecs.T * d)
+            if out is None:  # the first rows complete the Grams of a file (`_statistics`)
+                out = [None if g is None else linalg.sym_eig_top(g, c, check=False)[1] for g, c in zip(grams, cuts)]
             for ranks in rank_tuples:
                 limits = (dim if ranks[0] >= dim else kept, *dims)
                 noted = [f"rank {r} clamped to {c} at mode {i}" for i, (r, c) in enumerate(zip(ranks, limits)) if r > c]

@@ -577,6 +577,17 @@ def _kernel_formula(kernel, xa, xb):
     return np.exp(-sq / (2.0 * kernel.sigma**2))
 
 
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n, d0", [(0, 3), (1, 1), (7, 300), (100, 5), (33, 4096), (1000, 200), (3, 40000)])
+def test_row_norms_keep_the_bits_of_one_sum_per_row(n, d0, layout):
+    # summed a block of C-ordered rows at a time (one row per block at
+    # d0 = 40000, 163 at d0 = 200, every row in one block at d0 <= 5): each
+    # row's sum runs in the order of the whole C-ordered sum
+    x = np.asarray(np.random.default_rng(n + d0).standard_normal((n, d0)), order=layout)
+    c = np.ascontiguousarray(x)
+    assert np.array_equal(regress._row_norms(x), np.sum(c * c, axis=1))
+
+
 @pytest.mark.parametrize("spec", [KernelSpec(kind="linear"), KernelSpec(kind="polynomial", degree=3, offset=0.5),
                                   KernelSpec(kind="rbf", sigma=1.3)], ids=["linear", "polynomial", "rbf"])
 @pytest.mark.parametrize("na, nb", [(1, 1), (7, 300), (300, 1000), (1000, 7), (299, 299)])
@@ -633,16 +644,18 @@ def test_kholrr_fit_leaves_a_callers_gram_untouched(layout):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_a_non_finite_gram_fails_in_its_eigensolve(bad):
-    # NaN: dsyevd does not converge; an infinity comes through dsyevd and the
-    # cut pencil has no eigenpairs
+def test_a_non_finite_gram_is_a_data_error(bad):
+    # the fit checks its own copy of a caller's K: at a cut R0 an infinity
+    # failed in dsyevr and a NaN in dsyevd, and at full R0 an infinity gave
+    # a model with a non-finite core
     rng = np.random.default_rng(0)
     x, y = rng.standard_normal((20, 3)), rng.standard_normal((20, 3, 2))
-    k = gram(x, KernelSpec(kind="rbf", sigma=2.0))
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    k = gram(x, spec)
     k[4, 5] = k[5, 4] = bad
-    match = "Eigenvalues did not converge" if np.isnan(bad) else "dsyevr failed"
-    with pytest.raises(np.linalg.LinAlgError, match=match):
-        kholrr_fit(k, y, (3, 2, 2), 1e-3, x, KernelSpec(kind="rbf", sigma=2.0))
+    for ranks in ((3, 2, 2), (20, 3, 2)):
+        with pytest.raises(ValueError, match="^gram matrix must be finite$"):
+            kholrr_fit(k, y, ranks, 1e-3, x, spec)
 
 
 # --- a kernel model computes its training-row terms once ---------------------

@@ -2,17 +2,22 @@
 
 A `tensor.DtenColumns` reads runs of a regular file's payload into two
 reused buffers, and `regress._streamed` forms every statistic of Y from them:
-blocks of whole columns of Y_(0) for Z, G_0 and the Grams of the modes whose
-slabs fit in the chunk, and a strided pass for each other cut mode (always
-the last one, unless Y fits in one chunk).  These tests pin:
+pass 1 reads blocks of whole columns of Y_(0) for the pencil (summed over
+the blocks after a thin SVD) or G_0 and the Grams of the modes whose slabs
+fit in the chunk, and pass 2 the last mode's slabs for its Gram and the
+core's rows; a middle mode whose slab exceeds the chunk takes a strided
+pass of its own.  These tests pin:
 
 - the numbers: a streamed fit matches the in-memory fit of the same Y within
   1e-12 relative on every route (Z = q^T Y_(0) after a thin SVD, Z after
   eigh(K) with D < N, and G_0 with D >= N), for Y of order 2 to 4, with the
   chunk patched to a few entries and to less than one slab of the last
-  mode; a Y that fits in one chunk gets the in-memory bits;
+  mode; a Y that fits in one chunk is read once and gets the in-memory bits;
+- the reads: a CLI fit with a cut last mode reads its file twice, and once
+  more for its training error;
 - the memory: a streamed fit's traced peak is at most 0.4 x Y, and so is
-  what a 64 MB Y adds to a CLI fit process's peak RSS;
+  what a 64 MB Y adds to a CLI fit process's peak RSS; a thin fit with
+  d0 = 50 keeps no d0 x D array;
 - the failures: a truncated file, one that continues past its payload, or a
   NaN in the last chunk exits 2 with one `tensorreg:` line and leaves no
   model file;
@@ -120,6 +125,45 @@ def test_the_last_mode_takes_a_strided_pass_over_each_slab(tmp_path, monkeypatch
         assert np.linalg.norm(g - yi @ yi.T) <= 1e-13 * np.linalg.norm(yi @ yi.T)
 
 
+def _spy_reads(monkeypatch) -> list:
+    """Record the requests of every `DtenColumns.reads` call: one per pass."""
+    passes, real = [], DtenColumns.reads
+    monkeypatch.setattr(DtenColumns, "reads", lambda self, requests, *ahead: real(self, passes.append(list(requests)) or passes[-1], *ahead))
+    return passes
+
+
+@pytest.mark.parametrize("kernel", [[], ["--kernel", "rbf:3"]], ids=["thin", "g0-kernel"])
+def test_a_streamed_cli_fit_reads_its_file_twice_and_once_for_its_training_error(tmp_path, monkeypatch, kernel):
+    # reads of 450 entries, 15 of Y_(0)'s 60 columns: pass 1 reads blocks of
+    # 12 columns (whole slabs of modes 1 and 2) for the pencil or G_0 and
+    # those modes' Grams, pass 2 the last mode's (360, 5) view in ranges of
+    # 90 rows (3 N) for its Gram and the core's rows, and the training error
+    # reads Y_(0) once more.  The G_0 route read the file once more for the
+    # rows, and a thin q kept Z = q^T Y_(0)
+    _files(tmp_path)
+    monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 450)
+    passes = _spy_reads(monkeypatch)
+    code, _, _ = _cli("fit", "--x", tmp_path / "x.dten", "--y", tmp_path / "y.dten", "--ranks", "3,2,2,2",
+                      "--out", tmp_path / "m.bin", *kernel)
+    assert code == 0
+    blocks, last, training = passes
+    assert blocks == [(30 * 12, 1, 30 * 12 * a, 30 * 12) for a in range(5)]
+    assert last == [(90, 5, start, 360) for start in range(0, 360, 90)]
+    assert training == [(30 * 60, 1, 0, 30 * 60)]
+
+
+@pytest.mark.parametrize("kernel", [None, LINEAR], ids=["thin", "g0-kernel"])
+def test_a_y_that_fits_in_one_read_is_read_once(tmp_path, monkeypatch, kernel):
+    # and fitted as the array it holds: the bits of the fit of `read_dten`'s Y
+    x, _ = _files(tmp_path)
+    passes = _spy_reads(monkeypatch)
+    with DtenColumns(tmp_path / "y.dten") as source:
+        streamed = _fit(source, x, (3, 2, 2, 2), kernel)
+    assert passes == [[(30 * 60, 1, 0, 30 * 60)]]
+    expect = _fit(read_dten(tmp_path / "y.dten"), x, (3, 2, 2, 2), kernel)
+    assert np.array_equal(streamed.factors.core, expect.factors.core)
+
+
 def _peak_bytes(fn):
     tracemalloc.start()
     try:
@@ -147,6 +191,28 @@ def test_a_streamed_fit_holds_chunks_not_y(tmp_path, kernel, monkeypatch):
                 kholrr_fit(k, source, (5, 3, 3, 3), 1e-3, x, kernel)
 
     assert _peak_bytes(fit) <= 0.4 * y.nbytes
+
+
+def test_a_streamed_thin_fit_keeps_no_z(tmp_path, monkeypatch):
+    # d0 = 50 < N: the pencil sums Z_b Z_b^T over the blocks of pass 1, and
+    # the core's rows come from the last mode's pass, so the fit holds its
+    # two reads, the rows (R0 x D) and their projection by
+    # `multi_mode_product` (no larger), q and the SVD's copy of X
+    # (N x d0 each) and the Grams, with a tenth to spare.  A kept
+    # Z = q^T Y_(0) (d0 x D) alone is 1.6 MB more
+    rng = np.random.default_rng(15)
+    n, d0, dims, ranks = 200, 50, (20, 20, 10), (5, 3, 3, 3)
+    x, y = rng.standard_normal((n, d0)), rng.standard_normal((n, *dims))
+    write_dten(y, tmp_path / "y.dten")
+    monkeypatch.setattr(tensor, "_IO_CHUNK", y.nbytes // 8)
+
+    def fit():
+        with DtenColumns(tmp_path / "y.dten") as source:
+            holrr_fit(RegressionProblem(x, source, ranks, 1e-3))
+
+    width = math.prod(dims)
+    budget = y.nbytes // 8 + 8 * (2 * ranks[0] * width + 2 * n * d0 + sum(d * d for d in dims))
+    assert _peak_bytes(fit) <= 1.1 * budget < 8 * d0 * width
 
 
 def test_cli_fit_process_holds_chunks_not_y(tmp_path):

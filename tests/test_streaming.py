@@ -14,8 +14,10 @@ or a pipe holds one copy of the data, writing one holds none, the fits, the
 CV path and the mode Grams read Y in place, a batch prediction holds little beyond its
 output, and a model is saved from its own memory and loaded into one copy.  The training data's finite
 check makes no array of Y's size, a kernel fit holds four N x N arrays
-at its peak, three when the pencil goes through G_0 or when it forms K
-itself, and a kernel matrix is built in its own output.  A CLI `predict`
+at its peak, three when the pencil goes through G_0 (four when the helper
+forms G_0 beside the decomposition) or when it forms K itself, and a
+kernel matrix is built in its own output, with no n x d0 temporary for its
+row norms.  A CLI `predict`
 process (its peak RSS, `helpers.cli_peak_rss`) holds column blocks of the
 prediction, not the prediction.
 
@@ -55,6 +57,7 @@ from tensorreg.regress import (
     save_model,
 )
 from tensorreg.tensor import matricize, read_dten, write_dten
+from test_streamed_fit import helper_on  # noqa: F401  (a fixture)
 from test_tensor import _Pipe
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
@@ -200,18 +203,33 @@ def test_finite_check_of_training_data_is_blockwise(y_file):
         RegressionProblem(x[: N // 2], bad, (1, 1, 1, 1))
 
 
-@pytest.mark.parametrize("layout", ["C", "F"])
-def test_kholrr_fit_holds_three_gram_sized_arrays(layout):
-    # D >= N, so the pencil goes through G_0: Q of eigh(K), then G_0 and
-    # Q^T G_0 (G_0 goes before the second product), then Q and the pencil,
-    # which the only gamma scales in place and sym_eig_top symmetrizes in
-    # place.  The mode-0 Gram of a C-ordered Y is one product.
+def _g0_route_kernel_fit_peak(layout) -> float:
+    """The traced peak of a kernel fit whose pencil goes through G_0 (D >= N),
+    in N x N arrays."""
     n = 300
     rng = np.random.default_rng(10)
     x, y = rng.standard_normal((n, 6)), _laid_out(rng.standard_normal((n, 8, 8, 5)), layout)
     spec = KernelSpec(kind="rbf", sigma=2.0)
     k = gram(x, spec)
-    assert _peak_bytes(kholrr_fit, k, y, (5, 2, 2, 2), 1e-3, x, spec) <= 3.5 * k.nbytes
+    return _peak_bytes(kholrr_fit, k, y, (5, 2, 2, 2), 1e-3, x, spec) / k.nbytes
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kholrr_fit_holds_three_gram_sized_arrays(layout, monkeypatch):
+    # D >= N, so the pencil goes through G_0: Q of eigh(K), then G_0 and
+    # Q^T G_0 (G_0 goes before the second product), then Q and the pencil,
+    # which the only gamma scales in place and sym_eig_top symmetrizes in
+    # place.  The mode-0 Gram of a C-ordered Y is one product.  No helper,
+    # as at two BLAS threads, whatever the count this process runs
+    monkeypatch.setattr(regress, "_blas_threads", lambda: 2)
+    assert _g0_route_kernel_fit_peak(layout) <= 3.5
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_kholrr_fit_beside_the_helper_holds_four_gram_sized_arrays(layout, helper_on):
+    # the helper forms G_0 while dsyevd decomposes K in place: K, its
+    # workspace of 2 N^2 doubles and G_0 at once
+    assert _g0_route_kernel_fit_peak(layout) <= 4.5
 
 
 def test_kholrr_fit_holds_four_gram_sized_arrays():
@@ -247,6 +265,11 @@ def test_kernels_are_built_in_their_output(spec):
     x, x_val = rng.standard_normal((2000, 10)), rng.standard_normal((1000, 10))
     assert _peak_bytes(gram, x, spec) <= 1.1 * 8 * 2000 * 2000
     assert _peak_bytes(kernel_cross, spec, x_val, x) <= 1.1 * 8 * 1000 * 2000
+    # d0 = 200: the rbf row norms are summed a row block at a time, with no
+    # n x d0 array of squares
+    x = rng.standard_normal((2000, 200))
+    assert _peak_bytes(gram, x, spec) <= 1.1 * 8 * 2000 * 2000
+    assert _peak_bytes(kernel_cross, spec, x[:500], x[:1000]) <= 1.1 * 8 * 500 * 1000
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])

@@ -23,8 +23,9 @@ and what it may not:
   fails (the CLI still exits 3), so `--jobs N` forks with no thread alive
   and equals the serial run;
 - a fit that reads Y from its file (`tensor.DtenColumns`): its first pass
-  forms the Grams on the helper, public functions stay on the calling
-  thread, and a failed decomposition still joins the helper.
+  forms the Grams on the helper (from the array a Y that fits in one read
+  is read into, on the calling thread), public functions stay on the
+  calling thread, and a failed decomposition still joins the helper.
 
 Past the choice, the tests run small problems with the helper forced on
 (`helper_on`: one BLAS thread, no least size).
@@ -286,10 +287,12 @@ def test_parallel_kernel_experiment_after_a_kernel_fit_matches_serial(monkeypatc
 
 @pytest.mark.parametrize("kernel, d0", [(SPEC, 6), (None, 40)], ids=["kernel", "primal"])
 def test_a_streamed_square_q_fit_reads_its_file_on_the_helper(tmp_path, monkeypatch, helper_on, kernel, d0):
-    # Y read from its file (`tensor.DtenColumns`): the pass that forms the
-    # Grams runs on the helper beside the decomposition, every public
-    # function on the calling thread, and a Y that fits in one chunk gives
-    # the bits of the in-memory fit
+    # Y read from its file (`tensor.DtenColumns`): the Grams are formed on
+    # the helper beside the decomposition, every public function runs on
+    # the calling thread, and a Y that fits in one chunk is read once,
+    # before the helper starts, and gives the bits of the in-memory fit (a
+    # larger Y's first pass reads the file on the helper:
+    # `test_a_failed_decomposition_joins_the_helper_reading_a_file`)
     x, y, _ = _problem(30, d0, (4, 3, 5))
     write_dten(y, tmp_path / "y.dten")
     grams = _spy_grams(monkeypatch)
@@ -307,9 +310,11 @@ def test_a_streamed_square_q_fit_reads_its_file_on_the_helper(tmp_path, monkeypa
 def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkeypatch, helper_on):
     # eigh(K) in place (`linalg._eigh_in_place`) fails while the helper reads
     # Y from its file: the fit waits for the helper, then raises, and leaves
-    # no thread behind
+    # no thread behind.  Reads of 7 columns: a Y that fits in one read is
+    # read before the helper starts
     x, y, _ = _problem(30, 6, (4, 3, 5))
     write_dten(y, tmp_path / "y.dten")
+    monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 30 * 7)
     finished, real = [], regress._mode_grams
 
     def slow(y, cut):
