@@ -25,7 +25,7 @@ import numpy as np
 from . import datagen, regress
 from .datagen import substream
 from .regress import KernelSpec
-from .tensor import DtenColumns, TuckerFactors, dematricize, matricize
+from .tensor import TuckerFactors, dematricize, matricize
 
 __all__ = [
     "rmse",
@@ -125,12 +125,10 @@ def fit_method(method: str, x, y, gamma: float, ranks=None, kernel: KernelSpec =
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     x = np.asarray(x, dtype=np.float64)
-    if not isinstance(y, DtenColumns):
-        y = np.asarray(y, dtype=np.float64)
     preset, notes = _preset(method, x, y, ranks, kernel)
     if method == "lrr":  # lrr_fit warns the notes
         w = regress.lrr_fit(x, matricize(y, 0), int(ranks[0]) if ranks else 1, gamma)
-        core = dematricize(w, 0, (x.shape[1], *y.shape[1:]))
+        core = dematricize(w, 0, (x.shape[1], *np.shape(y)[1:]))
         return regress.HolrrModel(TuckerFactors(core, [None] * core.ndim), float(gamma), tuple(notes))
     for msg in notes:
         warnings.warn(msg, stacklevel=2)
@@ -687,6 +685,8 @@ def run_experiment(name: str, config: dict = None, out_dir=None, jobs: int = 1, 
             cfg["runs"] = min(3, int(cfg["runs"]))
             cfg["gammas"] = list(cfg["gammas"])[::3] or list(cfg["gammas"])
 
+    if "test_size" in cfg and int(cfg["test_size"]) < 1:  # an RMSE over no rows is no score
+        raise ValueError("test_size must be >= 1")
     methods = cfg.get("methods", [])  # the image experiment names its own
     if not isinstance(methods, list):
         raise ValueError(f"methods must be a list of method entries, got {methods!r}")

@@ -32,45 +32,49 @@ restricting to its range" warning of a singular input Gram.  One function,
 `_statistics`, reads Y, and the path of fits runs on what it forms: the
 output-mode Grams, the input pencil and the rows (a Q^T) Y_(0) of the
 core, one product with Y each.  It reads Y only by GEMMs on its own
-memory: the mode Grams Y_(i) Y_(i)^T come from strided views of it, and
-when Q is square (every kernel fit, and X with d0 >= N) and the outputs
-are at least as wide as N, the pencil runs through the mode-0 Gram,
-D Q^T (Y_(0) Y_(0)^T) Q D; otherwise it is D Z Z^T D of Z = Q^T Y_(0),
-which no fit keeps past its pencil.
+memory, the mode Grams Y_(i) Y_(i)^T from strided views of it.
+
+One first pass over Y (`_mode_grams`) forms the Grams and the Gram the
+pencil is made from, by one of two routes, each with one rule.  On the
+G_0 route (Q square, as for every kernel fit and X with d0 >= N, and the
+outputs at least as wide as N) it forms G_0 = Y_(0) Y_(0)^T with no Q,
+and the pencil is D Q^T G_0 Q D.  On the Z route (every other fit) it
+takes Q and forms the pencil as D Z Z^T D of Z = Q^T Y_(0), which no fit
+keeps past its Gram.
 
 Y may also be a `tensor.DtenColumns`, the DTEN file CLI `fit` reads in
 pieces (`_streamed`): each statistic is a sum over runs of the file, read
-into two buffers of half `tensor._IO_CHUNK` each, so the fit holds those
-buffers and the statistics, never Y, and no array that grows with d0 D.
-Pass 1 reads blocks of whole columns Y_b of Y_(0), whole slabs of the
-leading modes, checks each finite and forms G_0, or after a thin SVD the
-pencil's sum of Z_b Z_b^T (Z_b = Q^T Y_b), and those modes' Grams from
-it; once the pencil's eigenvectors are known, pass 2 reads row ranges of
-the last mode's slabs, whole multiples of N rows, and forms from the same
-reads that mode's Gram and the rows of the core.  A middle mode whose slab
-exceeds a read takes a strided pass of its own.  A Y that fits in one read
-is read once and fitted as the array it holds, with the in-memory bits; a
-larger one sums in another order, and may differ in the last bits.  When
-BLAS runs one thread, a pass on the calling thread reads the file's next
-block on a reader thread while it uses the current one; the reader copies
-bytes only, and ends with its pass.
+into a buffer of half `tensor._IO_CHUNK` (two when reading ahead), so the
+fit holds those buffers and the statistics, never Y, and no array that
+grows with d0 D.  The first pass (pass 1) reads blocks of whole columns
+Y_b of Y_(0), whole slabs of the leading modes, checks each finite and
+forms G_0, or the pencil's sum of Z_b Z_b^T (Z_b = Q^T Y_b), and those
+modes' Grams from it; once the pencil's eigenvectors are known, pass 2
+reads row ranges of the last mode's slabs, whole multiples of N rows, and
+forms from the same reads that mode's Gram and the rows of the core.  A
+middle mode whose slab exceeds a read takes a strided pass of its own.  A
+Y that fits in one read is read once and fitted as the array it holds,
+with the in-memory bits; a larger one sums in another order, and may
+differ in the last bits.  When BLAS runs one thread, a pass on the
+calling thread reads the file's next block on a reader thread while it
+uses the current one; the reader copies bytes only, and ends with its
+pass.
 
 A large fit with a square Q can run on two threads, which split its work
-and not its BLAS calls: the Grams of Y need no Q, so one helper thread
-(`_helper`, opened and joined inside the fit) forms the output-mode Grams,
-and G_0 when the pencil goes through it, while the calling thread
-decomposes the inputs (eigh(K), or the SVD of X with d0 >= N).  The
-calling thread then joins the helper and forms everything that needs Q
-(the pencil and the rows of the core, with a file's last-mode Gram) and
-runs every eigenproblem of the path.  The helper starts only where it pays
-(`_overlaps`): when numpy's OpenBLAS runs one thread, so that the two
-threads do not ask for the same cores twice, and when the Grams and the
-decomposition are each large enough to outweigh the thread's start.  Every
-other fit (a thin SVD of X, d0 < N, among them) forms the Grams on the
-calling thread after the decomposition, with no thread started.  The
-helper runs private functions, numpy and a `DtenColumns`' reads only;
-each statistic is the same calls on the same operands on either thread,
-so the bits do not depend on the helper.  Work beside the helper must
+and not its BLAS calls: where the first pass needs no Q (the G_0 route,
+or no pencil), one helper thread (`_helper`, opened and joined inside the
+fit) runs it while the calling thread decomposes the inputs (eigh(K), or
+the SVD of X with d0 >= N).  The calling thread then joins the helper and
+forms everything that needs Q (the pencil and the rows of the core, with
+a file's last-mode Gram) and runs every eigenproblem of the path.  The
+helper starts only where it pays (`_overlaps`): when numpy's OpenBLAS
+runs one thread, so that the two threads do not ask for the same cores
+twice, and when the Grams and the decomposition are each large enough to
+outweigh the thread's start.  A Z-route fit runs its pass on the calling
+thread after the decomposition, with no thread started.  The helper runs
+private functions, numpy and a `DtenColumns`' reads only; each statistic
+is the same calls on the same operands on either thread, so the bits do
+not depend on the helper.  Work beside the helper must
 release the GIL, or one thread waits for the other: numpy's matmul, eigh
 and svd do, and so does the in-place dsyevd (`linalg._eigh_in_place`,
 called through ctypes), while scipy's f2py wrappers (`blas.dsyrk`,
@@ -451,21 +455,26 @@ def _axis_gram(v: np.ndarray) -> np.ndarray:
     return g
 
 
-def _mode_grams(y, cut) -> list:
-    """The mode Grams G_i = Y_(i) Y_(i)^T, i = 0..p (None where `cut` is
-    False), each from GEMMs on strided views of Y's own memory: no unfolding
-    is copied.  A C-ordered Y is read as the column-major y.T, its modes
+def _mode_grams(y, cut, q=None, ahead=True) -> list:
+    """The first pass over Y: the mode Grams G_i = Y_(i) Y_(i)^T, i = 0..p
+    (None where `cut` is False), G_0 with `q` that of Z = q^T Y_(0) (the
+    pencil q^T Y_(0) Y_(0)^T q).  An array is read by GEMMs on strided views
+    of its own memory: no unfolding is copied, and Z lives only until its
+    Gram is formed.  A C-ordered Y is read as the column-major y.T, its modes
     reversed; any other layout is made column-major once.  A `DtenColumns`
-    Y is read from its file (`_streamed`)."""
-    if isinstance(y, DtenColumns):  # beside the decomposition, which has the other core: no reader thread
-        return _streamed(y, cut, ahead=False)[0]
+    Y is read from its file (`_streamed`, reading ahead with `ahead`)."""
+    if isinstance(y, DtenColumns):
+        return _streamed(y, cut, q=q, ahead=ahead)[0]
     grams = [None] * y.ndim
     if any(cut):
         y = _contiguous(y)
         t, modes = (y, range(y.ndim)) if y.flags.f_contiguous else (y.T, range(y.ndim - 1, -1, -1))
         for j, i in enumerate(modes):
-            if cut[i]:
+            if cut[i] and (i or q is None):
                 grams[i] = _axis_gram(t.reshape(math.prod(t.shape[:j]), t.shape[j], -1, order="F"))
+        if cut[0] and q is not None:
+            z = _times_rows(q.T, y.reshape(len(y), -1, order="F" if y.flags.f_contiguous else "C"))
+            grams[0] = z @ z.T
     return grams
 
 
@@ -637,41 +646,36 @@ def _statistics(y, inputs, cuts, wide):
     product with Y, folded to (len(a), d1..dp).  Y_(0) is a view of Y, its
     columns in Y's memory order, or for a `DtenColumns` Y the columns of its
     file, read in pieces (`_streamed`); a file that fits in one read is read
-    once, and fitted as the array it holds.  When q is square (a Gram K, or
-    X with d0 >= N) and `_pencil_via_g0`, the pencil is q^T G_0 q from the
-    mode-0 Gram; else it is Z Z^T of Z = q^T Y_(0), formed and dropped here
-    in memory, and summed over the blocks of a file.  No Z is kept.
+    once, and fitted as the array it holds.
 
-    The Grams need no q: when q is square and `_overlaps`, the helper thread
-    (`_helper`) forms them while this thread decomposes the inputs, and is
-    joined before the first product with q; otherwise this thread forms
-    them after the decomposition.  A file's first pass (the helper's,
-    where it starts) forms G_0 or the pencil and the Grams of all but the
-    last mode; the first rows(a) reads the last mode's slabs for both
-    (a q^T) Y_(0) and that mode's Gram, which is None in grams until then.
-    So a fit reads its file twice (once more for each middle mode whose
-    slab exceeds a read), and each later rows(a) once more.  A square q
-    whose pencil needs q (D < N) takes no helper for a file: its first pass
-    sums the pencil, so it waits for q."""
+    One first pass (`_mode_grams`) forms the Grams and the pencil's Gram,
+    by one of two routes, each with one rule.  The G_0 route (q square, a
+    Gram K or X with d0 >= N, and `_pencil_via_g0`) forms G_0 with no q,
+    and the pencil is q^T G_0 q; the Z route (every other fit) waits for q,
+    and forms the pencil as the Gram of Z = q^T Y_(0), which no fit keeps.
+    A first pass that needs no q (the G_0 route, or a fit with no pencil)
+    runs on the helper thread (`_helper`) while this thread decomposes a
+    square q's inputs, when `_overlaps` holds; every other first pass runs
+    on this thread after the decomposition.  A file's first pass leaves the
+    last mode's Gram to the first rows(a), which reads that mode's slabs for
+    both (a q^T) Y_(0) and its Gram, None in grams until then; so a fit
+    reads its file twice (once more for each middle mode whose slab exceeds
+    a read), and each later rows(a) once more."""
     x, own_k = inputs
     n, width = y.shape[0], math.prod(y.shape[1:])
     if isinstance(y, DtenColumns) and n * width <= _read_size():
         y = _read_whole(y)
     k = None if own_k is None else own_k()
     square = k is not None or x.shape[1] >= x.shape[0]
-    via_g0 = square and _pencil_via_g0(n, width)
-    via_z = wide and not via_g0  # the pencil is Z Z^T
-    cut = [via_g0 and wide, *cuts]
+    via_g0 = square and _pencil_via_g0(n, width)  # else the Z route
     streamed = isinstance(y, DtenColumns)
-    # a file's first pass sums G_0 or (with q) the pencil, and forms the
-    # Grams of all but the last mode, which come with the first rows
-    first = [wide, *cuts[:-1], False] if streamed else cut
+    cut = [wide, *cuts[:-1], cuts[-1] and not streamed]
     if streamed:
         order = "F"
 
         def times(a):  # a @ Y_(0), column-major, from the last mode's pass, which first forms its Gram
-            late = cut[-1] and grams[-1] is None
-            g, product = _streamed(y, [False] * (y.ndim - 1) + [late], a, checked=any(first))
+            late = cuts[-1] and grams[-1] is None
+            g, product = _streamed(y, [False] * (y.ndim - 1) + [late], a, checked=any(cut))
             if late:
                 grams[-1] = g[-1]
             return product
@@ -679,30 +683,19 @@ def _statistics(y, inputs, cuts, wide):
         y = _contiguous(y)
         order = "F" if y.flags.f_contiguous else "C"
         times = functools.partial(_times_rows, y0=y.reshape(n, -1, order=order))
-    if square and not (streamed and via_z) and _overlaps(y.shape, cut, n if x is None else x.shape[1]):
-        with _helper() as pool:
-            formed = pool.submit(_mode_grams, y, first)
+    if square and (via_g0 or not wide) and _overlaps(y.shape, cut, n if x is None else x.shape[1]):
+        with _helper() as pool:  # beside the decomposition, which has the other core: no reader thread
+            formed = pool.submit(_mode_grams, y, cut, ahead=False)
             side = _input_side(x, k)
-            g0, *grams = formed.result()
+            pencil, *grams = formed.result()
         del formed  # its result holds G_0, which the pencil replaces below
     else:
         side = _input_side(x, k)
-        if streamed:
-            (g0, *grams), _ = _streamed(y, first, q=side[0] if via_z else None)
-        else:
-            g0, *grams = _mode_grams(y, first)
+        pencil, *grams = _mode_grams(y, cut, q=None if via_g0 else side[0])
     q = side[0]
-    pencil = None
-    if wide and via_g0:
-        pencil = q.T @ g0
-        del g0  # q^T G_0 replaces it before the second product
+    if wide and via_g0:  # q^T G_0 replaces G_0 before the second product
+        pencil = q.T @ pencil
         pencil = pencil @ q
-    elif wide and streamed:
-        pencil = g0  # summed over the blocks of pass 1
-    elif wide:
-        z = times(q.T)
-        pencil = z @ z.T
-        del z  # no Z is kept
 
     def rows(a):
         return times(a @ q.T).reshape((len(a), *y.shape[1:]), order=order)
@@ -911,7 +904,7 @@ def holrr_predict_batch(model: HolrrModel, x) -> np.ndarray:
     into one column-major array."""
     shape, blocks = predict_blocks(model, x)
     out = np.empty(shape, order="F")
-    for _ in blocks(out.reshape(shape[0], -1, order="F")):
+    for _ in blocks(out.reshape(shape[0], math.prod(shape[1:]), order="F")):
         pass
     return out
 

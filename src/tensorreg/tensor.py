@@ -12,8 +12,9 @@ Modes are 0-based, matching numpy axes.
 
 A DTEN file holds exactly its header line and its column-major payload.
 `read_dten` reads one into a single array; `DtenColumns` reads a regular
-file in pieces instead (runs of the payload, into two reused buffers), so a
-fit can form its statistics of Y without holding Y.
+file in pieces instead (runs of the payload, into a reused buffer, or two
+when it reads ahead), so a fit can form its statistics of Y without
+holding Y.
 """
 
 from __future__ import annotations
@@ -396,14 +397,16 @@ class DtenColumns:
         [0, rows) of the payload, read with `os.preadv` (one read when the
         runs are adjacent, step == rows), into a reused buffer of `_IO_CHUNK`
         / 2 bytes (less for a smaller Y, more for a larger request), so each
-        array is valid until the next is asked for.  With `ahead`, two such
-        buffers take turns: a reader thread, joined when the generator
-        closes, reads the next request into one while the caller uses the
-        other."""
+        array is valid until the next is asked for.  With `ahead` and more
+        than one request, a second such buffer takes turns with the first: a
+        reader thread, joined when the generator closes, reads the next
+        request into one while the caller uses the other.  The second buffer
+        is allocated only then."""
         requests = list(requests)
+        ahead = ahead and len(requests) > 1
         size = max([min(_IO_CHUNK // 16, math.prod(self.shape))] + [rows * count for rows, count, _, _ in requests])
-        if not self._bufs or self._bufs[0].size < size:
-            self._bufs = [np.empty(size, dtype="<f8") for _ in range(2)]
+        self._bufs = [b for b in self._bufs if b.size >= size]
+        self._bufs += [np.empty(size, dtype="<f8") for _ in range(1 + ahead - len(self._bufs))]
 
         def fill(k, slot):
             rows, count, start, step = requests[k]
@@ -414,7 +417,7 @@ class DtenColumns:
                     self._read(view[8 * c * run : 8 * (c + 1) * run], start + c * step)
             return flat.reshape(rows, count, order="F")
 
-        if not ahead or len(requests) < 2:
+        if not ahead:
             for k in range(len(requests)):
                 yield fill(k, 0)
             return

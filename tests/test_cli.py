@@ -289,6 +289,14 @@ def test_exit_code_2_fewer_than_two_cv_folds(tmp_path, capsys):
         assert code == 2 and err.startswith("tensorreg: ") and "folds" in err and err.count("\n") == 1, (folds, err)
 
 
+def test_exit_code_2_no_test_rows(tmp_path, capsys):
+    # an RMSE over no rows is no score: refused before any data is drawn
+    for size in (0, -3):
+        cfg = experiment_config(tmp_path, test_size=size)
+        code = main(["experiment", "synth-linear", "--config", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (2, "tensorreg: test_size must be >= 1\n"), size
+
+
 def test_exit_code_2_image_rank_zero(tmp_path, capsys):
     base = {"image": "fields", "height": 8, "width": 8, "n_train": 20, "trials": 1}
     for key, value in (("lrr_ranks", [0]), ("holrr_ranks", [[3, 0, 4]])):

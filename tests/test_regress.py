@@ -459,6 +459,18 @@ def test_holrr_predict_validation():
         holrr_predict_batch(model, np.zeros(4))
 
 
+def test_a_batch_of_no_rows_predicts_an_empty_tensor():
+    # primal and kernel models alike: an empty (0, d1..dp), not a reshape error
+    prob, data = small_problem(16)
+    spec = KernelSpec(kind="rbf", sigma=2.0)
+    primal = holrr_fit(prob)
+    dual = kholrr_fit(gram(prob.x, spec), prob.y, prob.ranks, prob.gamma, prob.x, spec)
+    for predict, model in ((holrr_predict_batch, primal), (holrr_predict_batch, dual),
+                           (kholrr_predict_batch, dual), (HolrrModel.predict, dual)):
+        out = predict(model, data.x_test[:0])
+        assert out.shape == (0, *prob.y.shape[1:]) and out.dtype == np.float64
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_primal_predict_rejects_non_finite_rows(bad):
     # every entry point, fitted and loaded: not a NaN prediction
@@ -807,18 +819,19 @@ def test_square_q_pencil_routes_agree(width, monkeypatch):
 @pytest.mark.parametrize("width, formed", [(20, False), (30, False), (40, True), (80, True)])
 def test_square_q_forms_g0_only_when_the_outputs_are_at_least_n_wide(width, formed, monkeypatch):
     # N = 40: the Z route for D < N (no larger than one N x N, and cheaper),
-    # the mode-0 Gram for D >= N
+    # the mode-0 Gram for D >= N; the one first pass forms the pencil's
+    # Gram either way, and takes no q exactly on the G_0 route
     x, y, _ = _route_problem(width)
-    cuts, mode_grams = [], regress._mode_grams
+    passes, mode_grams = [], regress._mode_grams
 
-    def spy(y, cut):
-        cuts.append(list(cut))
-        return mode_grams(y, cut)
+    def spy(y, cut, q=None, ahead=True):
+        passes.append((cut[0], q is None))
+        return mode_grams(y, cut, q, ahead)
 
     monkeypatch.setattr(regress, "_mode_grams", spy)
     spec = KernelSpec(kind="rbf", sigma=2.0)
     kholrr_fit(gram(x, spec), y, (4, 3, 2, 2), 1e-3, x, spec)
-    assert [c[0] for c in cuts] == [formed]
+    assert passes == [(True, formed)]
 
 
 def test_kernel_spec_parsing():

@@ -1,10 +1,10 @@
 """CLI `fit` reads Y from its DTEN file in pieces and never holds it whole.
 
-A `tensor.DtenColumns` reads runs of a regular file's payload into two
-reused buffers, and `regress._streamed` forms every statistic of Y from them:
-pass 1 reads blocks of whole columns of Y_(0) for the pencil (summed over
-the blocks after a thin SVD) or G_0 and the Grams of the modes whose slabs
-fit in the chunk, and pass 2 the last mode's slabs for its Gram and the
+A `tensor.DtenColumns` reads runs of a regular file's payload into a
+reused buffer (two when it reads ahead), and `regress._streamed` forms every
+statistic of Y from them: pass 1 reads blocks of whole columns of Y_(0) for
+the pencil's Gram (of Z = q^T Y_(0) summed over the blocks, or G_0) and
+the Grams of the modes whose slabs fit in the chunk, and pass 2 the last mode's slabs for its Gram and the
 core's rows; a middle mode whose slab exceeds the chunk takes a strided
 pass of its own.  These tests pin:
 
@@ -16,8 +16,9 @@ pass of its own.  These tests pin:
 - the reads: a CLI fit with a cut last mode reads its file twice, and once
   more for its training error;
 - the memory: a streamed fit's traced peak is at most 0.4 x Y, and so is
-  what a 64 MB Y adds to a CLI fit process's peak RSS; a thin fit with
-  d0 = 50 keeps no d0 x D array;
+  what a 64 MB Y adds to a CLI fit process's peak RSS; a Y that fits in
+  one read costs one buffer of its size; a thin fit with d0 = 50 keeps no
+  d0 x D array;
 - the failures: a truncated file, one that continues past its payload, or a
   NaN in the last chunk exits 2 with one `tensorreg:` line and leaves no
   model file;
@@ -191,6 +192,22 @@ def test_a_streamed_fit_holds_chunks_not_y(tmp_path, kernel, monkeypatch):
                 kholrr_fit(k, source, (5, 3, 3, 3), 1e-3, x, kernel)
 
     assert _peak_bytes(fit) <= 0.4 * y.nbytes
+
+
+def test_a_streamed_fit_of_one_read_holds_one_buffer(tmp_path, monkeypatch):
+    # a 6.4 MB Y that fits in one read is read once, with no reader thread,
+    # into one buffer of its size, which the fit then runs on in place: the
+    # second buffer is for a read ahead, and is not allocated
+    rng = np.random.default_rng(16)
+    x, y = rng.standard_normal((200, 10)), rng.standard_normal((200, 20, 20, 10))
+    write_dten(y, tmp_path / "y.dten")
+    monkeypatch.setattr(tensor, "_IO_CHUNK", 2 * y.nbytes)
+
+    def fit():
+        with DtenColumns(tmp_path / "y.dten") as source:
+            holrr_fit(RegressionProblem(x, source, (5, 3, 3, 3), 1e-3))
+
+    assert _peak_bytes(fit) <= 1.15 * y.nbytes
 
 
 def test_a_streamed_thin_fit_keeps_no_z(tmp_path, monkeypatch):

@@ -1,31 +1,38 @@
 """The helper thread of a fit.
 
-When q is square and `regress._overlaps` holds (numpy's BLAS runs one
-thread, and the Grams and the decomposition are each large enough),
-`regress._statistics` forms the Grams of Y that need no decomposition (the
-output-mode Grams, and G_0 when the pencil goes through it) on one helper
-thread while the calling thread decomposes the inputs (`_input_side`), and
-joins it before the first product with q; otherwise the calling thread
-forms them after the decomposition.  These tests pin what that may change
-and what it may not:
+`regress._statistics` reads Y in one first pass (`regress._mode_grams`),
+by one of two routes.  On the G_0 route (q square, D >= N) the pass forms
+G_0 and the output-mode Grams with no q; so does a square-q fit that
+keeps no factor 0.  Where `regress._overlaps` also holds (numpy's BLAS
+runs one thread, and the Grams and the decomposition are each large
+enough), the pass runs on one helper thread while the calling thread
+decomposes the inputs (`_input_side`), which joins it before the first
+product with q.  On the Z route (every other fit) the pass takes q to form
+the pencil's Gram of Z = q^T Y_(0), and runs on the calling thread after
+the decomposition.  These tests pin what that may change and what it may
+not:
 
-- the choice: the helper starts for a large square-q fit at one BLAS
+- the choice: the helper starts for a large G_0-route fit at one BLAS
   thread only, not at two or an unknown count, not for a small fit, and
   `_blas_threads` reads the count the process runs;
 - the bits: every fit and the CV path give the same core, factors and
   predictions with the helper swapped for an executor that runs each task
-  inline, on every route: Z = q^T Y_(0) for a thin q (no helper) and for a
-  kernel q with D < N, and G_0 for a square q from a kernel and from X with
-  d0 >= N;
+  inline, on every route: Z for a thin q and for a kernel q with D < N
+  (the pass on the calling thread, with q), and G_0 for a square q from a
+  kernel and from X with d0 >= N (on the helper, without q);
 - the calling thread: every public tensorreg function of a fit or a CV path
   runs on it, and only private helpers run on the helper;
 - the lifetime: no thread outlives a fit, also a fit whose decomposition
   fails (the CLI still exits 3), so `--jobs N` forks with no thread alive
   and equals the serial run;
-- a fit that reads Y from its file (`tensor.DtenColumns`): its first pass
-  forms the Grams on the helper (from the array a Y that fits in one read
-  is read into, on the calling thread), public functions stay on the
-  calling thread, and a failed decomposition still joins the helper.
+- a fit that reads Y from its file (`tensor.DtenColumns`): on the G_0 route
+  its first pass forms the Grams on the helper (from the array a Y that
+  fits in one read is read into, on the calling thread), public functions
+  stay on the calling thread, and a failed decomposition still joins the
+  helper; on the Z route it sums the pencil's Gram on the calling thread,
+  with no helper;
+- the pinned run: an unpinned run reruns the memory and thread tests at
+  one BLAS thread, where they read differently.
 
 Past the choice, the tests run small problems with the helper forced on
 (`helper_on`: one BLAS thread, no least size).
@@ -59,10 +66,10 @@ class _Inline:
     def __exit__(self, *exc):
         return False
 
-    def submit(self, fn, *args):
+    def submit(self, fn, /, *args, **kwargs):
         done = Future()
         try:
-            done.set_result(fn(*args))
+            done.set_result(fn(*args, **kwargs))
         except BaseException as e:
             done.set_exception(e)
         return done
@@ -96,13 +103,14 @@ def _fit(kernel, x, y, ranks, gamma):
 
 
 def _spy_grams(monkeypatch):
-    """Record (thread id, cut) of every `_mode_grams` call that forms a Gram."""
+    """Record (thread id, cut, whether q was given) of every `_mode_grams`
+    call (the first pass over Y) that forms a Gram."""
     calls, real = [], regress._mode_grams
 
-    def spy(y, cut):
+    def spy(y, cut, q=None, ahead=True):
         if any(cut):
-            calls.append((threading.get_ident(), list(cut)))
-        return real(y, cut)
+            calls.append((threading.get_ident(), list(cut), q is not None))
+        return real(y, cut, q, ahead)
 
     monkeypatch.setattr(regress, "_mode_grams", spy)
     return calls
@@ -115,7 +123,7 @@ def _gram_threads(monkeypatch, kernel, n, d0, dims) -> set:
     calls = _spy_grams(monkeypatch)
     _fit(kernel, x, y, (3, 2, 2, 2), 1e-3)
     assert calls
-    return {ident == threading.get_ident() for ident, _ in calls}
+    return {ident == threading.get_ident() for ident, *_ in calls}
 
 
 @pytest.mark.parametrize("threads, on_helper", [(1, True), (2, False), (None, False)])
@@ -158,6 +166,19 @@ def test_blas_threads_reads_the_count_the_process_runs():
         assert out.stdout.strip() == threads
 
 
+@pytest.mark.skipif((regress._blas_threads() or 0) < 2, reason="this run is pinned to one BLAS thread already")
+def test_the_memory_and_thread_tests_pass_pinned(tmp_path):
+    # they read differently at one OpenBLAS thread, where a fit may start
+    # its helper and a streamed pass reads ahead: an unpinned run reruns
+    # them pinned, in a process of its own
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    files = [os.path.join(root, "tests", f"{name}.py") for name in ("test_streaming", "test_streamed_fit", "test_threads")]
+    argv = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--basetemp={tmp_path / 'pinned'}", *files]
+    out = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-2000:]
+
+
 @pytest.mark.parametrize("route, kernel, n, d0, dims", ROUTES, ids=[r[0] for r in ROUTES])
 def test_the_helper_thread_gives_the_serial_bits(route, kernel, n, d0, dims, monkeypatch, helper_on):
     x, y, x_val = _problem(n, d0, dims)
@@ -165,14 +186,16 @@ def test_the_helper_thread_gives_the_serial_bits(route, kernel, n, d0, dims, mon
     rank_sets = [(3, 2, 2, 2), (2, 4, 3, 3)]
     threaded = [_fit(kernel, x, y, ranks, 1e-3) for ranks in rank_sets]
     paths = list(path_predict(x, y, x_val, [1e-3, 0.5], rank_sets, kernel))
-    # the Grams ran on the helper (on the calling thread after a thin SVD),
-    # G_0 among them on the G_0 routes
-    assert calls and all((ident == threading.get_ident()) == (route == "thin") for ident, _ in calls)
-    assert all(cut[0] == route.startswith("g0") for _, cut in calls)
+    # every first pass forms the pencil's Gram: on the G_0 routes G_0, with
+    # no q, on the helper; on the Z routes that of Z = q^T Y_(0), so it
+    # waits for q and runs on the calling thread
+    g0 = route.startswith("g0")
+    assert calls and all((ident == threading.get_ident()) != g0 for ident, _, _ in calls)
+    assert all(cut[0] and with_q != g0 for _, cut, with_q in calls)
     monkeypatch.setattr(regress, "_helper", _Inline)
     calls.clear()
     serial = [_fit(kernel, x, y, ranks, 1e-3) for ranks in rank_sets]
-    assert calls and all(ident == threading.get_ident() for ident, _ in calls)
+    assert calls and all(ident == threading.get_ident() for ident, *_ in calls)
     for a, b in zip(threaded, serial):
         assert np.array_equal(a.factors.core, b.factors.core)
         for ua, ub in zip(a.factors.factors, b.factors.factors):
@@ -218,12 +241,12 @@ def test_public_functions_run_on_the_calling_thread(monkeypatch, helper_on):
             "tensorreg.tensor.multi_mode_product", "tensorreg.regress.holrr_predict_batch"} <= names
     assert all(ident == threading.get_ident() for _, ident in calls)
     # while the Grams of Y ran on the helper
-    assert grams and all(ident != threading.get_ident() for ident, _ in grams)
+    assert grams and all(ident != threading.get_ident() for ident, *_ in grams)
 
 
 def _alive(calls) -> set:
     """The threads that formed the recorded Grams and are still alive."""
-    return {ident for ident, _ in calls} & {t.ident for t in threading.enumerate()} - {threading.get_ident()}
+    return {ident for ident, *_ in calls} & {t.ident for t in threading.enumerate()} - {threading.get_ident()}
 
 
 def test_no_thread_outlives_a_fit(monkeypatch, helper_on):
@@ -234,7 +257,7 @@ def test_no_thread_outlives_a_fit(monkeypatch, helper_on):
     _fit(SPEC, x, y, (3, 2, 2, 2), 1e-3)
     list(path_predict(x, y, x_val, [1e-3], [(3, 2, 2, 2)], None))
     list(path_predict(x, y, x_val, [1e-3], [(3, 2, 2, 2)], SPEC))
-    assert len(calls) == 4 and all(ident != threading.get_ident() for ident, _ in calls)
+    assert len(calls) == 4 and all(ident != threading.get_ident() for ident, *_ in calls)
     assert not _alive(calls) and threading.active_count() == base
 
 
@@ -245,9 +268,9 @@ def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch, 
     x, y, _ = _problem(30, 6, (4, 3, 5))
     finished, real = [], regress._mode_grams
 
-    def slow(y, cut):
+    def slow(y, cut, q=None, ahead=True):
         time.sleep(0.05)
-        out = real(y, cut)
+        out = real(y, cut, q, ahead)
         finished.append(threading.get_ident())
         return out
 
@@ -299,12 +322,35 @@ def test_a_streamed_square_q_fit_reads_its_file_on_the_helper(tmp_path, monkeypa
     calls = _record_public_calls(monkeypatch)
     with tensor.DtenColumns(tmp_path / "y.dten") as source:
         streamed = _fit(kernel, x, source, (3, 2, 2, 2), 1e-3)
-    assert grams and all(ident != threading.get_ident() for ident, _ in grams)
+    assert grams and all(ident != threading.get_ident() for ident, *_ in grams)
     assert calls and all(ident == threading.get_ident() for _, ident in calls)
     assert not _alive(grams)
     expect = _fit(kernel, x, y, (3, 2, 2, 2), 1e-3)
     assert np.array_equal(streamed.factors.core, expect.factors.core)
     assert all(np.array_equal(a, b) for a, b in zip(streamed.factors.factors, expect.factors.factors))
+
+
+def test_a_streamed_z_route_fit_reads_its_file_on_the_calling_thread(tmp_path, monkeypatch, helper_on):
+    # a kernel q with D < N, Y read from its file in reads of 4 columns: the
+    # first pass sums the pencil's Gram of Z = q^T Y_(0), so it takes q and
+    # starts no helper, and the fit matches the in-memory one
+    x, y, _ = _problem(60, 6, (4, 3, 3))
+    write_dten(y, tmp_path / "y.dten")
+    monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 60 * 4)
+    grams = _spy_grams(monkeypatch)
+
+    def no_helper():
+        raise AssertionError("a Z-route fit started the helper")
+
+    monkeypatch.setattr(regress, "_helper", no_helper)
+    with tensor.DtenColumns(tmp_path / "y.dten") as source:
+        streamed = _fit(SPEC, x, source, (3, 2, 2, 2), 1e-3)
+    # one pass, with q, that leaves the last mode's Gram to the core's rows
+    [(ident, cut, with_q)] = grams
+    assert ident == threading.get_ident() and with_q and list(map(bool, cut)) == [True, True, True, False]
+    expect = _fit(SPEC, x, y, (3, 2, 2, 2), 1e-3)
+    scale = np.linalg.norm(expect.factors.core)
+    assert np.linalg.norm(streamed.factors.core - expect.factors.core) <= 1e-12 * scale
 
 
 def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkeypatch, helper_on):
@@ -317,9 +363,9 @@ def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkey
     monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 30 * 7)
     finished, real = [], regress._mode_grams
 
-    def slow(y, cut):
+    def slow(y, cut, q=None, ahead=True):
         time.sleep(0.05)
-        out = real(y, cut)
+        out = real(y, cut, q, ahead)
         finished.append((threading.get_ident(), type(y)))
         return out
 
