@@ -87,7 +87,7 @@ def _training_rmse(model, x, y) -> float:
     blocks = regress.predict_blocks(model, x)[1]()
     width = regress._block_width(y.shape[0])
     if isinstance(y, DtenColumns):
-        columns = (cols for _, cols in y.columns(width, regress._blas_threads() == 1))
+        columns = (cols for _, cols in y.columns(width))
     else:
         y0 = y.reshape(y.shape[0], -1, order="F")
         columns = (y0[:, a : a + width] for a in range(0, y0.shape[1], width))

@@ -660,7 +660,7 @@ def _run_image(cfg, out_dir) -> list:
             if out_dir is not None and trial == 0:
                 tag = method if ranks is None else f"{method}_{variant}"
                 recon = datagen.coefficients_to_image(w_hat, task)
-                datagen.write_ppm(recon, os.path.join(out_dir, f"recon_{task}_{tag}.ppm"))
+                atomic_write(os.path.join(out_dir, f"recon_{task}_{tag}.ppm"), lambda f: datagen.write_ppm(recon, f))
     return records
 
 
@@ -734,9 +734,12 @@ def run_experiment(name: str, config: dict = None, out_dir=None, jobs: int = 1, 
 
 
 def _map_tasks(fn, tasks, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
+    """[fn(t) for t in tasks] on at most `jobs` worker processes, never more
+    than tasks or CPUs, as the pool forks all its workers when it starts."""
+    workers = min(int(jobs), len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=int(jobs)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 
 

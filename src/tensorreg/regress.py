@@ -44,9 +44,9 @@ keeps past its Gram.
 
 Y may also be a `tensor.DtenColumns`, the DTEN file CLI `fit` reads in
 pieces (`_streamed`): each statistic is a sum over runs of the file, read
-into a buffer of half `tensor._IO_CHUNK` (two when reading ahead), so the
-fit holds those buffers and the statistics, never Y, and no array that
-grows with d0 D.  The first pass (pass 1) reads blocks of whole columns
+`read_size` entries at a time into the file's reused buffers, so the fit
+holds those buffers and the statistics, never Y, and no array that grows
+with d0 D.  The first pass (pass 1) reads blocks of whole columns
 Y_b of Y_(0), whole slabs of the leading modes, checks each finite and
 forms G_0, or the pencil's sum of Z_b Z_b^T (Z_b = Q^T Y_b), and those
 modes' Grams from it; once the pencil's eigenvectors are known, pass 2
@@ -55,10 +55,10 @@ forms from the same reads that mode's Gram and the rows of the core.  A
 middle mode whose slab exceeds a read takes a strided pass of its own.  A
 Y that fits in one read is read once and fitted as the array it holds,
 with the in-memory bits; a larger one sums in another order, and may
-differ in the last bits.  When BLAS runs one thread, a pass on the
-calling thread reads the file's next block on a reader thread while it
-uses the current one; the reader copies bytes only, and ends with its
-pass.
+differ in the last bits.  The file alone decides how a pass reads
+(`DtenColumns.reads`): several reads on the thread that opened it, at one
+BLAS thread, go through a reader thread, which copies bytes only and ends
+with its pass; any other pass reads inline.
 
 A large fit with a square Q can run on two threads, which split its work
 and not its BLAS calls: where the first pass needs no Q (the G_0 route,
@@ -114,7 +114,6 @@ union of its methods' presets (`harness._select`).
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import itertools
 import json
@@ -123,7 +122,6 @@ import operator
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 from scipy.linalg import blas
@@ -455,16 +453,16 @@ def _axis_gram(v: np.ndarray) -> np.ndarray:
     return g
 
 
-def _mode_grams(y, cut, q=None, ahead=True) -> list:
+def _mode_grams(y, cut, q=None) -> list:
     """The first pass over Y: the mode Grams G_i = Y_(i) Y_(i)^T, i = 0..p
     (None where `cut` is False), G_0 with `q` that of Z = q^T Y_(0) (the
     pencil q^T Y_(0) Y_(0)^T q).  An array is read by GEMMs on strided views
     of its own memory: no unfolding is copied, and Z lives only until its
     Gram is formed.  A C-ordered Y is read as the column-major y.T, its modes
     reversed; any other layout is made column-major once.  A `DtenColumns`
-    Y is read from its file (`_streamed`, reading ahead with `ahead`)."""
+    Y is read from its file (`_streamed`)."""
     if isinstance(y, DtenColumns):
-        return _streamed(y, cut, q=q, ahead=ahead)[0]
+        return _streamed(y, cut, q=q)[0]
     grams = [None] * y.ndim
     if any(cut):
         y = _contiguous(y)
@@ -478,27 +476,12 @@ def _mode_grams(y, cut, q=None, ahead=True) -> list:
     return grams
 
 
-def _read_size() -> int:
-    """Entries of one read of a streamed Y: half `tensor._IO_CHUNK`, so that
-    two reads are in flight."""
-    return max(1, tensor._IO_CHUNK // 16)
-
-
-def _read_whole(y: DtenColumns) -> np.ndarray:
-    """A Y that fits in one read, read once and checked finite: a
-    column-major array in the reader's buffer."""
-    [(_, block)] = y.columns(math.prod(y.shape[1:]), ahead=False)
-    if not _all_finite(block):
-        raise ValueError("training data must be finite")
-    return block.reshape(y.shape, order="F")
-
-
-def _streamed(y: DtenColumns, cut, a=None, q=None, ahead=True, checked=False) -> tuple:
+def _streamed(y: DtenColumns, cut, a=None, q=None, checked=False) -> tuple:
     """(grams, product): the mode Grams of `_mode_grams`' `cut`, G_0 that of
     q^T Y_(0) with `q` (the pencil q^T Y_(0) Y_(0)^T q), and with `a`,
-    a @ Y_(0) (column-major), of a Y read from its file in `_read_size`
-    reads (`DtenColumns.reads`, each read ahead on a reader thread with
-    `ahead` when BLAS runs one thread).
+    a @ Y_(0) (column-major), of a Y read from its file `read_size`
+    entries at a time (`DtenColumns.reads`, whose rule alone decides
+    whether a reader thread reads the next block).
 
     Pass 1 reads Y_(0) in blocks Y_b of whole columns, checks each finite
     and adds its part to G_0 (Y_b Y_b^T, or with q, Z_b Z_b^T of
@@ -515,8 +498,7 @@ def _streamed(y: DtenColumns, cut, a=None, q=None, ahead=True, checked=False) ->
     to d_i of them.  Without `a`, a Y that fits in one read is one block,
     which forms every Gram with the bits of the in-memory ones."""
     shape = y.shape
-    n, entries = shape[0], _read_size()
-    ahead = ahead and _blas_threads() == 1  # as for `_overlaps`: a multi-threaded BLAS has no core to spare
+    n, entries = shape[0], y.read_size
     cols = [1, *itertools.accumulate(shape[1:], operator.mul)]  # columns of Y_(0) per slab of mode i
     rows = [1, *(n * c for c in cols[:-1])]  # the L of mode i's (L, d_i, T) view
     wide = max(1, entries // n)
@@ -531,7 +513,7 @@ def _streamed(y: DtenColumns, cut, a=None, q=None, ahead=True, checked=False) ->
     if summed:
         grams[0] = np.zeros((n, n) if q is None else (q.shape[1],) * 2, order="F")
     if any(cut[: last + 1]):
-        for _, block in y.columns(width, ahead):
+        for _, block in y.columns(width):
             if not (checked or _all_finite(block)):
                 raise ValueError("training data must be finite")
             if cut[0]:
@@ -553,7 +535,7 @@ def _streamed(y: DtenColumns, cut, a=None, q=None, ahead=True, checked=False) ->
             span, step = (n, step) if step < n else (length, step // n * n)
             ranges = [(slab * length * d + b + r, min(step, span - r)) for slab in range(cols[-1] // cols[i])
                       for b in range(0, length, span) for r in range(0, span, step)]
-            parts = y.reads(((size, d, start, length) for start, size in ranges), ahead)
+            parts = y.reads((size, d, start, length) for start, size in ranges)
             for (start, size), p in zip(ranges, parts):
                 if not (checked or _all_finite(p)):
                     raise ValueError("training data must be finite")
@@ -601,25 +583,6 @@ def _helper() -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="tensorreg-statistics")
 
 
-@functools.cache
-def _blas_threads():
-    """The thread count of the OpenBLAS that numpy bundles, read once per
-    process through its C API, or None where numpy bundles none."""
-    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
-    for lib in sorted(libs.glob("*openblas*")):
-        try:
-            handle = ctypes.CDLL(str(lib))
-        except OSError:
-            continue
-        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, name, None)
-            if fn is not None:
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
-
-
 def _overlaps(shape, cut, width) -> bool:
     """Whether a fit forms the Grams of Y (of `shape`, those `cut` as in
     `_mode_grams`) on the helper thread while this thread decomposes its
@@ -631,7 +594,7 @@ def _overlaps(shape, cut, width) -> bool:
     few hundred."""
     n, size = shape[0], math.prod(shape)
     grams = size * sum(d for d, c in zip(shape, cut) if c)
-    return min(grams, 10 * n * n * width) >= _OVERLAP_FLOPS and _blas_threads() == 1
+    return min(grams, 10 * n * n * width) >= _OVERLAP_FLOPS and tensor._blas_threads() == 1
 
 
 def _statistics(y, inputs, cuts, wide):
@@ -663,8 +626,11 @@ def _statistics(y, inputs, cuts, wide):
     a read), and each later rows(a) once more."""
     x, own_k = inputs
     n, width = y.shape[0], math.prod(y.shape[1:])
-    if isinstance(y, DtenColumns) and n * width <= _read_size():
-        y = _read_whole(y)
+    if isinstance(y, DtenColumns) and n * width <= y.read_size:
+        [(_, block)] = y.columns(width)  # one read, checked finite: a column-major array in the file's buffer
+        if not _all_finite(block):
+            raise ValueError("training data must be finite")
+        y = block.reshape(y.shape, order="F")
     k = None if own_k is None else own_k()
     square = k is not None or x.shape[1] >= x.shape[0]
     via_g0 = square and _pencil_via_g0(n, width)  # else the Z route
@@ -684,8 +650,8 @@ def _statistics(y, inputs, cuts, wide):
         order = "F" if y.flags.f_contiguous else "C"
         times = functools.partial(_times_rows, y0=y.reshape(n, -1, order=order))
     if square and (via_g0 or not wide) and _overlaps(y.shape, cut, n if x is None else x.shape[1]):
-        with _helper() as pool:  # beside the decomposition, which has the other core: no reader thread
-            formed = pool.submit(_mode_grams, y, cut, ahead=False)
+        with _helper() as pool:  # beside the decomposition, which has the other core: a file reads inline
+            formed = pool.submit(_mode_grams, y, cut)
             side = _input_side(x, k)
             pencil, *grams = formed.result()
         del formed  # its result holds G_0, which the pencil replaces below

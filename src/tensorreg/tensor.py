@@ -12,20 +12,24 @@ Modes are 0-based, matching numpy axes.
 
 A DTEN file holds exactly its header line and its column-major payload.
 `read_dten` reads one into a single array; `DtenColumns` reads a regular
-file in pieces instead (runs of the payload, into a reused buffer, or two
-when it reads ahead), so a fit can form its statistics of Y without
+file in pieces instead (runs of the payload into reused buffers, by a
+reading rule of its own), so a fit can form its statistics of Y without
 holding Y.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
 import os
 import re
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -357,6 +361,25 @@ def read_dten(path_or_file) -> np.ndarray:
         return data.astype(np.float64, copy=False).reshape(shape, order="F")
 
 
+@functools.cache
+def _blas_threads():
+    """The thread count of the OpenBLAS that numpy bundles, read once per
+    process through its C API, or None where numpy bundles none."""
+    libs = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
 class DtenColumns:
     """A DTEN file read in pieces, never whole: `shape` and `ndim` of the
     tensor Y it holds, and runs of its column-major payload (`reads`).  The
@@ -379,10 +402,16 @@ class DtenColumns:
             self._file.close()
             raise
         self._bufs = []
+        self._opener = threading.get_ident()
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
+
+    @property
+    def read_size(self) -> int:
+        """Entries of one read: half `_IO_CHUNK`, so that two fit in it."""
+        return max(1, _IO_CHUNK // 16)
 
     def __enter__(self):
         return self
@@ -391,20 +420,21 @@ class DtenColumns:
         self._file.close()
         return False
 
-    def reads(self, requests, ahead: bool = True):
+    def reads(self, requests):
         """For each (rows, count, start, step) of `requests`, a column-major
         (rows, count) array whose column k is entries start + k step +
         [0, rows) of the payload, read with `os.preadv` (one read when the
-        runs are adjacent, step == rows), into a reused buffer of `_IO_CHUNK`
-        / 2 bytes (less for a smaller Y, more for a larger request), so each
-        array is valid until the next is asked for.  With `ahead` and more
-        than one request, a second such buffer takes turns with the first: a
-        reader thread, joined when the generator closes, reads the next
-        request into one while the caller uses the other.  The second buffer
-        is allocated only then."""
+        runs are adjacent, step == rows), into a reused buffer of `read_size`
+        entries (less for a smaller Y, more for a larger request), so each
+        array is valid until the next is asked for.  The one reading rule:
+        a call of more than one request, on the thread that opened the file,
+        while numpy's OpenBLAS runs one thread (so the reader has a core of
+        its own), reads ahead: a reader thread, joined when the generator
+        closes, reads the next request into a second buffer, allocated only
+        then, while the caller uses the other.  Any other call reads inline."""
         requests = list(requests)
-        ahead = ahead and len(requests) > 1
-        size = max([min(_IO_CHUNK // 16, math.prod(self.shape))] + [rows * count for rows, count, _, _ in requests])
+        ahead = len(requests) > 1 and threading.get_ident() == self._opener and _blas_threads() == 1
+        size = max([min(self.read_size, math.prod(self.shape))] + [rows * count for rows, count, _, _ in requests])
         self._bufs = [b for b in self._bufs if b.size >= size]
         self._bufs += [np.empty(size, dtype="<f8") for _ in range(1 + ahead - len(self._bufs))]
 
@@ -429,12 +459,12 @@ class DtenColumns:
                     pending = reader.submit(fill, k + 1, (k + 1) % 2)
                 yield out
 
-    def columns(self, width: int, ahead: bool = True):
+    def columns(self, width: int):
         """(a, block) for a = 0, width, 2 width, ...: block the N x w columns
         [a, a + w) of Y_(0), w = width but at the end, from `reads`."""
         n, total = self.shape[0], math.prod(self.shape[1:])
         spans = [(a, min(width, total - a)) for a in range(0, total, width)]
-        blocks = self.reads(((n * w, 1, n * a, n * w) for a, w in spans), ahead)
+        blocks = self.reads((n * w, 1, n * a, n * w) for a, w in spans)
         for (a, w), block in zip(spans, blocks):
             yield a, block.reshape(n, w, order="F")
 

@@ -9,11 +9,11 @@ import acceptance_report  # noqa: E402
 def pytest_report_header(config):
     # whether this run is pinned: memory and thread tests read differently
     # at one OpenBLAS thread, where a fit may start its helper
-    from tensorreg import regress
+    from tensorreg import tensor
 
     pins = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
                      for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
-    return f"tensorreg: numpy's OpenBLAS threads: {regress._blas_threads()} ({pins})"
+    return f"tensorreg: numpy's OpenBLAS threads: {tensor._blas_threads()} ({pins})"
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import helpers
-from tensorreg import harness, linalg, regress
+from tensorreg import datagen, harness, linalg, regress
 from tensorreg.datagen import SynthSpec, gen_linear_synthetic, substream
 from tensorreg.harness import (
     DEFAULT_STATIONS,
@@ -682,6 +682,36 @@ def test_parallel_jobs_match_serial():
     assert rep1.records == rep2.records
 
 
+@pytest.mark.parametrize("jobs, cpus, workers", [(5000, 64, 4), (5000, 3, 3), (3, 64, 3), (2, 1, None), (8, None, None)])
+def test_jobs_start_no_more_workers_than_tasks_or_cpus(jobs, cpus, workers, monkeypatch):
+    # the pool forks all its workers when it starts, so --jobs 5000 on 4
+    # tasks would fork 5000 processes; one worker runs the tasks in process
+    started = []
+
+    class Pool:
+        """Records its size and runs each task inline."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    cfg = tiny_synth_config()  # 2 trials x 2 sizes: 4 tasks
+    serial = run_experiment("synth-linear", cfg, jobs=1, timing="none")
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    report = run_experiment("synth-linear", cfg, jobs=jobs, timing="none")
+    assert started == ([] if workers is None else [workers])
+    assert report.records == serial.records
+
+
 def test_synth_uses_cv_when_grid_has_choices():
     cfg = tiny_synth_config(gammas=[1e-8, 1e3], trials=1, train_sizes=[16])
     report = run_experiment("synth-linear", cfg, timing="none")
@@ -751,6 +781,29 @@ def test_run_image_experiment(tmp_path):
     agg_variants = {a.get("variant") for a in report.aggregates}
     assert agg_variants == {"full", "2", "3-4-4"}
     assert all(np.isfinite(r["rmse"]) for r in report.records)
+
+
+def test_a_failed_reconstruction_write_leaves_no_file(tmp_path, monkeypatch):
+    # each recon_*.ppm streams into a temp file that is renamed when
+    # complete: a write that fails after the header leaves neither
+    real = datagen.write_ppm
+
+    def partway(image, f, binary=True):
+        class Failing:
+            def write(self, data):
+                if f.tell():
+                    raise OSError("disk full")
+                return f.write(data)
+
+        real(image, Failing(), binary)
+
+    monkeypatch.setattr(datagen, "write_ppm", partway)
+    cfg = {"seed": 1, "image": "fields", "height": 8, "width": 8, "task": "channels", "n_train": 20,
+           "noise_std": 0.5, "trials": 1, "gamma": 1e-2, "lrr_ranks": [2], "holrr_ranks": [[3, 4, 4]]}
+    out = tmp_path / "img"
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment("image", cfg, out_dir=out, timing="none")
+    assert out.is_dir() and not [p.name for p in out.iterdir() if p.name.startswith(("recon_", ".tmp-"))]
 
 
 def test_image_experiment_rejects_empty_or_zero_rank_lists():

@@ -824,9 +824,9 @@ def test_square_q_forms_g0_only_when_the_outputs_are_at_least_n_wide(width, form
     x, y, _ = _route_problem(width)
     passes, mode_grams = [], regress._mode_grams
 
-    def spy(y, cut, q=None, ahead=True):
+    def spy(y, cut, q=None):
         passes.append((cut[0], q is None))
-        return mode_grams(y, cut, q, ahead)
+        return mode_grams(y, cut, q)
 
     monkeypatch.setattr(regress, "_mode_grams", spy)
     spec = KernelSpec(kind="rbf", sigma=2.0)

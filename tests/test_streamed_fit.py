@@ -1,7 +1,7 @@
 """CLI `fit` reads Y from its DTEN file in pieces and never holds it whole.
 
 A `tensor.DtenColumns` reads runs of a regular file's payload into a
-reused buffer (two when it reads ahead), and `regress._streamed` forms every
+reused buffer, and `regress._streamed` forms every
 statistic of Y from them: pass 1 reads blocks of whole columns of Y_(0) for
 the pencil's Gram (of Z = q^T Y_(0) summed over the blocks, or G_0) and
 the Grams of the modes whose slabs fit in the chunk, and pass 2 the last mode's slabs for its Gram and the
@@ -113,7 +113,7 @@ def test_the_last_mode_takes_a_strided_pass_over_each_slab(tmp_path, monkeypatch
     write_dten(y, tmp_path / "y.dten")
     monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 24)  # two reads of 24 entries in flight
     passes, real = [], DtenColumns.reads
-    monkeypatch.setattr(DtenColumns, "reads", lambda self, requests, *ahead: real(self, passes.append(list(requests)) or passes[-1], *ahead))
+    monkeypatch.setattr(DtenColumns, "reads", lambda self, requests: real(self, passes.append(list(requests)) or passes[-1]))
     with DtenColumns(tmp_path / "y.dten") as source:
         grams, product = regress._streamed(source, [True] * 4, np.eye(8))
     blocks, *strided = passes
@@ -129,7 +129,7 @@ def test_the_last_mode_takes_a_strided_pass_over_each_slab(tmp_path, monkeypatch
 def _spy_reads(monkeypatch) -> list:
     """Record the requests of every `DtenColumns.reads` call: one per pass."""
     passes, real = [], DtenColumns.reads
-    monkeypatch.setattr(DtenColumns, "reads", lambda self, requests, *ahead: real(self, passes.append(list(requests)) or passes[-1], *ahead))
+    monkeypatch.setattr(DtenColumns, "reads", lambda self, requests: real(self, passes.append(list(requests)) or passes[-1]))
     return passes
 
 
@@ -269,7 +269,7 @@ def _files(tmp_path, n=30, dims=(4, 3, 5), seed=14):
 @pytest.fixture
 def helper_on(monkeypatch):
     """Start the helper thread on every square-q fit with a Gram to form."""
-    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
     monkeypatch.setattr(regress, "_OVERLAP_FLOPS", 0)
 
 

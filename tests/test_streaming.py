@@ -221,7 +221,7 @@ def test_kholrr_fit_holds_three_gram_sized_arrays(layout, monkeypatch):
     # which the only gamma scales in place and sym_eig_top symmetrizes in
     # place.  The mode-0 Gram of a C-ordered Y is one product.  No helper,
     # as at two BLAS threads, whatever the count this process runs
-    monkeypatch.setattr(regress, "_blas_threads", lambda: 2)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 2)
     assert _g0_route_kernel_fit_peak(layout) <= 3.5
 
 

@@ -14,7 +14,7 @@ not:
 
 - the choice: the helper starts for a large G_0-route fit at one BLAS
   thread only, not at two or an unknown count, not for a small fit, and
-  `_blas_threads` reads the count the process runs;
+  `tensor._blas_threads` reads the count the process runs;
 - the bits: every fit and the CV path give the same core, factors and
   predictions with the helper swapped for an executor that runs each task
   inline, on every route: Z for a thin q and for a kernel q with D < N
@@ -31,6 +31,11 @@ not:
   stay on the calling thread, and a failed decomposition still joins the
   helper; on the Z route it sums the pencil's Gram on the calling thread,
   with no helper;
+- the reads: `DtenColumns.reads` alone decides whether a pass reads ahead
+  on a `tensorreg-read` thread: a pass of several reads on the thread that
+  opened the file, at one BLAS thread, does (pass 1, pass 2 and the
+  training error of a CLI fit), and any other pass reads inline (the
+  helper's, and every pass at two BLAS threads or an unknown count);
 - the pinned run: an unpinned run reruns the memory and thread tests at
   one BLAS thread, where they read differently.
 
@@ -78,7 +83,7 @@ class _Inline:
 @pytest.fixture
 def helper_on(monkeypatch):
     """Start the helper on every square-q fit with a Gram to form."""
-    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
     monkeypatch.setattr(regress, "_OVERLAP_FLOPS", 0)
 
 
@@ -107,10 +112,10 @@ def _spy_grams(monkeypatch):
     call (the first pass over Y) that forms a Gram."""
     calls, real = [], regress._mode_grams
 
-    def spy(y, cut, q=None, ahead=True):
+    def spy(y, cut, q=None):
         if any(cut):
             calls.append((threading.get_ident(), list(cut), q is not None))
-        return real(y, cut, q, ahead)
+        return real(y, cut, q)
 
     monkeypatch.setattr(regress, "_mode_grams", spy)
     return calls
@@ -133,7 +138,7 @@ def test_a_large_fit_starts_the_helper_at_one_blas_thread_only(threads, on_helpe
     # decomposition 8e7 or 1.2e8: both past `_OVERLAP_FLOPS`.  At two BLAS
     # threads each thread's BLAS calls would ask for both cores, and an
     # unknown count is taken as not one.
-    monkeypatch.setattr(regress, "_blas_threads", lambda: threads)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: threads)
     assert _gram_threads(monkeypatch, kernel, 200, d0, (10, 10, 10)) == {not on_helper}
 
 
@@ -142,12 +147,12 @@ def test_a_small_fit_starts_no_helper(route, kernel, n, d0, dims, monkeypatch):
     # each route's problem is under `_OVERLAP_FLOPS` on one side (the
     # kernel fits of synth-nonlinear and forecast are of this size), where
     # the thread's start would cost more than the overlap saves
-    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
     assert _gram_threads(monkeypatch, kernel, n, d0, dims) == {True}
 
 
 def test_the_least_size_counts_both_sides(monkeypatch):
-    monkeypatch.setattr(regress, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
     cut = [True, True, True, True]
     assert regress._overlaps((100, 10, 10, 10), cut, 100)  # Grams 1.3e7, eigh(K) 1e7
     assert not regress._overlaps((100, 6, 6, 6), cut, 100)  # Grams 2.6e6
@@ -157,20 +162,20 @@ def test_the_least_size_counts_both_sides(monkeypatch):
 
 
 def test_blas_threads_reads_the_count_the_process_runs():
-    if regress._blas_threads() is None:
+    if tensor._blas_threads() is None:
         pytest.skip("numpy bundles no OpenBLAS here")
-    code = "from tensorreg import regress; print(regress._blas_threads())"
+    code = "from tensorreg import tensor; print(tensor._blas_threads())"
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == threads
 
 
-@pytest.mark.skipif((regress._blas_threads() or 0) < 2, reason="this run is pinned to one BLAS thread already")
+@pytest.mark.skipif((tensor._blas_threads() or 0) < 2, reason="this run is pinned to one BLAS thread already")
 def test_the_memory_and_thread_tests_pass_pinned(tmp_path):
     # they read differently at one OpenBLAS thread, where a fit may start
-    # its helper and a streamed pass reads ahead: an unpinned run reruns
-    # them pinned, in a process of its own
+    # its helper and a file may start its reader thread: an unpinned run
+    # reruns them pinned, in a process of its own
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     files = [os.path.join(root, "tests", f"{name}.py") for name in ("test_streaming", "test_streamed_fit", "test_threads")]
@@ -268,9 +273,9 @@ def test_a_failed_decomposition_joins_the_helper(tmp_path, capsys, monkeypatch, 
     x, y, _ = _problem(30, 6, (4, 3, 5))
     finished, real = [], regress._mode_grams
 
-    def slow(y, cut, q=None, ahead=True):
+    def slow(y, cut, q=None):
         time.sleep(0.05)
-        out = real(y, cut, q, ahead)
+        out = real(y, cut, q)
         finished.append(threading.get_ident())
         return out
 
@@ -363,9 +368,9 @@ def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkey
     monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 30 * 7)
     finished, real = [], regress._mode_grams
 
-    def slow(y, cut, q=None, ahead=True):
+    def slow(y, cut, q=None):
         time.sleep(0.05)
-        out = real(y, cut, q, ahead)
+        out = real(y, cut, q)
         finished.append((threading.get_ident(), type(y)))
         return out
 
@@ -381,17 +386,65 @@ def test_a_failed_decomposition_joins_the_helper_reading_a_file(tmp_path, monkey
     assert not _alive([(finished[0][0], None)]) and threading.active_count() == base
 
 
-@pytest.mark.parametrize("threads, ahead", [(1, True), (2, False), (None, False)])
-def test_a_streamed_fit_reads_ahead_at_one_blas_thread_only(tmp_path, monkeypatch, threads, ahead):
-    # the reader thread takes a core of its own, as the helper does: at two
-    # BLAS threads, or an unknown count, every read waits for its turn
-    x, y, _ = _problem(60, 8, (4, 3, 3))
+def _readers() -> set:
+    """The reader threads of `DtenColumns.reads` alive now."""
+    return {t.ident for t in threading.enumerate() if t.name.startswith("tensorreg-read")}
+
+
+def _spy_passes(monkeypatch) -> list:
+    """Record, for every `DtenColumns.reads` call (one per pass), whether it
+    ran on this thread and whether it started a `tensorreg-read` thread."""
+    passes, real, here = [], tensor.DtenColumns.reads, threading.get_ident()
+
+    def spy(self, requests):
+        before = _readers()
+        for k, out in enumerate(real(self, requests)):
+            if not k:  # a reader thread starts with the first request
+                passes.append((threading.get_ident() == here, bool(_readers() - before)))
+            yield out
+
+    monkeypatch.setattr(tensor.DtenColumns, "reads", spy)
+    return passes
+
+
+@pytest.mark.parametrize("threads", [1, 2, None])
+@pytest.mark.parametrize("kernel", [[], ["--kernel", "rbf:3"]], ids=["thin", "g0-kernel"])
+def test_a_pass_reads_ahead_on_the_opening_thread_at_one_blas_thread_only(tmp_path, monkeypatch, threads, kernel):
+    # reads of 450 entries (15 of Y_(0)'s 60 columns) and predictions in
+    # blocks of 12 columns: pass 1, pass 2 and the training error each make
+    # several reads.  The reader thread takes a core of its own, as the
+    # helper does: at two BLAS threads, or an unknown count, every read waits
+    # for its turn; and the helper's pass, beside the decomposition, reads
+    # inline on the helper
+    x, y, _ = _problem(30, 6, (4, 3, 5))
+    write_dten(x, tmp_path / "x.dten")
     write_dten(y, tmp_path / "y.dten")
-    monkeypatch.setattr(regress, "_blas_threads", lambda: threads)
-    monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 60 * 4)  # reads of 4 columns
-    seen, real = [], tensor.DtenColumns.reads
-    monkeypatch.setattr(tensor.DtenColumns, "reads", lambda self, requests, ahead=True: seen.append(ahead) or real(self, requests, ahead))
-    with tensor.DtenColumns(tmp_path / "y.dten") as source:
-        _fit(None, x, source, (3, 2, 2, 2), 1e-3)
-        cli._training_rmse(regress.holrr_fit(RegressionProblem(x, y, (3, 2, 2, 2), 1e-3)), x, source)
-    assert len(seen) >= 3 and set(seen) == {ahead}
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: threads)
+    monkeypatch.setattr(regress, "_OVERLAP_FLOPS", 0)
+    monkeypatch.setattr(tensor, "_IO_CHUNK", 16 * 450)
+    monkeypatch.setattr(regress, "_PREDICT_BYTES", 8 * 30 * 12)
+    passes = _spy_passes(monkeypatch)
+    code = cli.main(["fit", "--x", str(tmp_path / "x.dten"), "--y", str(tmp_path / "y.dten"), "--ranks", "3,2,2,2",
+                     "--out", str(tmp_path / "m.bin"), *kernel])
+    assert code == 0
+    first, last, training = passes
+    helper = bool(kernel) and threads == 1  # the G_0 route's pass 1 on the helper
+    assert first == (not helper, not helper and threads == 1)
+    assert last == training == (True, threads == 1)
+    assert not _readers()
+
+
+def test_a_file_opened_on_another_thread_reads_inline_on_this_one(tmp_path, monkeypatch):
+    _, y, _ = _problem(30, 6, (4, 3, 5))
+    write_dten(y, tmp_path / "y.dten")
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+    passes = _spy_passes(monkeypatch)
+    opened = []
+    elsewhere = threading.Thread(target=lambda: opened.append(tensor.DtenColumns(tmp_path / "y.dten")))
+    elsewhere.start()
+    elsewhere.join()
+    with opened[0] as there, tensor.DtenColumns(tmp_path / "y.dten") as here:
+        for source in (there, here):
+            blocks = [block.copy() for _, block in source.columns(12)]
+            assert np.array_equal(np.hstack(blocks), y.reshape(30, -1, order="F"))
+    assert passes == [(True, False), (True, True)]
