@@ -171,6 +171,8 @@ def _cmd_experiment(args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             config[key] = val
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     if args.trials is not None:
         config["trials"] = args.trials
         config["runs"] = args.trials

@@ -311,19 +311,13 @@ def read_ppm(path) -> np.ndarray:
     return (vals / maxval).reshape(hei, wid, 3)
 
 
-def write_ppm(image, path_or_file, binary: bool = True) -> None:
-    """Write (h, w, 3) doubles, clipped to [0,1] and quantized to 8 bits, to a path or binary file."""
+def write_ppm(image, path_or_file) -> None:
+    """Write (h, w, 3) doubles, clipped to [0,1] and quantized to 8 bits, as P6 to a path or binary file."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 3 or image.shape[2] != 3:
         raise ValueError(f"expected an (h, w, 3) image, got {image.shape}")
     h, w, _ = image.shape
     q = np.rint(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     with _opened(path_or_file, "wb") as f:
-        if binary:
-            f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-            f.write(q.tobytes())
-        else:
-            f.write(f"P3\n{w} {h}\n255\n".encode("ascii"))
-            flat = q.reshape(-1, 3)
-            for row in flat:
-                f.write(f"{row[0]} {row[1]} {row[2]}\n".encode("ascii"))
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
+        f.write(q.tobytes())

@@ -14,7 +14,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -67,10 +66,12 @@ def rmse(y_true, y_pred) -> float:
 def atomic_write(path, write) -> None:
     """Call write(f) on a binary temp file in the directory of `path`, then
     rename it over `path`: readers see the old file or all of the new one,
-    and `write` can stream its content without building it in memory."""
+    and `write` can stream its content without building it in memory.  The
+    temp file is created as `open` creates one, at mode 0o666 less the umask."""
     path = os.fspath(path)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}{os.path.basename(path)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # a fresh name: never another's file
     try:
         with os.fdopen(fd, "wb") as f:
             write(f)
@@ -685,8 +686,9 @@ def run_experiment(name: str, config: dict = None, out_dir=None, jobs: int = 1, 
             cfg["runs"] = min(3, int(cfg["runs"]))
             cfg["gammas"] = list(cfg["gammas"])[::3] or list(cfg["gammas"])
 
-    if "test_size" in cfg and int(cfg["test_size"]) < 1:  # an RMSE over no rows is no score
-        raise ValueError("test_size must be >= 1")
+    for key in ("test_size", "trials", "runs"):  # an RMSE over no rows is no score, no trial no record
+        if key in cfg and int(cfg[key]) < 1:
+            raise ValueError(f"{key} must be >= 1")
     methods = cfg.get("methods", [])  # the image experiment names its own
     if not isinstance(methods, list):
         raise ValueError(f"methods must be a list of method entries, got {methods!r}")

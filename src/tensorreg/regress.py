@@ -18,10 +18,7 @@ The kernel variant replaces X by the Gram matrix and learns a dual coefficient
 tensor C (N x d1 x ... x dp), never materialized: a kernel model is the same
 `HolrrModel`, its kernel and training rows its input map, with C in the same
 Tucker form, C = G x_0 A x_1 U_1 ... x_p U_p, the dual basis A (N x R0) as
-factor 0.  Every predict entry point takes input rows, and a kernel model
-first maps each to its kernel vector k against the training rows, whose
-norms and finite check the model computes once: a row costs N kernel terms,
-v = A^T k, and then what a primal row with that v costs.
+factor 0.
 
 Every fit takes its input side from one decomposition of the fit rows' Gram,
 X X^T (or K) = Q diag(lam) Q^T (thin SVD of X, or eigh(K) clipped at 0), in
@@ -84,20 +81,20 @@ starts, and decomposes it in that memory, which becomes Q: beside Y and
 the Grams the fit holds K and dsyevd's workspace of 2 N^2 doubles, then
 Q and the pencil, which it drops after its last eigenpairs.
 
-A batch prediction is one loop (`predict_blocks`): B = X U_0 (K_x A for a
-kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0) are formed
-once, and the n x D prediction Y_(0) comes out in column blocks of about
-1 MiB, one GEMM B C_(0)[:, cols] each.  `holrr_predict_batch` writes the
-blocks into one column-major array; the CLI streams them to its file and
-sums the training error with no n x D prediction formed.  A single row
-(`holrr_predict`) takes whichever exact contraction order costs fewer
-multiply-adds (`_row_costs`): v^T C_(0), one GEMV against a C_(0) the
-model forms with the batch's code and keeps, keyed to its `factors`
-object, or the mode-by-mode chain G x_0 v^T x_1 U_1 ... x_p U_p, which
-keeps nothing; a tie takes the chain.  The batch keeps no C_(0).  Every
-array a model holds is column-major, as its file stores it
-(`_column_major`, run when a model is constructed), so a fitted model
-predicts the bits of its own file.
+Every prediction takes input rows through one front end (`_input_rows`),
+which checks them and maps a kernel model's to kernel rows against its
+training rows (their norms and finite check computed once); a single row
+is a batch of one.  A batch is one loop (`predict_blocks`): B = X U_0
+(K_x A for a kernel model) and C_(0) = matricize(G x_1 U_1 ... x_p U_p, 0)
+are formed once, and the n x D prediction Y_(0) comes out in column blocks
+of about 1 MiB, one GEMM B C_(0)[:, cols] each, which `holrr_predict_batch`
+writes into one column-major array and the CLI streams to its file.  A
+single row (`holrr_predict`) takes whichever exact contraction order costs
+fewer multiply-adds (`_row_costs`): v^T C_(0), one GEMV against a C_(0)
+the model keeps, keyed to its `factors` object, or the mode-by-mode chain,
+which keeps nothing.  Every array a model holds is column-major, as its
+file stores it (`_column_major`), so a fitted model predicts the bits of
+its own file.
 
 The flat baselines are rank presets of the same fit on vectorized outputs:
 `rls_fit` (ridge) is `holrr_fit` at full rank (d0, D), and the kernel
@@ -107,9 +104,10 @@ baselines krls and klrr are `kholrr_fit` at (N, D) and (R, D) (through
 (ridge followed by a rank-R projection of the vectorized outputs, both from
 one thin SVD of X) keeps its own D x D eigenproblem: it is the fit-time
 baseline.  The CV path (`path_predict`) is the fit itself at many
-(gamma, ranks) points, which share the decomposition, the Grams and their
-eigenvectors: selection streams one path per split and input side over the
-union of its methods' presets (`harness._select`).
+(gamma, ranks) points: each point is the fit's factors and core, and the
+points share the decomposition, the Grams and their eigenvectors.
+Selection streams one path per split and input side over the union of its
+methods' presets (`harness._select`).
 """
 
 from __future__ import annotations
@@ -234,17 +232,16 @@ class KernelSpec:
         return asdict(self)
 
 
-def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
-    """`kernel_cross`, with `na`/`nb` the squared row norms of xa/xb where a
-    caller keeps them: rows that come with their norms are known finite.
-    The kernel is built in the GEMM's output xa xb^T, an rbf one
-    `_BATCH_BYTES` of rows at a time, with the operations of the formula in
-    its order: one array of the output's size."""
+def _cross(kernel: KernelSpec, xa, xb, nb=None) -> np.ndarray:
+    """`kernel_cross`, with `nb` a model's kept squared norms of its training
+    rows xb, then known finite.  The kernel is built in the GEMM's output
+    xa xb^T, an rbf one `_BATCH_BYTES` of rows at a time, with the operations
+    of the formula in its order: one array of the output's size."""
     xa = np.asarray(xa, dtype=np.float64)
     xb = np.asarray(xb, dtype=np.float64)
     if xa.ndim != 2 or xb.ndim != 2 or xa.shape[1] != xb.shape[1]:
         raise ValueError(f"incompatible input shapes {xa.shape} and {xb.shape}")
-    if not ((na is not None or np.isfinite(xa).all()) and (nb is not None or np.isfinite(xb).all())):
+    if not (np.isfinite(xa).all() and (nb is not None or np.isfinite(xb).all())):
         raise ValueError("kernel inputs must be finite")
     k = xa @ xb.T
     if kernel.kind == "polynomial":
@@ -254,7 +251,7 @@ def _cross(kernel: KernelSpec, xa, xb, na=None, nb=None) -> np.ndarray:
         if not _all_finite(k):
             raise ValueError(f"polynomial kernel (degree {kernel.degree}, offset {kernel.offset}) overflows on these inputs")
     elif kernel.kind == "rbf":
-        na = _row_norms(xa) if na is None else na
+        na = _row_norms(xa)
         nb = _row_norms(xb) if nb is None else nb
         scale = 2.0 * kernel.sigma**2
         step = max(1, _BATCH_BYTES // (8 * max(1, k.shape[1])))
@@ -374,7 +371,9 @@ class RegressionProblem:
 
 
 def _all_finite(a: np.ndarray) -> bool:
-    """np.isfinite(a).all(), checked `_BATCH_BYTES` / 8 entries at a time."""
+    """np.isfinite(a).all(), `_BATCH_BYTES` / 8 entries (one row: all) at a time."""
+    if a.size <= _BATCH_BYTES // 8:
+        return np.isfinite(a).all()
     blocks = np.nditer(a, flags=["external_loop", "buffered", "zerosize_ok"], buffersize=_BATCH_BYTES // 8)
     return all(np.isfinite(block).all() for block in blocks)
 
@@ -436,14 +435,13 @@ def _times_rows(a: np.ndarray, y0: np.ndarray) -> np.ndarray:
 
 
 def _axis_gram(v: np.ndarray) -> np.ndarray:
-    """Gram of axis 1 of a column-major (L, d, T) view v: S S^T for L = 1,
-    s^T s for T = 1 (one slab s = (L, d)), else the sum of s^T s over the T
-    slabs, taken `_BATCH_BYTES` of slab Grams at a time."""
+    """Gram of axis 1 of a column-major (L, d, T) view v: the sum of s^T s
+    over the T slabs s = (L, d), taken `_BATCH_BYTES` of slab Grams at a
+    time, or one GEMM where L = 1 or T = 1, with no stacked slab Grams."""
     d = v.shape[1]
-    if v.shape[0] == 1:
-        return v[0] @ v[0].T
-    if v.shape[2] == 1:
-        return v[:, :, 0].T @ v[:, :, 0]
+    if v.shape[0] == 1 or v.shape[2] == 1:
+        s = v[0].T if v.shape[0] == 1 else v[:, :, 0]
+        return s.T @ s
     slabs = v.transpose(2, 0, 1)
     step = max(1, _BATCH_BYTES // (8 * d * d))
     g = np.zeros((d, d))
@@ -669,16 +667,17 @@ def _statistics(y, inputs, cuts, wide):
     return side, rows, pencil, grams
 
 
-def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
+def _tucker_path(y, inputs, gammas, rank_tuples):
     """(side, points): the one fit behind every method at each point of
     gammas x rank_tuples, from the decomposition side of inputs, (X, None)
     or (None, own_k) as in `_statistics`, whose m has dim rows (d0, or N),
     and the statistics of Y (`_statistics`), its only reader of Y; both are
     formed before this returns, but for the Gram of a file's last mode,
     which the first point's rows bring.  points yields
-    ((gamma, ranks), TuckerFactors, pencil values, notes) per point; factor 0
-    is M c, or with `normalize` u0 of (u0, t) = normalize(M c), t applied to
-    mode 0 of the core.  The clamped ranks are the core's shape.
+    ((gamma, ranks), TuckerFactors, pencil values, notes), the fit at each
+    point: factor 0 is u0 of (u0, t) = norm(M c), t applied to mode 0 of the
+    core, norm `_orthonormalize` for X and `_unit_columns` for K.  The
+    clamped ranks are the core's shape.
 
     With Z = q^T Y_(0), inv = `_ridge_inverse` and D = sqrt(lam inv), R0 >=
     dim keeps no factor 0 and the core is the ridge solution
@@ -694,6 +693,7 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
     """
     x = inputs[0]
     dims, dim = y.shape[1:], (y.shape[0] if x is None else x.shape[1])
+    norm = _unit_columns if x is None else _orthonormalize
     wide = any(r[0] < dim for r in rank_tuples)  # some point keeps a factor 0
     cuts = [max((r[i] for r in rank_tuples if r[i] < d), default=0) for i, d in enumerate(dims, start=1)]
     side, rows, pencil, grams = _statistics(y, inputs, cuts, wide)
@@ -733,18 +733,17 @@ def _tucker_path(y, inputs, gammas, rank_tuples, normalize=None):
                     u0, values, core = m @ (s[:, None] * (np.sqrt(inv)[:, None] * w)), vals[:r0], head[:r0]
                 factors = [None if r == di else u[:, :r] for u, r, di in zip(out, out_ranks, dims)]
                 core = multi_mode_product(core, [None if u is None else u.T for u in factors], range(1, y.ndim))
-                if normalize is not None and u0 is not None:
-                    u0, t = normalize(u0)
+                if u0 is not None:
+                    u0, t = norm(u0)
                     core = mode_product(core, t, 0)
                 yield (gamma, ranks), TuckerFactors(core=core, factors=[u0, *factors]), values, noted
 
     return side, points(pencil)
 
 
-def _tucker_fit(y, ranks, gamma: float, inputs, normalize=_orthonormalize):
-    """(factors, values, notes, side): `_tucker_path` at one point, factor 0
-    made by `normalize`; each note is also warned."""
-    side, points = _tucker_path(y, inputs, [gamma], [ranks], normalize)
+def _tucker_fit(y, ranks, gamma: float, inputs):
+    """(factors, values, notes, side): `_tucker_path` at one point, each note also warned."""
+    side, points = _tucker_path(y, inputs, [gamma], [ranks])
     _, tf, values, noted = next(points)
     for msg in noted:
         warnings.warn(msg, stacklevel=3)
@@ -766,26 +765,18 @@ def holrr_fit(prob: RegressionProblem) -> HolrrModel:
 
 
 def holrr_predict(model: HolrrModel, x) -> np.ndarray:
-    """Predict the output tensor for a single input row.
-
-    The row (a kernel model's row first maps to its kernel vector) gives
-    v = U_0^T x, then takes whichever exact contraction order costs fewer
-    multiply-adds (`_row_matrix`): one GEMV v^T C_(0) against the model's
-    cached C_(0), or the mode-by-mode chain G x_0 v^T x_1 U_1 ... x_p U_p,
-    one `multi_mode_product` call.  Either is within 1e-12 of the row of
-    `holrr_predict_batch`, and a fitted and a loaded model give the same bits.
-    """
+    """Predict the output tensor for a single input row: a batch of one to
+    `_input_rows`, then v = U_0^T x and whichever exact contraction order
+    costs fewer multiply-adds (`_row_matrix`), one GEMV v^T C_(0) against
+    the model's kept C_(0) or the chain G x_0 v^T x_1 U_1 ... x_p U_p.
+    Either is within 1e-12 of the row of `holrr_predict_batch`, and a fitted
+    and a loaded model give the same bits."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("holrr_predict expects a single input vector")
-    if model.kernel is not None:
-        x = _cross(model.kernel, model.train_inputs, x[None, :], _train_norms(model))[:, 0]
+    x = _input_rows(model, x[None, :])[0]
     tf = model.factors
     u0, *rest = tf.factors
-    if x.shape[0] != tf.shape[0]:
-        raise ValueError(f"input has length {x.shape[0]}, model expects {tf.shape[0]}")
-    if model.kernel is None and not np.isfinite(x).all():
-        raise ValueError("input rows must be finite")
     v = x if u0 is None else u0.T @ x
     c0 = _row_matrix(model, tf)
     if c0 is None:
@@ -831,25 +822,34 @@ def _block_width(n: int) -> int:
     return max(1, _PREDICT_BYTES // (8 * max(1, n)))
 
 
+def _input_rows(model: HolrrModel, x) -> np.ndarray:
+    """The one front end of every prediction: input rows x, C-ordered (the
+    GEMMs round alike for every layout) and checked, or a kernel model's
+    kernel rows of x against its training rows (`_cross`)."""
+    rows = np.ascontiguousarray(x, dtype=np.float64)
+    if model.kernel is not None:
+        rows = _cross(model.kernel, rows, model.train_inputs, nb=_train_norms(model))
+    u0 = model.factors.factors[0]
+    width = model.factors.core.shape[0] if u0 is None else len(u0)  # factors.shape[0], without its tuple
+    if rows.ndim != 2:
+        raise ValueError("expected a matrix of input rows")
+    if rows.shape[1] != width:
+        raise ValueError(f"input has {rows.shape[1]} columns, model expects {width}")
+    if model.kernel is None and not _all_finite(rows):
+        raise ValueError("input rows must be finite")
+    return rows
+
+
 def predict_blocks(model: HolrrModel, x) -> tuple:
     """(shape, blocks): the one block loop behind every batch prediction of
-    input rows x.  The rows are checked (shape, and finite for every model),
-    and the kernel rows (for a kernel model), B = rows U_0 and
-    C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0) formed, before this
-    returns, so a bad x fails before the first block.
+    input rows x.  The rows are checked and mapped (`_input_rows`), and
+    B = rows U_0 and C_(0) = matricize(core x_1 U_1 ... x_p U_p, 0) formed,
+    before this returns, so a bad x fails before the first block.
     blocks(out) yields the n x D prediction Y_(0) in column blocks of about
     `_PREDICT_BYTES`, each one GEMM B C_(0)[:, cols] into a column-major
     block: `out[:, cols]` of a column-major n x D `out`, or without `out` one
     reused buffer, each block valid until the next."""
-    rows = np.ascontiguousarray(x, dtype=np.float64)  # C-ordered: the GEMMs round alike for every layout
-    if model.kernel is not None:
-        rows = _cross(model.kernel, rows, model.train_inputs, nb=_train_norms(model))
-    if rows.ndim != 2:
-        raise ValueError("expected a matrix of input rows")
-    if rows.shape[1] != model.factors.shape[0]:
-        raise ValueError(f"input has {rows.shape[1]} columns, model expects {model.factors.shape[0]}")
-    if model.kernel is None and not _all_finite(rows):
-        raise ValueError("input rows must be finite")
+    rows = _input_rows(model, x)
     u0 = model.factors.factors[0]
     b = rows if u0 is None else rows @ u0
     c0 = _core_matrix(model.factors)
@@ -927,7 +927,8 @@ def lrr_fit(x, y_flat, rank: int, gamma: float) -> np.ndarray:
 def path_predict(x_fit, y_fit, x_val, gammas, rank_tuples, kernel: KernelSpec = None):
     """Validation predictions of holrr_fit (kholrr_fit when `kernel` is given)
     at every (gamma, ranks) point: `_tucker_path` over one decomposition of
-    the fit rows, each point predicted on X_val (or K_val).
+    the fit rows, whose points are the fits' own factors and cores, each
+    predicted on X_val (or K_val).
 
     The decomposition (and K_val) is made before this returns; the generator
     returned yields ((gamma, ranks), prediction (n_val, d1..dp)) one point at
@@ -981,7 +982,7 @@ def kholrr_fit(k, y, ranks, gamma: float, train_inputs, kernel: KernelSpec) -> H
             raise ValueError("train_inputs row count must match the gram matrix")
         own_k = functools.partial(_own_gram, k)
     prob = RegressionProblem(x=train_inputs, y=y, ranks=ranks, gamma=gamma)
-    tf, values, noted, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, (None, own_k), _unit_columns)
+    tf, values, noted, _ = _tucker_fit(prob.y, prob.ranks, prob.gamma, (None, own_k))
     return HolrrModel(tf, prob.gamma, tuple(noted), kernel, train_inputs, values)
 
 

@@ -297,6 +297,33 @@ def test_exit_code_2_no_test_rows(tmp_path, capsys):
         assert (code, capsys.readouterr().err) == (2, "tensorreg: test_size must be >= 1\n"), size
 
 
+def test_exit_code_2_no_trials_or_runs(tmp_path, capsys):
+    # no trial or run is a report of no records: refused before any data is
+    # drawn or any output directory made
+    out = tmp_path / "o"
+    cases = [
+        (["synth-linear", "--quick", "--trials", "0"], None, "trials"),
+        (["synth-linear"], {"trials": -2}, "trials"),
+        (["image", "--trials", "0"], None, "trials"),
+        (["forecast"], {"runs": 0}, "runs"),
+    ]
+    for argv, cfg, key in cases:
+        if cfg is not None:
+            argv = [*argv, "--config", str(experiment_config(tmp_path, **cfg))]
+        code = main(["experiment", *argv, "--out-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (2, f"tensorreg: {key} must be >= 1\n"), argv
+        assert not out.exists()
+
+
+def test_exit_code_2_jobs_below_one(tmp_path, capsys):
+    # not a quiet serial run
+    out = tmp_path / "o"
+    for jobs in ("0", "-3"):
+        code = main(["experiment", "synth-linear", "--quick", "--jobs", jobs, "--out-dir", str(out)])
+        assert (code, capsys.readouterr().err) == (2, "tensorreg: --jobs must be >= 1\n"), jobs
+        assert not out.exists()
+
+
 def test_exit_code_2_image_rank_zero(tmp_path, capsys):
     base = {"image": "fields", "height": 8, "width": 8, "n_train": 20, "trials": 1}
     for key, value in (("lrr_ranks", [0]), ("holrr_ranks", [[3, 0, 4]])):

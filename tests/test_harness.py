@@ -1,8 +1,10 @@
 import io
 import json
 import os
+import stat
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +54,20 @@ def test_atomic_write_bytes(tmp_path):
     atomic_write_bytes(p, b"replaced")
     assert p.read_bytes() == b"replaced"
     assert [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")] == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask022", "umask077"])
+def test_atomic_write_gives_a_new_file_the_mode_open_gives(tmp_path, umask, mode):
+    # 0o666 less the umask, not a temp file's 0600
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(tmp_path / "out.bin", b"hello")
+        with open(tmp_path / "plain.bin", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "out.bin").st_mode) == mode
+    assert stat.S_IMODE(os.stat(tmp_path / "plain.bin").st_mode) == mode
 
 
 def small_data(seed=0, n=24):
@@ -278,6 +294,30 @@ def test_lrr_cv_path_matches_fitting_every_grid_point():
     # rls/krls run the refit's own arithmetic; the others agree to rounding
     assert worst["rls"] == worst["krls"] == 0.0, worst
     assert max(worst.values()) <= 1e-13, worst
+
+
+def test_cv_points_are_the_fits_at_one_rank_candidate():
+    # with one rank candidate the path asks each eigenproblem for the
+    # eigenpairs one fit asks for, and each point is that fit: its factor 0
+    # normalized as the fit's, so the scores are equal, not close.  lrr refits
+    # with its own D x D algorithm and agrees to rounding
+    worst = 0.0
+    for seed in range(10):
+        x, y, grid, kernel = _path_problem(seed)
+        for ranks in grid.rank_candidates:
+            one = replace(grid, rank_candidates=(ranks,))
+            for method in METHODS:
+                k = kernel if method.startswith("k") else None
+                ref = _scores_fitting_every_point(x, y, one, method, k)
+                _, table = grid_search_cv(x, y, one, method, k)
+                assert [(row["gamma"], row["ranks"]) for row in table] == list(ref)
+                for row in table:
+                    expect = ref[(row["gamma"], row["ranks"])]
+                    if method == "lrr":
+                        worst = max(worst, abs(row["score"] - expect) / expect)
+                    else:
+                        assert row["score"] == expect, (seed, ranks, method, row["score"], expect)
+    assert worst <= 1e-13, worst
 
 
 def test_lrr_cv_scores_without_per_point_fits(monkeypatch):
@@ -788,14 +828,14 @@ def test_a_failed_reconstruction_write_leaves_no_file(tmp_path, monkeypatch):
     # complete: a write that fails after the header leaves neither
     real = datagen.write_ppm
 
-    def partway(image, f, binary=True):
+    def partway(image, f):
         class Failing:
             def write(self, data):
                 if f.tell():
                     raise OSError("disk full")
                 return f.write(data)
 
-        real(image, Failing(), binary)
+        real(image, Failing())
 
     monkeypatch.setattr(datagen, "write_ppm", partway)
     cfg = {"seed": 1, "image": "fields", "height": 8, "width": 8, "task": "channels", "n_train": 20,
